@@ -122,6 +122,7 @@ def shear_angle_lanes(a: float, sigma: float, eps, beta: float,
     e_ang = eps ** (1.0 - beta) * sigma          # sigma1 amplitude
     e_sh = eps ** beta                           # shear-drift scale
     e_wz = rate * eps ** (2.0 - 2.0 * beta) * sigma ** 2
+    k_sh = -e_sh * a
 
     theta = np.full(L, float(theta0))
     acc_sc = np.zeros(L)
@@ -161,10 +162,11 @@ def shear_angle_lanes(a: float, sigma: float, eps, beta: float,
                 if step_no % drift_stride == 0:
                     acc_irho += irho(theta)
                     n_irho += 1
-            theta = theta + dt * (-e_sh * a * st * st - e_wz * sc * c2)
-            g = e_ang * np.cos(theta) ** 2 * gauss[i]
+            theta = theta + dt * (k_sh * st * st - e_wz * sc * c2)
+            ct = np.cos(theta)
+            g = e_ang * ct ** 2 * gauss[i]
             if step_no >= burn_steps:
-                mart += e_ang * np.sin(theta) * np.cos(theta) * gauss[i]
+                mart += e_ang * np.sin(theta) * ct * gauss[i]
             theta = theta + g
             if sums is not None:
                 s = e_ang * sums[i]

@@ -120,17 +120,27 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _plain(obj):
+    """Plain JSON values: numpy scalars and arrays become Python numbers and
+    lists, tuples become lists, and non-finite floats (a failed replicate's
+    NaN) become None, written as null."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    path.write_text(_json_text(payload) + "\n")
 
 
 # execution-only keys: they do not influence results, so they are left out
@@ -192,6 +202,21 @@ def _estimate_payload(est: LyapunovEstimate) -> dict:
     }
 
 
+def _check_methods(methods: list, system) -> None:
+    """Refuse, before any work starts, a method the system cannot run."""
+    if not methods:
+        raise ConfigError("run.method is empty")
+    for method in methods:
+        if method not in _METHODS:
+            raise ConfigError(f"unknown method {method!r}; choose from {_METHODS}")
+        if method == "fpcircle" and system.name != "nilpotent":
+            raise ConfigError("the fpcircle method needs the nilpotent system")
+        if method == "theorem33" and not system.constant_shear:
+            raise ConfigError("the theorem33 method needs the nilpotent system: "
+                              "the position-dependent formula needs position "
+                              "bins that no estimator records")
+
+
 def _run_method(method: str, system, noise, est_cfg, cfg):
     if method == "direct":
         return lyapunov_direct(system, noise, cfg["run.epsilon"], est_cfg)
@@ -201,33 +226,29 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
         return est
     if method == "theorem33":
         return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"], est_cfg)
-    if method == "fpcircle":
-        if system.name != "nilpotent":
-            raise ConfigError("the fpcircle method needs the nilpotent system")
-        grid = CircleGrid(cfg["fp.grid_n"])
-        gen = build_generator(cfg["system.a"], cfg["system.sigma"],
-                              cfg["run.epsilon"], noise.measure, grid,
+    # fpcircle, the one method left after _check_methods
+    grid = CircleGrid(cfg["fp.grid_n"])
+    gen = build_generator(cfg["system.a"], cfg["system.sigma"],
+                          cfg["run.epsilon"], noise.measure, grid,
+                          variant=cfg["fp.variant"],
+                          brownian=cfg["noise.brownian"])
+    dens = solve_stationary(gen)
+    lam = lyapunov_quadrature(dens, cfg["system.a"], cfg["system.sigma"],
+                              cfg["run.epsilon"], noise.measure,
                               variant=cfg["fp.variant"],
-                              brownian=cfg["noise.brownian"])
-        dens = solve_stationary(gen)
-        lam = lyapunov_quadrature(dens, cfg["system.a"], cfg["system.sigma"],
-                                  cfg["run.epsilon"], noise.measure,
-                                  variant=cfg["fp.variant"],
-                                  brownian=cfg["noise.brownian"],
-                                  beta=cfg["run.beta"])
-        est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
-                               cfg["run.beta"], 0.0, 1, 0)
-        est.extras["fp_residual"] = dens.residual
-        est.extras["fp_clipped_mass"] = dens.clipped_mass
-        return est
-    raise ConfigError(f"unknown method {method!r}; choose from {_METHODS}")
+                              brownian=cfg["noise.brownian"],
+                              beta=cfg["run.beta"])
+    est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
+                           cfg["run.beta"], 0.0, 1, 0)
+    est.extras["fp_residual"] = dens.residual
+    est.extras["fp_clipped_mass"] = dens.clipped_mass
+    return est
 
 
 def cmd_lyapunov(cfg: dict) -> int:
     system, noise, est_cfg = build_runtime(cfg)
     methods = [m.strip() for m in cfg["run.method"].split(",") if m.strip()]
-    if not methods:
-        raise ConfigError("run.method is empty")
+    _check_methods(methods, system)
     t0 = time.monotonic()
     estimates = [_run_method(m, system, noise, est_cfg, cfg) for m in methods]
     runtime = time.monotonic() - t0
@@ -247,9 +268,10 @@ def cmd_lyapunov(cfg: dict) -> int:
         "schema": SCHEMA,
         "command": "lyapunov",
         "config": _jsonable_config(cfg),
-        "results": {e.method: dict(_estimate_payload(e), **{
-            k: v for k, v in e.extras.items() if np.isscalar(v)})
-            for e in estimates},
+        # extras are scalars except khasminskii's martingale_rate, a
+        # (mean, stderr) pair written as a two-element list
+        "results": {e.method: dict(_estimate_payload(e), **e.extras)
+                    for e in estimates},
         "agreement": {"ok": disagreement is None,
                       "disagreement": disagreement},
     }
@@ -263,8 +285,7 @@ def cmd_lyapunov(cfg: dict) -> int:
                 rows.append(f"{e.method},replicate,{i},{_fmt(v)},")
             rows.append(f"{e.method},aggregate,,{_fmt(e.value)},{_fmt(e.stderr)}")
         stem.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-    print(json.dumps(dict(payload, runtime_seconds=runtime), sort_keys=True,
-                     indent=2, default=_json_default))
+    print(_json_text(dict(payload, runtime_seconds=runtime)))
     print(f"runtime: {runtime:.2f}s", file=sys.stderr)
     return 1 if disagreement else 0
 
@@ -298,8 +319,7 @@ def cmd_sweep(cfg: dict) -> int:
             mark = est.method if est.value > 0 else est.method + ":excluded"
             rows.append(f"{_fmt(e)},{_fmt(est.value)},{_fmt(est.stderr)},{mark}")
         stem.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-    print(json.dumps(dict(payload, runtime_seconds=runtime), sort_keys=True,
-                     indent=2, default=_json_default))
+    print(_json_text(dict(payload, runtime_seconds=runtime)))
     print(f"runtime: {runtime:.2f}s", file=sys.stderr)
     return 0
 
@@ -348,7 +368,7 @@ def cmd_simulate(cfg: dict) -> int:
         "results": {"rows": len(rows), "exit": exit_info},
     }
     _dump_json(stem.with_suffix(".json"), payload)
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+    print(_json_text(payload))
     return 0
 
 
@@ -389,7 +409,7 @@ def cmd_fp_solve(cfg: dict) -> int:
         for t, m in zip(grid.nodes, dens.values):
             rows.append(f"{_fmt(t)},{_fmt(m)}")
         stem.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+    print(_json_text(payload))
     return 0
 
 

@@ -27,8 +27,9 @@ def exact_theta_jump(theta, s):
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    delta = np.arctan2(np.sin(theta) + s * np.cos(theta), np.cos(theta)) - \
-        np.arctan2(np.sin(theta), np.cos(theta))
+    st = np.sin(theta)
+    ct = np.cos(theta)
+    delta = np.arctan2(st + s * ct, ct) - np.arctan2(st, ct)
     delta = (delta + np.pi) % (2.0 * np.pi) - np.pi
     out = theta + delta
     return out if out.ndim else float(out)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,3 +210,59 @@ def test_console_entry_point():
     proc = subprocess.run([exe, "defaults"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run.epsilon" in proc.stdout
+
+
+def test_lyapunov_theorem33_refused_on_duffing_before_work(monkeypatch, capsys):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("an estimator ran before the method check")
+
+    monkeypatch.setattr("levyap.cli.lyapunov_direct", no_work)
+    rc = run_cli(["lyapunov", "--system", "duffing", "--method", "direct,theorem33",
+                  "--horizon", "0.02", "--replicates", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "theorem33" in err
+
+
+def test_lyapunov_khasminskii_writes_martingale_rate(tmp_path, capsys):
+    out = tmp_path / "khas"
+    rc = run_cli(["lyapunov", "--method", "khasminskii", "--epsilon", "0.1",
+                  "--horizon", "5", "--replicates", "3", "--seed", "4",
+                  "--floor-delta", "0.05", "--output", str(out)])
+    assert rc == 0
+    rate = json.loads((tmp_path / "khas.json").read_text())["results"][
+        "khasminskii"]["martingale_rate"]
+    assert len(rate) == 2 and all(math.isfinite(v) for v in rate)
+    assert rate[1] > 0.0
+
+
+def test_failed_replicate_is_written_as_null(tmp_path, capsys, monkeypatch):
+    from levyap.estimators import LyapunovEstimate
+
+    def one_failed(_system, _noise, epsilon, cfg):
+        return LyapunovEstimate(0.25, 0.05, "direct", epsilon, cfg.beta,
+                                cfg.horizon, 3, cfg.renorm_interval,
+                                per_replicate=[0.2, math.nan, 0.3], exits=1)
+
+    monkeypatch.setattr("levyap.cli.lyapunov_direct", one_failed)
+    out = tmp_path / "failed"
+    rc = run_cli(["lyapunov", "--system", "duffing", "--replicates", "3",
+                  "--output", str(out)])
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    for text in ((tmp_path / "failed.json").read_text(),
+                 capsys.readouterr().out):
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["results"]["direct"]["per_replicate"] == [0.2, None, 0.3]
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, levyap.cli; "
+            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules) else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr

@@ -264,6 +264,21 @@ def test_sweep_with_stubbed_estimates_recovers_exponent():
     assert sweep.residual < 1e-12
 
 
+@pytest.mark.parametrize("noise", [BROWNIAN, JUMPS], ids=["brownian", "jumps"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_lanes_match_per_epsilon_direct_bitwise(noise, workers):
+    # the sweep steps every epsilon in one lanes call (with shorter noise
+    # blocks when Brownian-only); each estimate must equal lyapunov_direct's
+    cfg = EstimatorConfig(dt=1e-3, horizon=20.0, replicates=5, seed=2026,
+                          block_steps=4096, workers=workers)
+    eps = [0.05, 0.08, 0.125, 0.2, 0.32]
+    sweep = scaling_sweep(NIL, noise, eps, cfg)
+    for e, est in zip(eps, sweep.estimates):
+        ref = lyapunov_direct(NIL, noise, e, cfg)
+        assert est.per_replicate == ref.per_replicate
+        assert (est.value, est.stderr) == (ref.value, ref.stderr)
+
+
 def test_sweep_rejects_bad_epsilon_lists():
     cfg = EstimatorConfig(horizon=1.0, replicates=1)
     with pytest.raises(InvalidParameter):

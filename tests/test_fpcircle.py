@@ -5,13 +5,43 @@ import pytest
 from scipy.integrate import quad
 
 from levyap.errors import DegenerateNullspace, InvalidGrid, InvalidParameter
-from levyap.fpcircle import (CircleGrid, GeneratorMatrix, _local_part,
+from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
+                             GeneratorMatrix, _bordered_system, _local_part,
                              build_generator, explicit_adjoint_residual,
                              lyapunov_quadrature, solve_stationary,
                              zeta2_integral_profile)
 from levyap.noise import JumpMeasureSpec, jump_moment
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
+
+
+def svd_lstsq_density(gen):
+    """Reference solve: minimum-norm least squares of G^T mu = 0 with the
+    mass row appended (dense SVD), then the same clipping and renormalisation
+    as solve_stationary.  Also returns sigma_2 / sigma_1 of G^T, the
+    singular-value gap of its two smallest singular values."""
+    G, h, n = gen.matrix, gen.grid.h, gen.grid.n
+    sv = np.linalg.svd(G.T, compute_uv=False)
+    M = np.vstack([G.T, np.full((1, n), h)])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    mu, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    mu = np.clip(mu, 0.0, None)
+    mu /= np.sum(mu) * h
+    return mu, sv[-2] / sv[0]
+
+
+def condition_1(gen):
+    K = _bordered_system(gen)
+    return np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1)
+
+
+def sin2_generator(diffusion, n=256):
+    """Drift sin(2 theta): two attracting angles, so with vanishing diffusion
+    the circle nearly splits into two invariant arcs."""
+    grid = CircleGrid(n)
+    G = _local_part(grid, np.sin(2.0 * grid.nodes), np.full(n, diffusion))
+    return GeneratorMatrix(grid, G, "plain", 0.0)
 
 
 def test_grid_validation():
@@ -93,6 +123,58 @@ def test_degenerate_nullspace_detected():
     gen = GeneratorMatrix(grid, np.zeros((64, 64)), "plain", 0.0)
     with pytest.raises(DegenerateNullspace):
         solve_stationary(gen)
+
+
+@pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
+def test_bordered_solve_matches_svd_lstsq(measure):
+    gen = build_generator(1.0, 1.0, 0.1, measure, CircleGrid(256))
+    dens = solve_stationary(gen)
+    ref_mu, _ = svd_lstsq_density(gen)
+    assert np.abs(dens.values - ref_mu).max() <= 1e-9 * ref_mu.max()
+    lam = lyapunov_quadrature(dens, 1.0, 1.0, 0.1, measure)
+    ref = lyapunov_quadrature(CircleDensity(gen.grid, ref_mu, 0.0),
+                              1.0, 1.0, 0.1, measure)
+    assert lam == pytest.approx(ref, rel=0, abs=1e-12)
+    assert dens.residual < 1e-12
+
+
+def test_near_reducible_generator_raises():
+    gen = sin2_generator(1e-10)
+    _, gap = svd_lstsq_density(gen)
+    assert gap < 1e-6          # the old gap test's 1e6 threshold also fires
+    assert condition_1(gen) > 1e13
+    with pytest.raises(DegenerateNullspace):
+        solve_stationary(gen)
+
+
+def test_resolvable_generator_solves():
+    gen = sin2_generator(1e-6)
+    ref_mu, gap = svd_lstsq_density(gen)
+    assert gap > 1e-6
+    assert condition_1(gen) < 1e7
+    # the grid does not resolve diffusion 1e-6 (the density oscillates and is
+    # clipped), but the solve is well posed and agrees with the reference
+    dens = solve_stationary(gen)
+    assert np.abs(dens.values - ref_mu).max() <= 1e-8 * ref_mu.max()
+
+
+@pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
+def test_condition_of_fp_grid_far_below_limit(measure):
+    # kappa_1 is 4.2e4 at n = 512 and grows about 4x per doubling of n
+    # (1.7e5 at 1024, 7.7e5 at 2048)
+    gen = build_generator(1.0, 1.0, 0.1, measure, CircleGrid(512))
+    kappa = condition_1(gen)
+    assert 1e4 < kappa < 1e5
+    assert kappa < CONDITION_LIMIT / 1e4
+
+
+def test_parity_border_only_for_the_parity_artifact():
+    grid = CircleGrid(64)
+    rotation = GeneratorMatrix(grid, _local_part(grid, np.full(64, 0.7),
+                                                 np.zeros(64)), "plain", 0.0)
+    assert _bordered_system(rotation).shape == (66, 66)
+    shear = build_generator(1.0, 1.0, 0.1, None, grid)
+    assert _bordered_system(shear).shape == (65, 65)
 
 
 def test_unknown_variant_rejected():
