@@ -22,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LevyapError
+from .errors import ConfigError, InvalidParameter, LevyapError
 from .estimators import (EstimatorConfig, LyapunovEstimate,
-                         lyapunov_direct, lyapunov_khasminskii,
-                         lyapunov_theorem33_estimate, scaling_sweep)
+                         check_sweep_epsilons, lyapunov_direct,
+                         lyapunov_khasminskii, lyapunov_theorem33_estimate,
+                         scaling_sweep)
 from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
                        lyapunov_quadrature, solve_stationary)
 from .marcus import StepperConfig, integrate
@@ -291,9 +292,11 @@ def cmd_lyapunov(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    if not cfg["sweep.epsilons"].strip():
-        raise SystemExit(2)
-    eps = [float(s) for s in cfg["sweep.epsilons"].split(",") if s.strip()]
+    raw = cfg["sweep.epsilons"]
+    try:
+        eps = check_sweep_epsilons(s for s in raw.split(",") if s.strip())
+    except (ValueError, InvalidParameter) as exc:
+        raise ConfigError(f"sweep.epsilons = {raw!r}: {exc}") from exc
     system, noise, est_cfg = build_runtime(cfg)
     t0 = time.monotonic()
     sweep = scaling_sweep(system, noise, eps, est_cfg)

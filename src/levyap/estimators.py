@@ -404,9 +404,12 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
                  check: bool = False) -> float:
     """int [ zeta2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz).
 
-    Constant-shear systems use the closed-form even-sum of the log-radius
-    jump (the linear part cancels under the symmetric measure); other
-    systems integrate the joint jump flow.
+    The marks run from the sampling floor of ``noise`` (the measure's floor
+    without it) to the cutoff: a Gaussian substitute for the band below the
+    sampling floor is already in the continuous part.  Constant-shear
+    systems use the closed-form even-sum of the log-radius jump (the linear
+    part cancels under the symmetric measure); other systems integrate the
+    joint jump flow.
     """
     if measure is None or not measure.has_jumps:
         return 0.0
@@ -427,7 +430,7 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
     v_fn = system.v_values
     return fr.compute_Irho_generic(coeffs_fn, v_fn, measure, x, theta, epsilon,
                                    beta=beta, z_panel_nodes=z_panel_nodes,
-                                   check=check)
+                                   check=check, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +497,8 @@ def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
             if wgt > 0.0:
                 xc_ = np.asarray(xc, float)
                 full = fr.sigma0(coeffs_fn, v_fn, noise.measure, xc_, float(t),
-                                 epsilon, beta=beta, **quad_kw)
+                                 epsilon, beta=beta, lo=noise.sampling_floor,
+                                 **quad_kw)
                 shear_part = coeffs_fn(xc_).shear * math.sin(t) * math.cos(t)
                 total += wgt * (e_sh * shear_part + e_nz * (full - shear_part))
     return float(total)
@@ -532,6 +536,19 @@ def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
 # epsilon sweep
 # ---------------------------------------------------------------------------
 
+def check_sweep_epsilons(eps_list) -> list:
+    """The epsilons as floats; InvalidParameter unless there are at least
+    4, strictly increasing, spanning at least a factor of 4."""
+    eps_list = [float(e) for e in eps_list]
+    if len(eps_list) < 4:
+        raise InvalidParameter("a sweep needs at least 4 epsilon values")
+    if any(e2 <= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise InvalidParameter("epsilon values must be strictly increasing")
+    if max(eps_list) < 4.0 * min(eps_list):
+        raise InvalidParameter("epsilon values must span at least a factor of 4")
+    return eps_list
+
+
 def scaling_sweep(system, noise: NoiseModel, eps_list, cfg: EstimatorConfig,
                   estimate_fn: Optional[Callable] = None) -> SweepResult:
     """Direct estimates per epsilon and a least-squares log-log slope fit.
@@ -540,13 +557,7 @@ def scaling_sweep(system, noise: NoiseModel, eps_list, cfg: EstimatorConfig,
     ``excluded``); fewer than three positive values raise
     NonPositiveEstimate.
     """
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 4:
-        raise InvalidParameter("a sweep needs at least 4 epsilon values")
-    if any(e2 <= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise InvalidParameter("epsilon values must be strictly increasing")
-    if max(eps_list) < 4.0 * min(eps_list):
-        raise InvalidParameter("epsilon values must span at least a factor of 4")
+    eps_list = check_sweep_epsilons(eps_list)
     if estimate_fn is None and system.constant_shear:
         # one lanes pass for the whole sweep: a step costs about the same for
         # 5 x 16 lanes as for 16, and each lane's arithmetic is unchanged

@@ -203,7 +203,7 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
             f"bordered system condition {kappa:.3g} is not below "
             f"{CONDITION_LIMIT:.0e}; the nullspace is not one-dimensional")
     mu = Kinv[:n, n].copy()
-    clipped = float(-np.sum(mu[mu < 0]) * gen.grid.h)
+    clipped = float(np.sum(-mu[mu < 0]) * gen.grid.h)  # +0.0 when none
     mu = np.clip(mu, 0.0, None)
     mu /= np.sum(mu) * gen.grid.h
     residual = float(np.abs(G.T @ mu).max())

@@ -85,7 +85,10 @@ class FrameCoefficients:
     shear is the off-diagonal drift rate (the [[0, shear], [0, 0]] block);
     mats[k] is the 2x2 noise matrix of component k with entries
     [[b, c], [d, e]].  dmats[k], when present, holds the directional
-    derivative of mats[k] along V_k (needed for Wong-Zakai terms).
+    derivative of mats[k] along V_k (needed for Wong-Zakai terms).  For a
+    batch of N points shear has shape (N,) and mats, dmats (N, d, 2, 2);
+    the entry properties then have shape (N, d).  Data that does not depend
+    on the point may keep the one-point shapes: they broadcast.
     """
 
     shear: float
@@ -94,19 +97,19 @@ class FrameCoefficients:
 
     @property
     def b(self) -> np.ndarray:
-        return self.mats[:, 0, 0]
+        return self.mats[..., 0, 0]
 
     @property
     def c(self) -> np.ndarray:
-        return self.mats[:, 0, 1]
+        return self.mats[..., 0, 1]
 
     @property
     def d(self) -> np.ndarray:
-        return self.mats[:, 1, 0]
+        return self.mats[..., 1, 0]
 
     @property
     def e(self) -> np.ndarray:
-        return self.mats[:, 1, 1]
+        return self.mats[..., 1, 1]
 
 
 def _grad_norm2(model: HamiltonianModel, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -294,11 +297,16 @@ def graded_terms(coeffs: FrameCoefficients, theta: float, epsilon: float,
     return GradedTerms(epsilon, beta, q, p, q_wz, p_wz)
 
 
-def polar_fields(coeffs: FrameCoefficients, theta: float, epsilon: float,
+def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
                  beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma1_k, sigma2_k) without the Wong-Zakai machinery (cheap path)."""
-    s = math.sin(theta)
-    c = math.cos(theta)
+    """(sigma1_k, sigma2_k) without the Wong-Zakai machinery (cheap path).
+
+    One point: theta a float, results of shape (d,).  A batch: theta of
+    shape (N,) with coefficients of a batch of N points, results (N, d).
+    """
+    th = np.asarray(theta, dtype=float)[..., None]
+    s = np.sin(th)
+    c = np.cos(th)
     sc, s2, c2 = s * c, s * s, c * c
     e1, e2, e3 = epsilon ** (1.0 - beta), epsilon, epsilon ** (1.0 + beta)
     b, cc, d, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
@@ -336,7 +344,8 @@ def wz_corrections(coeffs: FrameCoefficients, theta: float, epsilon: float,
 def angle_jump_flow(coeffs_fn: Callable, v_fn: Callable, z: np.ndarray,
                     x: np.ndarray, theta: float, epsilon: float, beta: float,
                     substeps: int = 8, b_points: Optional[np.ndarray] = None):
-    """Joint Marcus flow of (x, theta, log-radius increment) for one mark.
+    """Joint Marcus flow of (x, theta, log-radius increment) for one mark or
+    a batch of marks.
 
     coeffs_fn(x) -> FrameCoefficients, v_fn(x) -> (d, 2) field values.
     Integrates d(xi, z1, z2)/dtau = (eps sum z_k V_k, sum z_k sigma1_k,
@@ -344,17 +353,27 @@ def angle_jump_flow(coeffs_fn: Callable, v_fn: Callable, z: np.ndarray,
     ``b_points`` (sorted, in [0, 1]) the flow state is additionally
     recorded at those times; returns (states_at_b, final) where each state
     is (x, theta, rho_increment).
+
+    z of shape (d,) is one mark and a state has shape (4,).  z of shape
+    (N, d) is a batch of N marks flowed from the same (x, theta) as one RK4
+    solve of an (N, 4) state; coeffs_fn and v_fn are then called on points
+    of shape (N, 2) and must return FrameCoefficients with mats (N, d, 2, 2)
+    (or constant data that broadcasts) and field values (N, d, 2).  Every
+    row follows the arithmetic of the one-mark call.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
 
     def rhs(y):
-        pt, th = y[:2], y[2]
-        co = coeffs_fn(pt)
-        s1, s2 = polar_fields(co, th, epsilon, beta)
+        pt = y[..., :2]
+        s1, s2 = polar_fields(coeffs_fn(pt), y[..., 2], epsilon, beta)
         vx = v_fn(pt)
-        return np.concatenate([epsilon * (z @ vx), [float(z @ s1)], [float(z @ s2)]])
+        return np.concatenate([epsilon * np.sum(z[..., None] * vx, axis=-2),
+                               np.sum(z * s1, axis=-1)[..., None],
+                               np.sum(z * s2, axis=-1)[..., None]], axis=-1)
 
     y = np.concatenate([np.asarray(x, dtype=float), [theta], [0.0]])
+    if z.ndim == 2:
+        y = np.tile(y, (len(z), 1))
 
     def advance(y, gap):
         nsub = max(1, int(math.ceil(substeps * gap)))
@@ -385,25 +404,46 @@ def _rk4_vec(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _z_nodes(measure: JumpMeasureSpec, panel_n: int, quad_n: int):
-    """One-sided z nodes for integrands that vanish quadratically at 0.
+def _z_nodes(measure: JumpMeasureSpec, panel_n: int, quad_n: int,
+             lo: Optional[float] = None):
+    """One-sided z nodes over [lo, cutoff) for integrands that vanish
+    quadratically at 0; lo defaults to the measure's floor.
 
-    With a positive floor: geometric panels, weights carry the measure
-    density.  Floor zero: power substitution with the z^2 factor absorbed
+    With a positive lo: geometric panels, weights carry the measure
+    density.  lo zero: power substitution with the z^2 factor absorbed
     into the weights (``quadratic=True``, caller divides values by z^2).
     """
-    if measure.floor_delta > 0.0:
-        z, w = nu_quadrature(measure, per_panel=panel_n)
+    lo = measure.floor_delta if lo is None else lo
+    if lo > 0.0:
+        z, w = nu_quadrature(measure, lo=lo, per_panel=panel_n)
         return z, w, False
     z, w = nu_quadrature_quadratic(measure, n=quad_n)
     return z, w, True
+
+
+def _signed_marks(zq: np.ndarray, dim: int) -> np.ndarray:
+    """Marks (+z_0, -z_0, +z_1, -z_1, ...) on component 0, shape (2n, dim);
+    components are independent, and d = 1 in practice."""
+    marks = np.zeros((2 * len(zq), dim))
+    marks[0::2, 0] = zq
+    marks[1::2, 0] = -zq
+    return marks
+
+
+def _sum_in_order(weights: np.ndarray, values: np.ndarray) -> float:
+    """sum_i w_i v_i accumulated node by node (not a BLAS dot), so the
+    result keeps the bits of a per-node loop."""
+    total = 0.0
+    for w, v in zip(weights.tolist(), values.tolist()):
+        total += w * v
+    return total
 
 
 def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
                x: np.ndarray, theta: float, epsilon: float,
                beta: float = 2.0 / 3.0, inner_nodes: int = 8,
                z_panel_nodes: int = 16, substeps: int = 8,
-               check: bool = False) -> float:
+               check: bool = False, lo: Optional[float] = None) -> float:
     """Jump term of the leading-order growth-rate integrand.
 
     For each mark z the inner double integral over the flow time collapses
@@ -412,7 +452,10 @@ def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
         (sum_k z_k d_k(xi(b z)))^2 cos(2 z1(b z)) cos^2(z1(b z)),
 
     evaluated on Gauss-Legendre nodes along the flow; the outer integral
-    runs over the symmetrized jump measure.
+    runs over the symmetrized jump measure from ``lo`` (default: the
+    measure's floor) to the cutoff.  All marks of both signs are flowed as
+    one batch (coeffs_fn and v_fn must accept a batch of points, see
+    ``angle_jump_flow``); the node sum runs in the order of the marks.
     """
     if not measure.has_jumps:
         return 0.0
@@ -421,26 +464,19 @@ def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
         bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
         order = np.argsort(bq)
         bq, bw = bq[order], bw[order]
-        zq, wq, quadratic = _z_nodes(measure, panel_n, 4 * panel_n)
-        total = 0.0
-        dim = measure.dimension
-        for zi, wi in zip(zq, wq):
-            for sgn in (1.0, -1.0):
-                z = np.zeros(dim)
-                z[0] = sgn * zi  # components are independent; d = 1 in practice
-                states, _ = angle_jump_flow(coeffs_fn, v_fn, z, x, theta,
-                                            epsilon, beta, substeps, b_points=bq)
-                g = np.empty(len(bq))
-                for j, st in enumerate(states):
-                    co = coeffs_fn(st[:2])
-                    zd = float(z @ co.d)
-                    th = st[2]
-                    g[j] = zd * zd * math.cos(2.0 * th) * math.cos(th) ** 2
-                val = float(np.sum(bw * (1.0 - bq) * g))
-                if quadratic:
-                    val /= zi * zi
-                total += wi * val
-        return total
+        zq, wq, quadratic = _z_nodes(measure, panel_n, 4 * panel_n, lo)
+        marks = _signed_marks(zq, measure.dimension)
+        states, _ = angle_jump_flow(coeffs_fn, v_fn, marks, x, theta,
+                                    epsilon, beta, substeps, b_points=bq)
+        g = np.empty((len(marks), len(bq)))
+        for j, st in enumerate(states):
+            zd = np.sum(marks * coeffs_fn(st[:, :2]).d, axis=-1)
+            th = st[:, 2]
+            g[:, j] = zd * zd * np.cos(2.0 * th) * np.cos(th) ** 2
+        vals = np.sum(bw * (1.0 - bq) * g, axis=-1)
+        if quadratic:
+            vals /= np.repeat(zq * zq, 2)
+        return _sum_in_order(np.repeat(wq, 2), vals)
 
     out = value(inner_nodes, z_panel_nodes)
     if check:
@@ -480,34 +516,34 @@ def compute_Irho_generic(coeffs_fn: Callable, v_fn: Callable,
                          measure: JumpMeasureSpec, x: np.ndarray, theta: float,
                          epsilon: float, beta: float = 2.0 / 3.0,
                          z_panel_nodes: int = 16, substeps: int = 8,
-                         check: bool = False, **_ignored) -> float:
+                         check: bool = False, lo: Optional[float] = None,
+                         **_ignored) -> float:
     """Compensator integral of the log-radius equation,
 
         int [ z2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz),
 
-    with z2 from the joint jump flow, symmetrized over the mark sign (the
-    linear subtraction cancels pairwise in exact arithmetic).
+    over the marks lo <= |z| < cutoff (lo defaults to the measure's floor;
+    pass the sampling floor when a Gaussian substitute covers the band
+    below it), with z2 from the joint jump flow, symmetrized over the mark
+    sign (the linear subtraction cancels pairwise in exact arithmetic).
+    All marks of both signs are flowed as one batch (coeffs_fn and v_fn
+    must accept a batch of points, see ``angle_jump_flow``); the node sum
+    runs in the order of the marks.
     """
     if not measure.has_jumps:
         return 0.0
 
     def value(panel_n):
-        zq, wq, quadratic = _z_nodes(measure, panel_n, 4 * panel_n)
-        co = coeffs_fn(x)
-        _, s2 = polar_fields(co, theta, epsilon, beta)
-        total = 0.0
-        dim = measure.dimension
-        for zi, wi in zip(zq, wq):
-            pair = 0.0
-            for sgn in (1.0, -1.0):
-                z = np.zeros(dim)
-                z[0] = sgn * zi
-                y = angle_jump_flow(coeffs_fn, v_fn, z, x, theta, epsilon, beta, substeps)
-                pair += y[3] - float(z @ s2)
-            if quadratic:
-                pair /= zi * zi
-            total += wi * pair
-        return total
+        zq, wq, quadratic = _z_nodes(measure, panel_n, 4 * panel_n, lo)
+        _, s2 = polar_fields(coeffs_fn(x), theta, epsilon, beta)
+        marks = _signed_marks(zq, measure.dimension)
+        y = angle_jump_flow(coeffs_fn, v_fn, marks, x, theta, epsilon, beta,
+                            substeps)
+        terms = y[:, 3] - np.sum(marks * s2, axis=-1)
+        pairs = terms[0::2] + terms[1::2]
+        if quadratic:
+            pairs /= zq * zq
+        return _sum_in_order(wq, pairs)
 
     out = value(z_panel_nodes)
     if check:
@@ -517,12 +553,23 @@ def compute_Irho_generic(coeffs_fn: Callable, v_fn: Callable,
 
 def evaluator_from_model(model: HamiltonianModel, fields: PerturbationFields,
                          with_actions: bool = False):
-    """(coeffs_fn, v_fn) pair backed by the generic frame machinery."""
+    """(coeffs_fn, v_fn) pair backed by the generic frame machinery; a batch
+    of points (N, 2) is evaluated point by point."""
 
     def coeffs_fn(x):
-        return frame_coefficients(model, fields, x, with_actions=with_actions)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return frame_coefficients(model, fields, x, with_actions=with_actions)
+        parts = [coeffs_fn(p) for p in x]
+        return FrameCoefficients(
+            np.array([co.shear for co in parts]),
+            np.stack([co.mats for co in parts]),
+            np.stack([co.dmats for co in parts]) if with_actions else None)
 
     def v_fn(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.stack([v_fn(p) for p in x])
         u1, u2 = frame_vectors(model, x)
         return np.stack([fields.a1[k](x) * u1 + fields.a2[k](x) * u2
                          for k in range(fields.d)])

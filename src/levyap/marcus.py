@@ -7,7 +7,9 @@ A step advances the state in four sub-moves:
      continuous noise and for the net jump-compensator drift;
   3. Euler-Maruyama Gaussian increment;
   4. jumps of the batch applied in time order through the exact Marcus
-     flow ODE (RK4 with a fixed number of substeps).
+     flow: the closed-form jump map of the fields when they carry one
+     (``VectorFieldSet.jump``), otherwise the flow ODE solved by RK4 with a
+     fixed number of substeps.
 
 For a symmetric jump measure the compensator of the raw jump events cancels
 the bracket drift of the Ito form exactly, leaving only the first-moment
@@ -44,6 +46,12 @@ class VectorFieldSet:
     epsilon             perturbation scale in [0, 1)
     grad_h              x -> R^2 gradient of H, used for exit detection
                         (optional; disables the critical-point check if None)
+    jump                (z, x, v) -> (x', v'), the closed-form Marcus jump of
+                        mark vector z: x' is the flow along eps sum_k z_k V_k
+                        at time one, v' its Jacobian at x applied to the
+                        tangent v (None stays None).  Optional; without it
+                        jumps go through the RK4 flow (``marcus_jump_map``,
+                        ``marcus_jump_jacobian``).
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
@@ -52,6 +60,7 @@ class VectorFieldSet:
     drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     diffusion_jacobians: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
     grad_h: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jump: Optional[Callable] = None
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
@@ -278,6 +287,9 @@ def step(fields: VectorFieldSet, noise: NoiseModel, state: TrajectoryState,
         for j in range(batch.n_jumps):
             z = np.zeros(fields.d)
             z[batch.jump_components[j]] = batch.jump_marks[j]
+            if fields.jump is not None:
+                x, v = fields.jump(z, x, v)
+                continue
             if v is not None:
                 J = marcus_jump_jacobian(fields, z, x, cfg.flow_substeps)
                 v = J @ v

@@ -1,9 +1,11 @@
 """Ready-made example systems.
 
 Both bundles expose the callbacks the integrator, the frame machinery and
-the estimators need: the Hamiltonian model, the raw vector fields, the
-frame-coefficient evaluator, and (for the shear system) closed-form jump
-maps on the circle.
+the estimators need: the Hamiltonian model, the raw vector fields with
+their closed-form Marcus jump, the frame-coefficient evaluator, and (for the
+shear system) closed-form jump maps on the circle.  ``coeffs`` and
+``v_values`` take one point of shape (2,) or a batch of shape (N, 2); the
+shear system's constant frame data broadcasts against a batch.
 """
 
 from __future__ import annotations
@@ -57,6 +59,32 @@ def rho_jump_even_sum(theta, s):
     return out if out.ndim else float(out)
 
 
+def shear_jump(scale: float):
+    """Closed-form Marcus jump along the noise field V(u) = (0, sigma u1).
+
+    With scale = eps sigma the flow of z V is the shear u2 += scale z u1; the
+    shear is linear, so its Jacobian moves the tangent the same way.  Used as
+    ``VectorFieldSet.jump`` by both example systems.
+    """
+
+    def jump(z, u, v):
+        s = scale * z[0]
+        u = np.array([u[0], u[1] + s * u[0]])
+        if v is not None:
+            v = np.array([v[0], v[1] + s * v[0]])
+        return u, v
+
+    return jump
+
+
+def _field_values(sigma: float, u) -> np.ndarray:
+    """(0, sigma u1) at one point, shape (1, 2), or a batch, shape (N, 1, 2)."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape[:-1] + (1, 2))
+    out[..., 0, 1] = sigma * u[..., 0]
+    return out
+
+
 @dataclass(frozen=True)
 class NilpotentSystem:
     """Linear shear system: drift [[0, a], [0, 0]], noise [[0, 0], [s, 0]].
@@ -107,16 +135,18 @@ class NilpotentSystem:
             diffusion_jacobians=[lambda u: np.array([[0.0, 0.0], [s, 0.0]])],
             epsilon=epsilon,
             grad_h=None,
+            jump=shear_jump(epsilon * s),
         )
 
     def coeffs(self, x=None) -> FrameCoefficients:
+        """The constant frame data; it broadcasts against a batch of points."""
         return self._coeffs
 
     def coeffs_with_actions(self, x=None) -> FrameCoefficients:
         return self._coeffs
 
     def v_values(self, x) -> np.ndarray:
-        return np.array([[0.0, self.sigma * x[0]]])
+        return _field_values(self.sigma, x)
 
     def frame_fields(self) -> PerturbationFields:
         """Frame components against (U1, U2) = ((a u2, 0), (0, 1/(a u2))).
@@ -180,22 +210,31 @@ class DuffingSystem:
             diffusion_jacobians=[lambda p: np.array([[0.0, 0.0], [s, 0.0]])],
             epsilon=epsilon,
             grad_h=lambda p: np.array([p[0] + p[0] ** 3, p[1]]),
+            jump=shear_jump(epsilon * s),
         )
 
+    # Powers are written as products so that one point and a batch of
+    # points give the same bits (numpy's scalar and array ``**`` differ).
+
     def _closed_entries(self, p) -> np.ndarray:
-        x, y = p
+        x, y = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
         s = self.sigma
-        n = (x + x ** 3) ** 2 + y * y
+        x3 = x * x * x
+        g = x + x3
+        n = g * g + y * y
         b = -s * x * y * (x * x + 2.0) / n
-        c = -s * x ** 3 * (x + x ** 3) / (n * n)
-        d = -s * x * (x + x ** 3) + s * y * y
-        return np.array([[b, c], [d, -b]])
+        c = -s * x3 * g / (n * n)
+        d = -s * x * g + s * y * y
+        return np.stack([np.stack([b, c], -1), np.stack([d, -b], -1)], -2)
 
     def coeffs(self, p, with_actions: bool = False) -> FrameCoefficients:
-        x, y = p
-        n = (x + x ** 3) ** 2 + y * y
-        shear = 3.0 * x * x * ((x + x ** 3) ** 2 - y * y) / (n * n)
-        mats = self._closed_entries(p)[None, :, :]
+        """Frame data at one point (mats (1, 2, 2)) or a batch (N, 1, 2, 2);
+        ``with_actions`` takes one point only."""
+        x, y = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+        g = x + x * x * x
+        n = g * g + y * y
+        shear = 3.0 * x * x * (g * g - y * y) / (n * n)
+        mats = self._closed_entries(p)[..., None, :, :]
         dmats = None
         if with_actions:
             v = np.array([0.0, self.sigma * x])
@@ -212,7 +251,7 @@ class DuffingSystem:
         return self.coeffs(p, with_actions=True)
 
     def v_values(self, p) -> np.ndarray:
-        return np.array([[0.0, self.sigma * p[0]]])
+        return _field_values(self.sigma, p)
 
     def frame_fields(self) -> PerturbationFields:
         s = self.sigma

@@ -119,10 +119,25 @@ def test_lyapunov_cross_method_agreement_exit_code(tmp_path, capsys):
     assert rc == 0
 
 
-def test_sweep_empty_epsilons_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(["sweep", "--output", "/tmp/nope"])
-    assert err.value.code == 2
+def test_sweep_empty_epsilons_usage_error(tmp_path, capsys):
+    assert run_cli(["sweep", "--output", str(tmp_path / "nope")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sweep.epsilons" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("epsilons", ["0.1,0.2,0.4", "0.1,0.3,0.2,0.5",
+                                      "0.1,0.12,0.14,0.2", "0.1,abc,0.3,0.5"])
+def test_sweep_bad_epsilon_list_usage_error(epsilons, monkeypatch, capsys):
+    import levyap.cli as cli
+
+    def no_runtime(cfg):
+        raise AssertionError("the epsilon list is checked before any set-up")
+
+    monkeypatch.setattr(cli, "build_runtime", no_runtime)
+    assert run_cli(["sweep", "--epsilons", epsilons]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sweep.epsilons" in err
 
 
 def test_sweep_stub_like_artifacts(tmp_path, capsys):

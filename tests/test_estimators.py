@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              solve_stationary)
 from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment
-from levyap.systems import make_duffing, make_nilpotent
+from levyap.systems import NilpotentSystem, make_duffing, make_nilpotent
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -70,6 +70,26 @@ def test_generic_khasminskii_matches_lanes_on_constant_coefficients():
     fast = lyapunov_khasminskii(NIL, noise, 0.1, cfg)
     slow = lyapunov_khasminskii(NIL, noise, 0.1, cfg, force_generic=True)
     assert slow.value == pytest.approx(fast.value, rel=1e-7)
+
+
+@dataclass(frozen=True)
+class GenericShear(NilpotentSystem):
+    """The shear system without the constant-shear flag, so every estimator
+    route and the compensator take the generic path."""
+
+    constant_shear: bool = field(default=False, init=False)
+
+
+def test_generic_khasminskii_matches_lanes_with_gaussian_band():
+    """A Gaussian substitute below ar_threshold: the generic route counts
+    the band in the Wong-Zakai rate only, as the lanes do, and not again in
+    the jump compensator."""
+    noise = NoiseModel(measure=MEASURE, ar_threshold=0.2)
+    cfg = EstimatorConfig(dt=1e-3, horizon=5.0, replicates=2, seed=4,
+                          drift_stride=20)
+    fast = lyapunov_khasminskii(NIL, noise, 0.1, cfg)
+    slow = lyapunov_khasminskii(GenericShear(1.0, 1.0), noise, 0.1, cfg)
+    assert slow.value == pytest.approx(fast.value, rel=1e-5)
 
 
 def test_direct_eps_zero_duffing_rate_is_polynomial():
@@ -207,6 +227,22 @@ def test_compute_irho_trivial_and_taylor():
         # I_rho ~ eps^(2-2 beta) sigma^2 qv m2, so the rescaled value is eps-free
         assert eps ** (-2.0 / 3.0) * irho == pytest.approx(qv * m2, rel=0.01,
                                                            abs=1e-6)
+
+
+def test_generic_irho_starts_at_sampling_floor():
+    """With a Gaussian substitute for [floor, ar_threshold) the compensator
+    covers only the sampled band: the generic route matches the closed
+    form."""
+    noise = NoiseModel(measure=MEASURE, ar_threshold=0.2)
+    generic = GenericShear(1.0, 1.0)
+    x = np.array([1.0, 0.5])
+    for th in (0.4, 1.0, 2.5):
+        closed = compute_Irho(NIL, MEASURE, x, th, 0.1, noise=noise)
+        got = compute_Irho(generic, MEASURE, x, th, 0.1, noise=noise)
+        assert got == pytest.approx(closed, rel=1e-5, abs=1e-9)
+    # at theta = 0.4 the band [0.05, 0.2) alone would add about 0.057
+    assert compute_Irho(NIL, MEASURE, x, 0.4, 0.1, noise=noise) == \
+        pytest.approx(0.14068, abs=1e-5)
 
 
 def test_theorem33_single_bin():

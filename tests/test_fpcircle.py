@@ -94,6 +94,13 @@ def test_stationary_brownian_only():
     assert dens.clipped_mass < 1e-6
 
 
+def test_clipped_mass_is_positive_zero_when_nothing_clipped():
+    dens = solve_stationary(build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(256)))
+    assert dens.values.min() > 0.0
+    assert dens.clipped_mass == 0.0
+    assert math.copysign(1.0, dens.clipped_mass) == 1.0
+
+
 @pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
 def test_stationary_grid_convergence(measure):
     vals = {}

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyap.errors import CriticalPoint
-from levyap.frame import (PWTransform, coefficient_A, compute_Irho_generic,
-                          compute_R0, decompose_tangent, evaluator_from_model,
-                          frame_coefficients, frame_vectors, graded_terms,
-                          polar_fields, pw_scale, recompose_tangent, sigma0)
-from levyap.noise import JumpMeasureSpec, jump_moment
+from levyap.frame import (PWTransform, angle_jump_flow, coefficient_A,
+                          compute_Irho_generic, compute_R0, decompose_tangent,
+                          evaluator_from_model, frame_coefficients,
+                          frame_vectors, graded_terms, polar_fields, pw_scale,
+                          recompose_tangent, sigma0)
+from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
+                          nu_quadrature_quadratic)
+from levyap.quadrature import gauss_legendre
 from levyap.systems import make_duffing, make_nilpotent
 
 DUF = make_duffing(1.0)
@@ -364,3 +367,139 @@ def test_sigma0_fallback_jump_term_agrees_at_small_eps():
         fallback = sigma0(NIL.coeffs, NIL.v_values, measure, x, th, 1e-2,
                           jump_term="irho")
         assert fallback == pytest.approx(full, rel=0.05, abs=1e-4)
+
+
+# per-node loops of the jump quadratures: the batched routines flow every
+# mark in one call and must reproduce these node by node
+
+def _z_nodes_oracle(measure, panel_n, lo=None):
+    lo = measure.floor_delta if lo is None else lo
+    if lo > 0.0:
+        z, w = nu_quadrature(measure, lo=lo, per_panel=panel_n)
+        return z, w, False
+    z, w = nu_quadrature_quadratic(measure, n=4 * panel_n)
+    return z, w, True
+
+
+def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
+                  panel_n=16, substeps=8, lo=None):
+    zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
+    _, s2 = polar_fields(system.coeffs(x), theta, eps, beta)
+    total = 0.0
+    for zi, wi in zip(zq, wq):
+        pair = 0.0
+        for sgn in (1.0, -1.0):
+            z = np.array([sgn * zi])
+            y = angle_jump_flow(system.coeffs, system.v_values, z, x, theta,
+                                eps, beta, substeps)
+            pair += y[3] - float(z @ s2)
+        if quadratic:
+            pair /= zi * zi
+        total += wi * pair
+    return total
+
+
+def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
+                panel_n=16, substeps=8, lo=None):
+    bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
+    order = np.argsort(bq)
+    bq, bw = bq[order], bw[order]
+    zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
+    total = 0.0
+    for zi, wi in zip(zq, wq):
+        for sgn in (1.0, -1.0):
+            z = np.array([sgn * zi])
+            states, _ = angle_jump_flow(system.coeffs, system.v_values, z, x,
+                                        theta, eps, beta, substeps, b_points=bq)
+            g = np.empty(len(bq))
+            for j, st in enumerate(states):
+                zd = float(z @ system.coeffs(st[:2]).d)
+                th = st[2]
+                g[j] = zd * zd * math.cos(2.0 * th) * math.cos(th) ** 2
+            val = float(np.sum(bw * (1.0 - bq) * g))
+            if quadratic:
+                val /= zi * zi
+            total += wi * val
+    return total
+
+
+QUAD_MEASURES = [
+    JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05),
+    JumpMeasureSpec(alpha=1.2, c_alpha=0.7, cutoff_c=1.0, floor_delta=0.0),
+]
+
+
+def _quadrature_points():
+    rng = np.random.default_rng(23)
+    pts = [(DUF, random_point(rng, min_grad=0.5), rng.uniform(0.0, 2 * math.pi))
+           for _ in range(3)]
+    pts += [(NIL, np.array([1.0, 0.5]), th) for th in (0.0, 0.4, 2.9)]
+    return pts
+
+
+@pytest.mark.parametrize("measure", QUAD_MEASURES)
+def test_batched_jump_quadratures_match_per_node_loop(measure):
+    for system, x, th in _quadrature_points():
+        for fn, oracle in ((compute_Irho_generic, irho_per_node),
+                           (compute_R0, r0_per_node)):
+            got = fn(system.coeffs, system.v_values, measure, x, th, 0.1,
+                     z_panel_nodes=8)
+            want = oracle(system, measure, x, th, 0.1, panel_n=8)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
+                (fn.__name__, system.name, th)
+
+
+def test_batched_jump_quadratures_pass_lo():
+    measure = QUAD_MEASURES[0]
+    x = np.array([1.0, 0.5])
+    got = compute_Irho_generic(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1,
+                               lo=0.2)
+    assert got == pytest.approx(irho_per_node(NIL, measure, x, 0.4, 0.1, lo=0.2),
+                                rel=1e-13)
+    got = compute_R0(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1, lo=0.2)
+    assert got == pytest.approx(r0_per_node(NIL, measure, x, 0.4, 0.1, lo=0.2),
+                                rel=1e-13)
+    # a band above the cutoff holds no marks
+    assert compute_Irho_generic(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1,
+                                lo=1.0) == 0.0
+
+
+@pytest.mark.parametrize("system", [DUF, NIL], ids=["duffing", "nilpotent"])
+def test_angle_jump_flow_batch_of_one_equals_scalar_call(system):
+    x = np.array([0.8, -0.6])
+    bq = np.array([0.1, 0.5, 0.9])
+    for z, th in ((0.7, 0.3), (-0.4, 2.2), (1.0, -1.1)):
+        one = angle_jump_flow(system.coeffs, system.v_values, np.array([z]), x,
+                              th, 0.1, 2.0 / 3.0)
+        batch = angle_jump_flow(system.coeffs, system.v_values,
+                                np.array([[z]]), x, th, 0.1, 2.0 / 3.0)
+        assert one.shape == (4,) and batch.shape == (1, 4)
+        assert np.array_equal(batch[0], one)
+        rec1, fin1 = angle_jump_flow(system.coeffs, system.v_values,
+                                     np.array([z]), x, th, 0.1, 2.0 / 3.0,
+                                     b_points=bq)
+        recb, finb = angle_jump_flow(system.coeffs, system.v_values,
+                                     np.array([[z]]), x, th, 0.1, 2.0 / 3.0,
+                                     b_points=bq)
+        assert np.array_equal(finb[0], fin1)
+        for a, b in zip(rec1, recb):
+            assert np.array_equal(b[0], a)
+
+
+def test_batched_system_callbacks_match_pointwise():
+    rng = np.random.default_rng(31)
+    pts = np.array([random_point(rng, min_grad=0.5) for _ in range(5)])
+    batch = DUF.coeffs(pts)
+    assert batch.mats.shape == (5, 1, 2, 2)
+    for system in (DUF, NIL):
+        vals = system.v_values(pts)
+        assert vals.shape == (5, 1, 2)
+        for i, p in enumerate(pts):
+            assert np.array_equal(vals[i], system.v_values(p))
+    for i, p in enumerate(pts):
+        one = DUF.coeffs(p)
+        assert batch.shear[i] == one.shear
+        assert np.array_equal(batch.mats[i], one.mats)
+    coeffs_fn, v_fn = evaluator_from_model(MODEL, FIELDS)
+    assert np.array_equal(coeffs_fn(pts).mats[2], coeffs_fn(pts[2]).mats)
+    assert np.array_equal(v_fn(pts)[2], v_fn(pts[2]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -86,6 +87,43 @@ def test_step_single_jump_reproduces_jump_map():
     out = step(fields, NoiseModel(measure=MEASURE), TrajectoryState(0.0, x),
                batch, cfg)
     assert np.allclose(out.x, marcus_jump_map(fields, 0.8, x), rtol=1e-14)
+
+
+@pytest.mark.parametrize("system", [NIL, DUF], ids=["nilpotent", "duffing"])
+def test_closed_form_jumps_match_rk4_route(system):
+    """The system's closed-form jump and the RK4 flow route (the fields
+    without ``jump``) agree on state and tangent, one or several jumps."""
+    exact = system.fields(0.3)
+    assert exact.jump is not None
+    flowed = dataclasses.replace(exact, jump=None)
+    noise = NoiseModel(measure=MEASURE)
+    cfg = StepperConfig(dt=1e-3)
+    rng = np.random.default_rng(9)
+    for n_jumps in (1, 2, 3, 7):
+        x = rng.normal(size=2) + np.array([1.0, 0.0])
+        v = rng.normal(size=2)
+        marks = rng.choice([-1.0, 1.0], n_jumps) * rng.uniform(0.05, 1.0, n_jumps)
+        batch = IncrementBatch(1e-3, rng.normal(0.0, 0.03, 1),
+                               np.sort(rng.uniform(0.0, 1e-3, n_jumps)),
+                               np.zeros(n_jumps, dtype=np.int64), marks)
+        a = step(exact, noise, TrajectoryState(0.0, x, v), batch, cfg)
+        b = step(flowed, noise, TrajectoryState(0.0, x, v), batch, cfg)
+        assert np.allclose(a.x, b.x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(a.v, b.v, rtol=1e-12, atol=1e-12)
+        c = step(exact, noise, TrajectoryState(0.0, x), batch, cfg)
+        assert c.v is None and np.array_equal(c.x, a.x)
+
+
+def test_integrate_closed_form_jumps_match_rk4_route():
+    noise = NoiseModel(measure=MEASURE)
+    cfg = StepperConfig(dt=1e-3)
+    exact = DUF.fields(0.2)
+    flowed = dataclasses.replace(exact, jump=None)
+    runs = [integrate(f, noise, [1.0, 0.0], 0.5, cfg, (5, 1), v0=[1.0, 0.5],
+                      renorm_interval=10) for f in (exact, flowed)]
+    assert runs[0].n_jumps == runs[1].n_jumps > 0
+    assert runs[0].log_growth == pytest.approx(runs[1].log_growth, rel=1e-11)
+    assert np.allclose(runs[0].final.x, runs[1].final.x, rtol=1e-11, atol=1e-12)
 
 
 def test_step_energy_conservation_drift_only():
