@@ -490,6 +490,7 @@ def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
             "position-dependent systems need an occupation measure with x bins")
     coeffs_fn = system.coeffs
     v_fn = system.v_values
+    rate = noise.gaussian_rate
     total = 0.0
     for ix, xc in enumerate(occupation.x_centers):
         for it, t in enumerate(th):
@@ -497,8 +498,8 @@ def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
             if wgt > 0.0:
                 xc_ = np.asarray(xc, float)
                 full = fr.sigma0(coeffs_fn, v_fn, noise.measure, xc_, float(t),
-                                 epsilon, beta=beta, lo=noise.sampling_floor,
-                                 **quad_kw)
+                                 epsilon, beta=beta, rate=rate,
+                                 lo=noise.sampling_floor, **quad_kw)
                 shear_part = coeffs_fn(xc_).shear * math.sin(t) * math.cos(t)
                 total += wgt * (e_sh * shear_part + e_nz * (full - shear_part))
     return float(total)

@@ -486,17 +486,21 @@ def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
 
 def sigma0(coeffs_fn: Callable, v_fn: Callable, measure: Optional[JumpMeasureSpec],
            x: np.ndarray, theta: float, epsilon: float,
-           jump_term: str = "r0", beta: float = 2.0 / 3.0, **quad_kw) -> float:
+           jump_term: str = "r0", beta: float = 2.0 / 3.0,
+           rate: float = 1.0, **quad_kw) -> float:
     """Leading-order growth-rate integrand at (x, theta).
 
-    Drift shear term + Gaussian quadratic-variation term + jump term.  The
-    jump term defaults to the separated form ("r0"); "irho" substitutes the
-    rescaled full compensator integral eps^(-2 beta) I_rho instead (the
-    fallback for measures without the separation).
+    Drift shear term + Gaussian quadratic-variation term (at variance
+    ``rate`` per unit time and component) + jump term.  The jump term
+    defaults to the separated form ("r0"); "irho" substitutes the rescaled
+    full compensator integral eps^(-2 beta) I_rho instead (the fallback for
+    measures without the separation).  A ``lo`` in ``quad_kw`` starts the
+    jump marks there; the band below it then belongs in ``rate``.
     """
     co = coeffs_fn(x)
     s, c = math.sin(theta), math.cos(theta)
-    base = co.shear * s * c + float(np.sum(co.d ** 2)) * (0.5 * c * c - s * s * c * c)
+    base = (co.shear * s * c
+            + rate * float(np.sum(co.d ** 2)) * (0.5 * c * c - s * s * c * c))
     if measure is None or not measure.has_jumps:
         return base
     if jump_term == "r0":

@@ -46,10 +46,11 @@ class VectorFieldSet:
     epsilon             perturbation scale in [0, 1)
     grad_h              x -> R^2 gradient of H, used for exit detection
                         (optional; disables the critical-point check if None)
-    jump                (z, x, v) -> (x', v'), the closed-form Marcus jump of
-                        mark vector z: x' is the flow along eps sum_k z_k V_k
-                        at time one, v' its Jacobian at x applied to the
-                        tangent v (None stays None).  Optional; without it
+    jump                (w, x, v) -> (x', v'), the closed-form Marcus jump of
+                        scaled mark vector w = eps z: x' is the flow along
+                        sum_k w_k V_k at time one, v' its Jacobian at x
+                        applied to the tangent v (None stays None).  The
+                        callback holds no copy of eps.  Optional; without it
                         jumps go through the RK4 flow (``marcus_jump_map``,
                         ``marcus_jump_jacobian``).
     """
@@ -288,7 +289,7 @@ def step(fields: VectorFieldSet, noise: NoiseModel, state: TrajectoryState,
             z = np.zeros(fields.d)
             z[batch.jump_components[j]] = batch.jump_marks[j]
             if fields.jump is not None:
-                x, v = fields.jump(z, x, v)
+                x, v = fields.jump(eps * z, x, v)
                 continue
             if v is not None:
                 J = marcus_jump_jacobian(fields, z, x, cfg.flow_substeps)

@@ -59,16 +59,16 @@ def rho_jump_even_sum(theta, s):
     return out if out.ndim else float(out)
 
 
-def shear_jump(scale: float):
+def shear_jump(sigma: float):
     """Closed-form Marcus jump along the noise field V(u) = (0, sigma u1).
 
-    With scale = eps sigma the flow of z V is the shear u2 += scale z u1; the
-    shear is linear, so its Jacobian moves the tangent the same way.  Used as
-    ``VectorFieldSet.jump`` by both example systems.
+    For the scaled mark w = eps z the flow of w V is the shear
+    u2 += sigma w u1; the shear is linear, so its Jacobian moves the tangent
+    the same way.  Used as ``VectorFieldSet.jump`` by both example systems.
     """
 
-    def jump(z, u, v):
-        s = scale * z[0]
+    def jump(w, u, v):
+        s = sigma * w[0]
         u = np.array([u[0], u[1] + s * u[0]])
         if v is not None:
             v = np.array([v[0], v[1] + s * v[0]])
@@ -135,7 +135,7 @@ class NilpotentSystem:
             diffusion_jacobians=[lambda u: np.array([[0.0, 0.0], [s, 0.0]])],
             epsilon=epsilon,
             grad_h=None,
-            jump=shear_jump(epsilon * s),
+            jump=shear_jump(s),
         )
 
     def coeffs(self, x=None) -> FrameCoefficients:
@@ -210,7 +210,7 @@ class DuffingSystem:
             diffusion_jacobians=[lambda p: np.array([[0.0, 0.0], [s, 0.0]])],
             epsilon=epsilon,
             grad_h=lambda p: np.array([p[0] + p[0] ** 3, p[1]]),
-            jump=shear_jump(epsilon * s),
+            jump=shear_jump(s),
         )
 
     # Powers are written as products so that one point and a batch of

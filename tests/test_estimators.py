@@ -245,6 +245,23 @@ def test_generic_irho_starts_at_sampling_floor():
         pytest.approx(0.14068, abs=1e-5)
 
 
+@pytest.mark.parametrize("noise", [
+    NoiseModel(measure=MEASURE, ar_threshold=0.2),
+    NoiseModel(measure=MEASURE, brownian=False, ar_threshold=0.2),
+    NoiseModel(measure=None, brownian=False),
+], ids=["gaussian-band", "band-only", "no-noise"])
+def test_generic_theorem33_matches_closed_form(noise):
+    """The position-dependent branch (sigma0 with R0 from the sampling
+    floor) and the constant-shear profile count the Gaussian part at the
+    same rate and the jump marks over the same band."""
+    th = (np.arange(8) + 0.5) * 2.0 * math.pi / 8
+    w = np.linspace(1.0, 2.0, 8)
+    closed = lyapunov_theorem33(NIL, noise, 0.1, OccupationMeasure(th, w))
+    occ = OccupationMeasure(th, w[None, :], x_centers=np.array([[1.0, 0.5]]))
+    got = lyapunov_theorem33(GenericShear(1.0, 1.0), noise, 0.1, occ)
+    assert got == pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
 def test_theorem33_single_bin():
     occ = OccupationMeasure(np.array([0.6]), np.array([5.0]))
     got = lyapunov_theorem33(NIL, BROWNIAN, 0.1, occ)

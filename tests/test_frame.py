@@ -437,31 +437,24 @@ def _quadrature_points():
     return pts
 
 
+@pytest.mark.parametrize("lo", [None, 0.2])
 @pytest.mark.parametrize("measure", QUAD_MEASURES)
-def test_batched_jump_quadratures_match_per_node_loop(measure):
+def test_batched_jump_quadratures_match_per_node_loop(measure, lo):
     for system, x, th in _quadrature_points():
         for fn, oracle in ((compute_Irho_generic, irho_per_node),
                            (compute_R0, r0_per_node)):
             got = fn(system.coeffs, system.v_values, measure, x, th, 0.1,
-                     z_panel_nodes=8)
-            want = oracle(system, measure, x, th, 0.1, panel_n=8)
+                     z_panel_nodes=8, lo=lo)
+            want = oracle(system, measure, x, th, 0.1, panel_n=8, lo=lo)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
                 (fn.__name__, system.name, th)
 
 
-def test_batched_jump_quadratures_pass_lo():
+def test_jump_quadratures_empty_above_cutoff():
     measure = QUAD_MEASURES[0]
     x = np.array([1.0, 0.5])
-    got = compute_Irho_generic(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1,
-                               lo=0.2)
-    assert got == pytest.approx(irho_per_node(NIL, measure, x, 0.4, 0.1, lo=0.2),
-                                rel=1e-13)
-    got = compute_R0(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1, lo=0.2)
-    assert got == pytest.approx(r0_per_node(NIL, measure, x, 0.4, 0.1, lo=0.2),
-                                rel=1e-13)
-    # a band above the cutoff holds no marks
-    assert compute_Irho_generic(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1,
-                                lo=1.0) == 0.0
+    for fn in (compute_Irho_generic, compute_R0):
+        assert fn(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1, lo=1.0) == 0.0
 
 
 @pytest.mark.parametrize("system", [DUF, NIL], ids=["duffing", "nilpotent"])

@@ -92,10 +92,11 @@ def test_step_single_jump_reproduces_jump_map():
 @pytest.mark.parametrize("system", [NIL, DUF], ids=["nilpotent", "duffing"])
 def test_closed_form_jumps_match_rk4_route(system):
     """The system's closed-form jump and the RK4 flow route (the fields
-    without ``jump``) agree on state and tangent, one or several jumps."""
-    exact = system.fields(0.3)
+    without ``jump``) agree on state and tangent, one or several jumps.
+    The jump scale follows ``fields.epsilon``, also after a replace."""
+    exact = dataclasses.replace(system.fields(0.7), epsilon=0.3)
     assert exact.jump is not None
-    flowed = dataclasses.replace(exact, jump=None)
+    flowed = dataclasses.replace(system.fields(0.3), jump=None)
     noise = NoiseModel(measure=MEASURE)
     cfg = StepperConfig(dt=1e-3)
     rng = np.random.default_rng(9)
