@@ -12,16 +12,14 @@ from .estimators import (EstimatorConfig, LyapunovEstimate, OccupationMeasure,
                          lyapunov_theorem33, scaling_sweep)
 from .fpcircle import (CircleDensity, CircleGrid, GeneratorMatrix,
                        build_generator, lyapunov_quadrature, solve_stationary)
-from .frame import (FrameCoefficients, GradedTerms, HamiltonianModel,
-                    PerturbationFields, PWTransform, coefficient_A,
-                    compute_R0, decompose_tangent, frame_coefficients,
-                    frame_vectors, graded_terms, pw_scale, recompose_tangent,
+from .frame import (FrameCoefficients, HamiltonianModel, PerturbationFields,
+                    coefficient_A, compute_R0, decompose_tangent,
+                    frame_coefficients, frame_vectors, recompose_tangent,
                     sigma0)
-from .marcus import (StepperConfig, TrajectoryState, VectorFieldSet,
-                     compensator_drift, integrate, marcus_jump_jacobian,
-                     marcus_jump_map, step)
+from .marcus import (StepperConfig, TrajectoryState, VectorFieldSet, integrate,
+                     marcus_jump_jacobian, marcus_jump_map, step)
 from .noise import (IncrementBatch, JumpMeasureSpec, NoiseModel, jump_moment,
-                    sample_brownian, sample_jumps, trajectory_streams)
+                    trajectory_streams)
 from .systems import (DuffingSystem, NilpotentSystem, exact_rho_jump,
                       exact_theta_jump, make_duffing, make_nilpotent)
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, nu_quadrature, sample_block, trajectory_streams
-from .systems import exact_rho_jump, exact_theta_jump, rho_jump_even_sum
+from .noise import NoiseModel, jump_nodes, sample_block, trajectory_streams
+from .systems import exact_rho_jump, exact_theta_jump, rho_jump_profile
 
 
 def _lane_blocks(noise: NoiseModel, dt: float, n_steps: int, seed: int,
@@ -35,7 +35,7 @@ def _lane_blocks(noise: NoiseModel, dt: float, n_steps: int, seed: int,
             if blk.jump_marks.size:
                 if sums is None:
                     sums = np.zeros((m, len(streams)))
-                np.add.at(sums[:, j], blk.jump_steps, blk.jump_marks)
+                sums[:, j] = blk.step_mark_sums()[:, 0]
         yield done, gauss, sums
         done += m
 
@@ -109,7 +109,7 @@ def shear_angle_lanes(a: float, sigma: float, eps, beta: float,
                       noise: NoiseModel, dt: float, horizon: float,
                       seed: int, indices, burn_in: float = 0.1,
                       drift_stride: int = 10, theta_bins: int = 256,
-                      block_steps: int = 16384, irho_nodes: int = 16,
+                      block_steps: int = 16384,
                       theta0: float = 0.7) -> AngleLanesResult:
     """Angle-process kernel in rescaled coordinates, accumulating the
     log-radius drift (shear term, Gaussian quadratic-variation term and the
@@ -134,18 +134,9 @@ def shear_angle_lanes(a: float, sigma: float, eps, beta: float,
     mart = np.zeros(L)
     bin_w = 2.0 * math.pi / theta_bins
 
-    zq = wq = None
+    nodes = None
     if noise.jump_rate > 0.0:
-        zq, wq = nu_quadrature(noise.measure, lo=noise.sampling_floor,
-                               per_panel=irho_nodes)
-
-    def irho(th):
-        if zq is None:
-            return np.zeros_like(th)
-        s = e_ang[:, None] * zq[None, :]
-        # per-row pairwise sum: bitwise stable under lane-count changes,
-        # unlike the BLAS matvec
-        return (rho_jump_even_sum(th[:, None], s) * wq).sum(axis=1)
+        nodes = jump_nodes(noise.measure, noise.sampling_floor)
 
     for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
         m = gauss.shape[0]
@@ -160,7 +151,8 @@ def shear_angle_lanes(a: float, sigma: float, eps, beta: float,
                 acc_qv += 0.5 * c2 - sc * sc
                 n_drift += 1
                 if step_no % drift_stride == 0:
-                    acc_irho += irho(theta)
+                    if nodes is not None:
+                        acc_irho += rho_jump_profile(theta, e_ang, nodes)
                     n_irho += 1
             theta = theta + dt * (k_sh * st * st - e_wz * sc * c2)
             ct = np.cos(theta)

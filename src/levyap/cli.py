@@ -218,6 +218,22 @@ def _check_methods(methods: list, system) -> None:
                               "bins that no estimator records")
 
 
+def _fp_solve(cfg: dict, noise):
+    """(stationary density, quadrature growth rate) of the circle FP problem."""
+    gen = build_generator(cfg["system.a"], cfg["system.sigma"],
+                          cfg["run.epsilon"], noise.measure,
+                          CircleGrid(cfg["fp.grid_n"]),
+                          variant=cfg["fp.variant"],
+                          brownian=cfg["noise.brownian"])
+    dens = solve_stationary(gen)
+    lam = lyapunov_quadrature(dens, cfg["system.a"], cfg["system.sigma"],
+                              cfg["run.epsilon"], noise.measure,
+                              variant=cfg["fp.variant"],
+                              brownian=cfg["noise.brownian"],
+                              beta=cfg["run.beta"])
+    return dens, lam
+
+
 def _run_method(method: str, system, noise, est_cfg, cfg):
     if method == "direct":
         return lyapunov_direct(system, noise, cfg["run.epsilon"], est_cfg)
@@ -228,17 +244,7 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
     if method == "theorem33":
         return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"], est_cfg)
     # fpcircle, the one method left after _check_methods
-    grid = CircleGrid(cfg["fp.grid_n"])
-    gen = build_generator(cfg["system.a"], cfg["system.sigma"],
-                          cfg["run.epsilon"], noise.measure, grid,
-                          variant=cfg["fp.variant"],
-                          brownian=cfg["noise.brownian"])
-    dens = solve_stationary(gen)
-    lam = lyapunov_quadrature(dens, cfg["system.a"], cfg["system.sigma"],
-                              cfg["run.epsilon"], noise.measure,
-                              variant=cfg["fp.variant"],
-                              brownian=cfg["noise.brownian"],
-                              beta=cfg["run.beta"])
+    dens, lam = _fp_solve(cfg, noise)
     est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
                            cfg["run.beta"], 0.0, 1, 0)
     est.extras["fp_residual"] = dens.residual
@@ -379,17 +385,8 @@ def cmd_fp_solve(cfg: dict) -> int:
     system, noise, _ = build_runtime(cfg)
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")
-    grid = CircleGrid(cfg["fp.grid_n"])
-    gen = build_generator(cfg["system.a"], cfg["system.sigma"],
-                          cfg["run.epsilon"], noise.measure, grid,
-                          variant=cfg["fp.variant"],
-                          brownian=cfg["noise.brownian"])
-    dens = solve_stationary(gen)
-    lam = lyapunov_quadrature(dens, cfg["system.a"], cfg["system.sigma"],
-                              cfg["run.epsilon"], noise.measure,
-                              variant=cfg["fp.variant"],
-                              brownian=cfg["noise.brownian"],
-                              beta=cfg["run.beta"])
+    dens, lam = _fp_solve(cfg, noise)
+    grid = dens.grid
     explicit = explicit_adjoint_residual(dens, cfg["system.a"],
                                          cfg["system.sigma"],
                                          cfg["run.epsilon"], noise.measure,

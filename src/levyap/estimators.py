@@ -33,10 +33,10 @@ from ._lanes import shear_angle_lanes, shear_direct_lanes
 from .errors import (AllTrajectoriesExited, EmptyMeasure, ExitDetected,
                      InvalidParameter, NonPositiveEstimate)
 from .marcus import StepperConfig, TrajectoryState, integrate, step
-from .noise import (JumpMeasureSpec, NoiseModel, nu_quadrature,
-                    nu_quadrature_quadratic, sample_block, trajectory_streams)
-from .quadrature import check_converged, gauss_legendre
-from .systems import rho_jump_even_sum
+from .noise import (JumpMeasureSpec, NoiseModel, jump_nodes, nu_quadrature,
+                    sample_block, trajectory_streams)
+from .quadrature import gauss_legendre
+from .systems import rho_jump_profile
 
 
 @dataclass
@@ -63,6 +63,9 @@ class EstimatorConfig:
             raise InvalidParameter("replicates must be >= 1")
         if not 0.0 <= self.burn_in < 1.0:
             raise InvalidParameter("burn_in fraction must lie in [0, 1)")
+        v0 = np.asarray(self.v0, dtype=float)
+        if not (np.all(np.isfinite(v0)) and np.any(v0)):
+            raise InvalidParameter(f"tangent v0 must be finite and nonzero, got {v0}")
 
 
 @dataclass
@@ -143,6 +146,23 @@ def _spread(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
+def _aggregate(rows, method: str, epsilon: float,
+               cfg: EstimatorConfig) -> LyapunovEstimate:
+    """Estimate from per-replicate rows (rate, restarts, failed, ...): mean
+    and standard error over the replicates that did not fail."""
+    restarts = sum(r[1] for r in rows)
+    failures = sum(1 for r in rows if r[2])
+    if failures == cfg.replicates:
+        raise AllTrajectoriesExited(
+            "every replicate exited before accumulating half the horizon")
+    value, stderr = _spread([r[0] for r in rows if not r[2]])
+    return LyapunovEstimate(value, stderr, method, epsilon, cfg.beta,
+                            cfg.horizon, cfg.replicates, cfg.renorm_interval,
+                            per_replicate=[r[0] for r in rows],
+                            restarts=restarts, exits=failures,
+                            unreliable=restarts > 0.1 * cfg.replicates)
+
+
 # ---------------------------------------------------------------------------
 # direct route
 # ---------------------------------------------------------------------------
@@ -221,25 +241,7 @@ def lyapunov_direct(system, noise: NoiseModel, epsilon: float,
     worker = _direct_lane_worker if system.constant_shear else _direct_generic_worker
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
                         cfg.workers)
-    return _direct_estimate(rows, epsilon, cfg)
-
-
-def _direct_estimate(rows, epsilon: float,
-                     cfg: EstimatorConfig) -> LyapunovEstimate:
-    """Aggregate per-replicate (rate, restarts, failed) rows."""
-    lams = [r[0] for r in rows]
-    restarts = sum(r[1] for r in rows)
-    failures = sum(1 for r in rows if r[2])
-    if failures == cfg.replicates:
-        raise AllTrajectoriesExited(
-            "every replicate exited before accumulating half the horizon")
-    good = [l for l, _, f in rows if not f]
-    value, stderr = _spread(good)
-    return LyapunovEstimate(value, stderr, "direct", epsilon, cfg.beta,
-                            cfg.horizon, cfg.replicates, cfg.renorm_interval,
-                            per_replicate=lams, restarts=restarts,
-                            exits=failures,
-                            unreliable=restarts > 0.1 * cfg.replicates)
+    return _aggregate(rows, "direct", epsilon, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,7 @@ def _direct_estimate(rows, epsilon: float,
 # ---------------------------------------------------------------------------
 
 def _khas_lane_worker(payload, indices):
+    """Rows (rate, restarts, failed, occupation, martingale rate)."""
     system, noise, epsilon, cfg = payload
     res = shear_angle_lanes(system.a, system.sigma,
                             np.full(len(indices), epsilon), cfg.beta, noise,
@@ -255,8 +258,8 @@ def _khas_lane_worker(payload, indices):
                             theta_bins=cfg.theta_bins,
                             block_steps=cfg.block_steps,
                             theta0=cfg.theta0)
-    return [(float(res.lam[j]), res.occupation[j], float(res.martingale_rate[j]),
-             0, False) for j in range(len(indices))]
+    return [(float(res.lam[j]), 0, False, res.occupation[j],
+             float(res.martingale_rate[j])) for j in range(len(indices))]
 
 
 def _khas_generic_one(system, noise, epsilon, cfg, index):
@@ -294,12 +297,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     while step_no < n:
         m = min(cfg.block_steps, n - step_no)
         block = sample_block(noise, dt, m, *streams)
-        jpos = 0
-        restart = False
-        for i in range(m):
-            jhi = jpos
-            while jhi < len(block.jump_steps) and block.jump_steps[jhi] == i:
-                jhi += 1
+        for i, (jlo, jhi) in enumerate(block.step_slices()):
             co = system.coeffs_with_actions(x)
             wz1, wz2 = fr.wz_corrections(co, theta, epsilon, beta)
             sc = math.sin(theta) * math.cos(theta)
@@ -314,7 +312,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                     occ[idx] += 1.0
             drift_th = (-e_sh * co.shear * math.sin(theta) ** 2
                         + 0.5 * rate * wz1)
-            batch = block.batch(i, jpos, jhi)
+            batch = block.batch(i, jlo, jhi)
             nojump = block.batch(i, len(block.jump_steps), len(block.jump_steps))
             try:
                 state = step(fields, noise, TrajectoryState(0.0, x), nojump, scfg)
@@ -327,7 +325,6 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                 x = x0.copy()
                 theta = cfg.theta0
                 streams = trajectory_streams(cfg.seed, index, attempt)
-                restart = True
                 break
             xc = state.x
             theta = theta + dt * drift_th
@@ -340,10 +337,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                                        beta, cfg.flow_substeps)
                 xc, theta = y[:2], float(y[2])
             x = xc
-            jpos = jhi
             step_no += 1
-        if restart:
-            continue
     if n_acc == 0:
         return math.nan, restarts, True, occ
     lam = acc / n_acc + (acc_irho / n_irho if n_irho else 0.0)
@@ -352,11 +346,9 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
 
 def _khas_generic_worker(payload, indices):
     system, noise, epsilon, cfg = payload
-    out = []
-    for i in indices:
-        lam, restarts, failed, occ = _khas_generic_one(system, noise, epsilon, cfg, i)
-        out.append((lam, occ, math.nan, restarts, failed))
-    return out
+    # the generic path records no martingale rate
+    return [_khas_generic_one(system, noise, epsilon, cfg, i) + (math.nan,)
+            for i in indices]
 
 
 def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
@@ -373,22 +365,9 @@ def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
     worker = _khas_lane_worker if use_lanes else _khas_generic_worker
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
                         cfg.workers)
-    lams = [r[0] for r in rows]
-    restarts = sum(r[3] for r in rows)
-    failures = sum(1 for r in rows if r[4])
-    if failures == cfg.replicates:
-        raise AllTrajectoriesExited(
-            "every replicate exited before accumulating half the horizon")
-    good = [r[0] for r in rows if not r[4]]
-    value, stderr = _spread(good)
-    occ = np.sum([r[1] for r in rows], axis=0)
-    mart = [r[2] for r in rows if not math.isnan(r[2])]
-    est = LyapunovEstimate(value, stderr, "khasminskii", epsilon, cfg.beta,
-                           cfg.horizon, cfg.replicates, cfg.renorm_interval,
-                           per_replicate=lams, restarts=restarts,
-                           exits=failures,
-                           unreliable=restarts > 0.1 * cfg.replicates)
-    est.extras["occupation"] = occ
+    est = _aggregate(rows, "khasminskii", epsilon, cfg)
+    est.extras["occupation"] = np.sum([r[3] for r in rows], axis=0)
+    mart = [r[4] for r in rows if not math.isnan(r[4])]
     if mart:
         est.extras["martingale_rate"] = _spread(mart)
     return est
@@ -400,8 +379,7 @@ def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
 
 def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
                  epsilon: float, beta: float = 2.0 / 3.0,
-                 noise: Optional[NoiseModel] = None, z_panel_nodes: int = 16,
-                 check: bool = False) -> float:
+                 noise: Optional[NoiseModel] = None) -> float:
     """int [ zeta2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz).
 
     The marks run from the sampling floor of ``noise`` (the measure's floor
@@ -416,21 +394,9 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
     lo = noise.sampling_floor if noise is not None else measure.floor_delta
     if system.constant_shear:
         amp = epsilon ** (1.0 - beta) * system.sigma
-        if lo > 0.0:
-            z, w = nu_quadrature(measure, lo=lo, per_panel=z_panel_nodes)
-            out = float(rho_jump_even_sum(theta, amp * z) @ w)
-            if check:
-                z2, w2 = nu_quadrature(measure, lo=lo, per_panel=2 * z_panel_nodes)
-                check_converged(out, float(rho_jump_even_sum(theta, amp * z2) @ w2))
-            return out
-        z, w = nu_quadrature_quadratic(measure, n=4 * z_panel_nodes)
-        vals = rho_jump_even_sum(theta, amp * z) / (z * z)
-        return float(vals @ w)
-    coeffs_fn = system.coeffs
-    v_fn = system.v_values
-    return fr.compute_Irho_generic(coeffs_fn, v_fn, measure, x, theta, epsilon,
-                                   beta=beta, z_panel_nodes=z_panel_nodes,
-                                   check=check, lo=lo)
+        return float(rho_jump_profile(theta, amp, jump_nodes(measure, lo)))
+    return fr.compute_Irho_generic(system.coeffs, system.v_values, measure, x,
+                                   theta, epsilon, beta=beta, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +489,10 @@ def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
                         cfg.workers)
     bins = cfg.theta_bins
     centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
-    lams = []
-    for r in rows:
-        occ = OccupationMeasure(centers, r[1])
-        lams.append(lyapunov_theorem33(system, noise, epsilon, occ, beta=cfg.beta))
-    value, stderr = _spread(lams)
-    return LyapunovEstimate(value, stderr, "theorem33", epsilon, cfg.beta,
-                            cfg.horizon, cfg.replicates, cfg.renorm_interval,
-                            per_replicate=lams)
+    rows = [(lyapunov_theorem33(system, noise, epsilon,
+                                OccupationMeasure(centers, r[3]), beta=cfg.beta),
+             r[1], r[2]) for r in rows]
+    return _aggregate(rows, "theorem33", epsilon, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +526,7 @@ def scaling_sweep(system, noise: NoiseModel, eps_list, cfg: EstimatorConfig,
         # 5 x 16 lanes as for 16, and each lane's arithmetic is unchanged
         rows = _run_chunked(_sweep_lane_worker, (system, noise, eps_list, cfg),
                             cfg.replicates, cfg.workers)
-        estimates = [_direct_estimate([(r[j], 0, False) for r in rows], e, cfg)
+        estimates = [_aggregate([(r[j], 0, False) for r in rows], "direct", e, cfg)
                      for j, e in enumerate(eps_list)]
     else:
         fn = estimate_fn or lyapunov_direct

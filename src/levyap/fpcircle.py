@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateNullspace, InvalidGrid, InvalidParameter
-from .noise import JumpMeasureSpec, jump_moment, nu_quadrature, nu_quadrature_quadratic
-from .systems import exact_theta_jump, rho_jump_even_sum
+from .noise import JumpMeasureSpec, jump_moment, jump_nodes, nu_quadrature
+from .systems import exact_theta_jump, rho_jump_profile
 
 # largest 1-norm condition number of the bordered stationary system accepted
 # as a one-dimensional nullspace
@@ -108,8 +108,8 @@ def _local_part(grid: CircleGrid, drift: np.ndarray, diff: np.ndarray) -> np.nda
 
 def build_generator(a: float, sigma: float, epsilon: float,
                     measure: Optional[JumpMeasureSpec], grid: CircleGrid,
-                    variant: str = "plain", brownian: bool = True,
-                    z_panel_nodes: int = 16) -> GeneratorMatrix:
+                    variant: str = "plain",
+                    brownian: bool = True) -> GeneratorMatrix:
     """Angle-process generator for the shear system.
 
     plain: -a sin^2 d/dth + eps^2 sig^2 (-sin cos^3 d/dth + cos^4/2 d2/dth2)
@@ -137,7 +137,7 @@ def build_generator(a: float, sigma: float, epsilon: float,
         if measure.floor_delta <= 0.0:
             raise InvalidParameter(
                 "the nonlocal generator needs a truncated measure (floor_delta > 0)")
-        z, w = nu_quadrature(measure, per_panel=z_panel_nodes)
+        z, w = nu_quadrature(measure)
         idx = np.arange(grid.n)
         for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
             zeta = exact_theta_jump(th, epsilon * sigma * sq)
@@ -210,28 +210,6 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     return CircleDensity(gen.grid, mu, residual, clipped)
 
 
-def zeta2_integral_profile(measure: JumpMeasureSpec, theta: np.ndarray,
-                           eps_sigma: float, lo: Optional[float] = None,
-                           n_nodes: int = 64) -> np.ndarray:
-    """Jump contribution to the log-radius drift on an angle grid:
-    int zeta2(z)(theta) nu(dz) over the symmetric band, using the
-    cancellation-free even sum of the closed form.
-
-    ``lo = 0`` integrates from the origin (power substitution); otherwise
-    geometric panels over [lo, cutoff).
-    """
-    theta = np.asarray(theta, dtype=float)
-    if measure is None or not measure.has_jumps:
-        return np.zeros_like(theta)
-    lo = measure.floor_delta if lo is None else lo
-    if lo > 0.0:
-        z, w = nu_quadrature(measure, lo=lo, per_panel=max(8, n_nodes // 4))
-        return rho_jump_even_sum(theta[:, None], eps_sigma * z[None, :]) @ w
-    z, w = nu_quadrature_quadratic(measure, n=n_nodes)
-    vals = rho_jump_even_sum(theta[:, None], eps_sigma * z[None, :]) / (z * z)[None, :]
-    return vals @ w
-
-
 def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
                         epsilon: float, measure: Optional[JumpMeasureSpec],
                         variant: str = "plain", brownian: bool = True,
@@ -248,7 +226,7 @@ def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
     if variant == "plain":
         q = a * s * c + (epsilon ** 2 * sigma ** 2 * qv if brownian else 0.0)
         if measure is not None and measure.has_jumps:
-            q = q + zeta2_integral_profile(measure, th, epsilon * sigma)
+            q = q + rho_jump_profile(th, epsilon * sigma, jump_nodes(measure))
         return float(np.sum(q * density.values) * density.grid.h)
     if variant == "pw":
         m2 = 0.0
@@ -265,8 +243,7 @@ def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
 def explicit_adjoint_residual(density: CircleDensity, a: float, sigma: float,
                               epsilon: float,
                               measure: Optional[JumpMeasureSpec],
-                              brownian: bool = True,
-                              z_panel_nodes: int = 16) -> float:
+                              brownian: bool = True) -> float:
     """Sup-norm of the explicit cos^2-scaled adjoint equation evaluated on
     the solved density.
 
@@ -291,7 +268,7 @@ def explicit_adjoint_residual(density: CircleDensity, a: float, sigma: float,
     out = a * c ** 2 * d1(s * s * mu)
     out += 0.5 * bfac * c ** 2 * d1(c ** 2 * d1(c ** 2 * mu))
     if measure is not None and measure.has_jumps:
-        z, w = nu_quadrature(measure, per_panel=z_panel_nodes)
+        z, w = nu_quadrature(measure)
         f = c ** 2 * mu  # the nonlocal term transports cos^2 mu to the mapped angle
         acc = np.zeros(n)
         for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):

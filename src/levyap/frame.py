@@ -9,11 +9,9 @@ matrices.  This module computes
 * the frame vectors and the tangent decomposition v = w1 U1 + w2 U2,
 * the shear rate and the per-component noise matrices (with optional
   directional derivatives along the perturbation fields),
-* the polar-coordinate noise fields of the rescaled system, their graded
-  split in powers of the perturbation scale, and the Wong-Zakai
-  corrections assembled from first principles,
-* the diagonal rescaling T = diag(eps^beta, 1) that regularizes the
-  singular perturbation, and
+* the polar-coordinate noise fields of the rescaled system (rescaled by
+  T = diag(eps^beta, 1), which regularizes the singular perturbation) and
+  the Wong-Zakai corrections assembled from first principles, and
 * the leading-order growth-rate integrand (drift shear term, Gaussian
   quadratic-variation term, and the jump term evaluated by nested
   quadrature over the jump flow).
@@ -28,7 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CriticalPoint, InvalidParameter
-from .noise import JumpMeasureSpec, nu_quadrature, nu_quadrature_quadratic
+from .marcus import _rk4
+from .noise import JumpMeasureSpec, jump_nodes
 from .quadrature import check_converged, gauss_legendre
 
 
@@ -59,23 +58,6 @@ class PerturbationFields:
     @property
     def d(self) -> int:
         return len(self.a1)
-
-
-@dataclass(frozen=True)
-class PWTransform:
-    """Diagonal rescaling diag(eps^beta, 1) of the frame coordinates.
-
-    The boundary eps = 1 is admitted and gives the identity.
-    """
-
-    epsilon: float
-    beta: float = 2.0 / 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidParameter("beta must lie in (0, 1)")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise InvalidParameter("epsilon must lie in (0, 1]")
 
 
 @dataclass
@@ -206,100 +188,11 @@ def recompose_tangent(model: HamiltonianModel, x: np.ndarray, w) -> np.ndarray:
     return w[0] * u1 + w[1] * u2
 
 
-def pw_scale(w, t: PWTransform) -> np.ndarray:
-    """Apply diag(eps^beta, 1)."""
-    w = np.asarray(w, dtype=float)
-    return np.array([t.epsilon ** t.beta * w[0], w[1]])
-
-
-@dataclass
-class GradedTerms:
-    """Polar noise fields at (x, theta) and their graded split.
-
-    q[k] = (Q1, Q2, Q3) and p[k] = (P1, P2, P3) carry the angle- and
-    log-radius components at scales eps^(1-beta), eps, eps^(1+beta);
-    q_wz[k], p_wz[k] are the five graded Wong-Zakai parts at scales
-    eps^(2-2beta) ... eps^(2+2beta), assembled from
-        sigma~^i = eps D_x sigma^i V + D_theta sigma^i sigma^1.
-    """
-
-    epsilon: float
-    beta: float
-    q: np.ndarray
-    p: np.ndarray
-    q_wz: Optional[np.ndarray]
-    p_wz: Optional[np.ndarray]
-
-    @property
-    def _scales3(self) -> np.ndarray:
-        e, b = self.epsilon, self.beta
-        return np.array([e ** (1.0 - b), e, e ** (1.0 + b)])
-
-    @property
-    def _scales5(self) -> np.ndarray:
-        e, b = self.epsilon, self.beta
-        return np.array([e ** (2 - 2 * b), e ** (2 - b), e ** 2, e ** (2 + b), e ** (2 + 2 * b)])
-
-    @property
-    def sigma1(self) -> np.ndarray:
-        return self.q @ self._scales3
-
-    @property
-    def sigma2(self) -> np.ndarray:
-        return self.p @ self._scales3
-
-    @property
-    def sigma1_wz(self) -> np.ndarray:
-        return self.q_wz @ self._scales5
-
-    @property
-    def sigma2_wz(self) -> np.ndarray:
-        return self.p_wz @ self._scales5
-
-
-def graded_terms(coeffs: FrameCoefficients, theta: float, epsilon: float,
-                 beta: float = 2.0 / 3.0) -> GradedTerms:
-    """Graded polar fields at angle theta for the rescaled system."""
-    s, c = math.sin(theta), math.cos(theta)
-    sc, s2, c2 = s * c, s * s, c * c
-    cos2t = c2 - s2
-    sin2t = 2.0 * sc
-    b, cc, d, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    nk = len(b)
-    q = np.stack([d * c2, -(b - e) * sc, -cc * s2], axis=1)
-    p = np.stack([d * sc, b * c2 + e * s2, cc * sc], axis=1)
-
-    q_wz = p_wz = None
-    if coeffs.dmats is not None:
-        db = coeffs.dmats[:, 0, 0]
-        dc = coeffs.dmats[:, 0, 1]
-        dd = coeffs.dmats[:, 1, 0]
-        de = coeffs.dmats[:, 1, 1]
-        # theta-derivatives of the graded parts
-        dq = np.stack([-d * sin2t, -(b - e) * cos2t, -cc * sin2t], axis=1)
-        dp = np.stack([d * cos2t, (e - b) * sin2t, cc * cos2t], axis=1)
-        # x-derivatives along V_k (one scale of eps already absorbed
-        # into the grading slots below)
-        xq = np.stack([dd * c2, -(db - de) * sc, -dc * s2], axis=1)
-        xp = np.stack([dd * sc, db * c2 + de * s2, dc * sc], axis=1)
-
-        def assemble(dg, xg):
-            out = np.zeros((nk, 5))
-            out[:, 0] = dg[:, 0] * q[:, 0]
-            out[:, 1] = xg[:, 0] + dg[:, 0] * q[:, 1] + dg[:, 1] * q[:, 0]
-            out[:, 2] = xg[:, 1] + dg[:, 0] * q[:, 2] + dg[:, 2] * q[:, 0] + dg[:, 1] * q[:, 1]
-            out[:, 3] = xg[:, 2] + dg[:, 1] * q[:, 2] + dg[:, 2] * q[:, 1]
-            out[:, 4] = dg[:, 2] * q[:, 2]
-            return out
-
-        q_wz = assemble(dq, xq)
-        p_wz = assemble(dp, xp)
-    return GradedTerms(epsilon, beta, q, p, q_wz, p_wz)
-
-
 def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
                  beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma1_k, sigma2_k) without the Wong-Zakai machinery (cheap path).
+    """Polar noise fields (sigma1_k, sigma2_k) at angle theta: the angle and
+    log-radius components of the rescaled noise matrices, at the scales
+    eps^(1-beta), eps and eps^(1+beta).
 
     One point: theta a float, results of shape (d,).  A batch: theta of
     shape (N,) with coefficients of a batch of N points, results (N, d).
@@ -317,25 +210,23 @@ def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
 
 def wz_corrections(coeffs: FrameCoefficients, theta: float, epsilon: float,
                    beta: float) -> tuple[float, float]:
-    """(sum_k sigma~1_k, sum_k sigma~2_k) evaluated directly from
-    sigma~^i = eps D_x sigma^i V + D_theta sigma^i sigma^1 (cheap path;
-    identical to summing the graded parts)."""
+    """Wong-Zakai corrections (sum_k sigma~1_k, sum_k sigma~2_k) from
+    sigma~^i = eps D_x sigma^i V + D_theta sigma^i sigma^1.
+
+    The x-derivative along V_k is ``polar_fields`` of the derivative
+    matrices ``coeffs.dmats``; the theta-derivative is taken in closed form.
+    """
     s = math.sin(theta)
     c = math.cos(theta)
-    sc, s2, c2 = s * c, s * s, c * c
-    sin2t = 2.0 * sc
-    cos2t = c2 - s2
+    sin2t = 2.0 * s * c
+    cos2t = c * c - s * s
     e1, e2, e3 = epsilon ** (1.0 - beta), epsilon, epsilon ** (1.0 + beta)
     b, cc, d, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    db = coeffs.dmats[:, 0, 0]
-    dc = coeffs.dmats[:, 0, 1]
-    dd = coeffs.dmats[:, 1, 0]
-    de = coeffs.dmats[:, 1, 1]
-    sigma1 = e1 * d * c2 - e2 * (b - e) * sc - e3 * cc * s2
+    sigma1, _ = polar_fields(coeffs, theta, epsilon, beta)
+    dx1, dx2 = polar_fields(FrameCoefficients(coeffs.shear, coeffs.dmats),
+                            theta, epsilon, beta)
     dth1 = -e1 * d * sin2t - e2 * (b - e) * cos2t - e3 * cc * sin2t
     dth2 = e1 * d * cos2t + e2 * (e - b) * sin2t + e3 * cc * cos2t
-    dx1 = e1 * dd * c2 - e2 * (db - de) * sc - e3 * dc * s2
-    dx2 = e1 * dd * sc + e2 * (db * c2 + de * s2) + e3 * dc * sc
     wz1 = epsilon * dx1 + dth1 * sigma1
     wz2 = epsilon * dx2 + dth2 * sigma1
     return float(np.sum(wz1)), float(np.sum(wz2))
@@ -379,7 +270,7 @@ def angle_jump_flow(coeffs_fn: Callable, v_fn: Callable, z: np.ndarray,
         nsub = max(1, int(math.ceil(substeps * gap)))
         h = gap / nsub
         for _ in range(nsub):
-            y = _rk4_vec(rhs, y, h)
+            y = _rk4(rhs, y, h)
         return y
 
     if b_points is None:
@@ -394,31 +285,6 @@ def angle_jump_flow(coeffs_fn: Callable, v_fn: Callable, z: np.ndarray,
     if 1.0 - pos > 1e-15:
         y = advance(y, 1.0 - pos)
     return recorded, y
-
-
-def _rk4_vec(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _z_nodes(measure: JumpMeasureSpec, panel_n: int, quad_n: int,
-             lo: Optional[float] = None):
-    """One-sided z nodes over [lo, cutoff) for integrands that vanish
-    quadratically at 0; lo defaults to the measure's floor.
-
-    With a positive lo: geometric panels, weights carry the measure
-    density.  lo zero: power substitution with the z^2 factor absorbed
-    into the weights (``quadratic=True``, caller divides values by z^2).
-    """
-    lo = measure.floor_delta if lo is None else lo
-    if lo > 0.0:
-        z, w = nu_quadrature(measure, lo=lo, per_panel=panel_n)
-        return z, w, False
-    z, w = nu_quadrature_quadratic(measure, n=quad_n)
-    return z, w, True
 
 
 def _signed_marks(zq: np.ndarray, dim: int) -> np.ndarray:
@@ -464,7 +330,7 @@ def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
         bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
         order = np.argsort(bq)
         bq, bw = bq[order], bw[order]
-        zq, wq, quadratic = _z_nodes(measure, panel_n, 4 * panel_n, lo)
+        zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
         marks = _signed_marks(zq, measure.dimension)
         states, _ = angle_jump_flow(coeffs_fn, v_fn, marks, x, theta,
                                     epsilon, beta, substeps, b_points=bq)
@@ -538,7 +404,7 @@ def compute_Irho_generic(coeffs_fn: Callable, v_fn: Callable,
         return 0.0
 
     def value(panel_n):
-        zq, wq, quadratic = _z_nodes(measure, panel_n, 4 * panel_n, lo)
+        zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
         _, s2 = polar_fields(coeffs_fn(x), theta, epsilon, beta)
         marks = _signed_marks(zq, measure.dimension)
         y = angle_jump_flow(coeffs_fn, v_fn, marks, x, theta, epsilon, beta,

@@ -14,8 +14,7 @@ A step advances the state in four sub-moves:
 For a symmetric jump measure the compensator of the raw jump events cancels
 the bracket drift of the Ito form exactly, leaving only the first-moment
 term -eps * sum_k V_k(x) * int z nu(dz), which is identically zero.  The
-integrator therefore applies no jump-related drift; ``compensator_drift``
-evaluates the bracket integral by quadrature for diagnostics and tests.
+integrator therefore applies no jump-related drift.
 
 An optional tangent vector is transported alongside by the linearized
 counterparts of each sub-move.
@@ -31,7 +30,6 @@ import numpy as np
 
 from .errors import ExitDetected, FlowEscape, InvalidParameter
 from .noise import NoiseModel, sample_block, trajectory_streams
-from .quadrature import gauss_legendre
 
 
 @dataclass
@@ -78,7 +76,6 @@ class StepperConfig:
     flow_substeps: int = 8
     tol_crit: float = 1e-6
     bound_explode: float = 1e8
-    compensator_quadrature_nodes: int = 32
     block_steps: int = 16384
 
     def __post_init__(self):
@@ -170,36 +167,6 @@ def marcus_jump_jacobian(fields: VectorFieldSet, z, x: np.ndarray,
         if not np.all(np.isfinite(y)):
             raise FlowEscape("variational flow left the domain")
     return y[2:].reshape(2, 2)
-
-
-def compensator_drift(fields: VectorFieldSet, noise: NoiseModel, x: np.ndarray,
-                      cfg: StepperConfig) -> np.ndarray:
-    """Bracket drift  int [xi(z)(x) - x - eps sum z_k V_k(x)] nu(dz).
-
-    Evaluated by Gauss-Legendre in |z| over the sampled band, doubled over
-    the symmetric sign, one flow solve per node.  Diagnostic: when jumps are
-    applied as raw events this drift is cancelled by their compensator, so
-    the stepper does not add it.
-    """
-    m = noise.measure
-    if m is None or not m.has_jumps:
-        return np.zeros(2)
-    lo = noise.sampling_floor
-    if lo <= 0.0 or lo >= m.cutoff_c:
-        return np.zeros(2)
-    out = np.zeros(2)
-    eps = fields.epsilon
-    for k in range(m.dimension):
-        zq, wq = gauss_legendre(cfg.compensator_quadrature_nodes, lo, m.cutoff_c)
-        dens = m.c_alpha * zq ** (-1.0 - m.alpha)
-        vkx = fields.diffusion[k](x)
-        for zi, wi, di in zip(zq, wq, dens):
-            for s in (zi, -zi):
-                z = np.zeros(m.dimension)
-                z[k] = s
-                out += wi * di * (marcus_jump_map(fields, z, x, cfg.flow_substeps)
-                                  - x - eps * s * vkx)
-    return out
 
 
 def _check_exit(fields: VectorFieldSet, state: TrajectoryState,
@@ -315,13 +282,17 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
     tangent v0 is given, log ||v|| is accumulated every ``renorm_interval``
     steps (or whenever |log ||v||| exceeds 20) after ``burn_in_time``.
     ``observer(state)`` is invoked after every step when provided.
+    A tangent v0 must be finite and nonzero (InvalidParameter otherwise).
     """
+    if v0 is not None:
+        v0 = np.array(v0, dtype=float)
+        if not (np.all(np.isfinite(v0)) and np.any(v0)):
+            raise InvalidParameter(f"tangent v0 must be finite and nonzero, got {v0}")
     if isinstance(rng_or_seed[0], np.random.Generator):
         rng_b, rng_j = rng_or_seed
     else:
         rng_b, rng_j = trajectory_streams(*rng_or_seed)
-    state = TrajectoryState(0.0, np.array(x0, dtype=float),
-                            None if v0 is None else np.array(v0, dtype=float))
+    state = TrajectoryState(0.0, np.array(x0, dtype=float), v0)
     flag = _check_exit(fields, state, cfg)
     if flag is not None:
         state.exit_flag = flag
@@ -338,13 +309,8 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
     while done < n_total:
         m = min(cfg.block_steps, n_total - done)
         block = sample_block(noise, cfg.dt, m, rng_b, rng_j)
-        jpos = 0
-        for i in range(m):
-            jhi = jpos
-            while jhi < len(block.jump_steps) and block.jump_steps[jhi] == i:
-                jhi += 1
-            batch = block.batch(i, jpos, jhi)
-            jpos = jhi
+        for i, (jlo, jhi) in enumerate(block.step_slices()):
+            batch = block.batch(i, jlo, jhi)
             try:
                 state = step(fields, noise, state, batch, cfg)
             except ExitDetected as exc:

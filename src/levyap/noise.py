@@ -164,18 +164,6 @@ def trajectory_streams(master_seed: int, index: int, attempt: int = 0):
     return mk(0), mk(1)
 
 
-def sample_brownian(dim: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian increment vector with per-component variance dt.
-
-    dt = 0 returns zeros without consuming the stream.
-    """
-    if dt < 0:
-        raise InvalidParameter("dt must be nonnegative")
-    if dt == 0.0:
-        return np.zeros(dim)
-    return rng.normal(0.0, math.sqrt(dt), dim)
-
-
 @dataclass
 class IncrementBatch:
     """Noise for a single step: Gaussian vector plus time-ordered jumps.
@@ -194,54 +182,12 @@ class IncrementBatch:
     def n_jumps(self) -> int:
         return len(self.jump_marks)
 
-    def jump_vectors(self, dim: int) -> np.ndarray:
-        """Marks as (n_jumps, dim) one-hot vectors."""
-        z = np.zeros((self.n_jumps, dim))
-        z[np.arange(self.n_jumps), self.jump_components] = self.jump_marks
-        return z
-
 
 def _invcdf_magnitudes(measure: JumpMeasureSpec, lo: float, u: np.ndarray) -> np.ndarray:
     a = measure.alpha
     lo_p = lo ** -a
     hi_p = measure.cutoff_c ** -a
     return (lo_p - u * (lo_p - hi_p)) ** (-1.0 / a)
-
-
-def sample_jumps(measure: JumpMeasureSpec, dt: float, rng: np.random.Generator,
-                 lo: Optional[float] = None):
-    """Jumps of one step: Poisson count, inverse-CDF magnitudes, fair signs,
-    uniform offsets sorted increasingly.  Returns (offsets, components, marks).
-    """
-    if dt < 0:
-        raise InvalidParameter("dt must be nonnegative")
-    lo = measure.floor_delta if lo is None else lo
-    if measure.has_jumps and lo <= 0.0:
-        raise InvalidMeasure(
-            "floor_delta = 0 has infinite jump activity; choose a positive "
-            "floor or enable the Gaussian small-jump substitute")
-    empty = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
-    if dt == 0.0 or not measure.has_jumps or lo >= measure.cutoff_c:
-        return empty
-    rate = measure.intensity(lo, measure.cutoff_c)
-    offs, comps, marks = [], [], []
-    for k in range(measure.dimension):
-        n = int(rng.poisson(rate * dt))
-        if n == 0:
-            continue
-        t = dt * rng.random(n)
-        mag = _invcdf_magnitudes(measure, lo, rng.random(n))
-        sgn = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        offs.append(t)
-        comps.append(np.full(n, k, dtype=np.int64))
-        marks.append(sgn * mag)
-    if not offs:
-        return empty
-    offs = np.concatenate(offs)
-    comps = np.concatenate(comps)
-    marks = np.concatenate(marks)
-    order = np.argsort(offs, kind="stable")
-    return offs[order], comps[order], marks[order]
 
 
 @dataclass
@@ -266,13 +212,21 @@ class BlockIncrements:
                               self.jump_components[jlo:jhi],
                               self.jump_marks[jlo:jhi])
 
+    def step_slices(self):
+        """(jlo, jhi) for each step in order: the events of step i are
+        entries jlo:jhi of the jump arrays."""
+        bounds = np.searchsorted(self.jump_steps, np.arange(self.n_steps + 1))
+        return zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
     def step_mark_sums(self) -> np.ndarray:
-        """Per-step sum of marks of each component, shape (n_steps, dim)."""
+        """Per-step sum of marks of each component, shape (n_steps, dim),
+        added in event order."""
         dim = self.gauss.shape[1]
-        s = np.zeros((self.n_steps, dim))
-        if len(self.jump_marks):
-            np.add.at(s, (self.jump_steps, self.jump_components), self.jump_marks)
-        return s
+        if not len(self.jump_marks):
+            return np.zeros((self.n_steps, dim))
+        cells = self.jump_steps * dim + self.jump_components
+        return np.bincount(cells, weights=self.jump_marks,
+                           minlength=self.n_steps * dim).reshape(self.n_steps, dim)
 
 
 def sample_block(noise: NoiseModel, dt: float, n_steps: int,
@@ -285,7 +239,11 @@ def sample_block(noise: NoiseModel, dt: float, n_steps: int,
          sqrt(gaussian_rate * dt) per entry;
       2. per component: Poisson counts per step, then offsets, magnitudes
          and signs for all events of the block in bulk from the jump stream.
+
+    dt = 0 gives zero increments and no events without consuming the streams.
     """
+    if dt < 0.0:
+        raise InvalidParameter("dt must be nonnegative")
     dim = noise.dimension
     rate = noise.gaussian_rate
     if rate > 0.0 and dt > 0.0:
@@ -347,13 +305,30 @@ def nu_quadrature(measure: JumpMeasureSpec, lo: Optional[float] = None,
                             measure.cutoff_c, per_panel)
 
 
-def nu_quadrature_quadratic(measure: JumpMeasureSpec, n: int = 64,
-                            lo: float = 0.0):
-    """One-sided (z, w) nodes for integrands z^2 G(z), valid from lo = 0.
+def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
+               per_panel: int = 16):
+    """One-sided (z, w, quadratic) nodes over [lo, cutoff_c) for integrands
+    that vanish quadratically at 0; lo defaults to the measure's floor.
+
+    A positive lo gets geometric panels, the weights carrying the measure
+    density.  lo = 0 gets the power substitution with 4 * per_panel nodes
+    and the z^2 factor absorbed into the weights (``quadratic`` is True:
+    the caller divides its values by z^2).
+    """
+    lo = measure.floor_delta if lo is None else lo
+    if lo > 0.0:
+        z, w = nu_quadrature(measure, lo=lo, per_panel=per_panel)
+        return z, w, False
+    z, w = nu_quadrature_quadratic(measure, n=4 * per_panel)
+    return z, w, True
+
+
+def nu_quadrature_quadratic(measure: JumpMeasureSpec, n: int = 64):
+    """One-sided (z, w) nodes for integrands z^2 G(z) over [0, cutoff_c).
 
     Weights absorb the z^2 factor: sum w_i G(z_i).
     """
     if not measure.has_jumps:
         return np.empty(0), np.empty(0)
     return nu_nodes_regularized(measure.alpha, measure.c_alpha,
-                                measure.cutoff_c, n=n, lo=lo)
+                                measure.cutoff_c, n=n)

@@ -3,7 +3,8 @@
 Both bundles expose the callbacks the integrator, the frame machinery and
 the estimators need: the Hamiltonian model, the raw vector fields with
 their closed-form Marcus jump, the frame-coefficient evaluator, and (for the
-shear system) closed-form jump maps on the circle.  ``coeffs`` and
+shear system) closed-form jump maps on the circle with the compensator
+integral of the log-radius jump (``rho_jump_profile``).  ``coeffs`` and
 ``v_values`` take one point of shape (2,) or a batch of shape (N, 2); the
 shear system's constant frame data broadcasts against a batch.
 """
@@ -57,6 +58,24 @@ def rho_jump_even_sum(theta, s):
     c2 = np.cos(theta) ** 2
     out = 0.5 * np.log1p(s * s * c2 * (2.0 * np.cos(2.0 * theta) + s * s * c2))
     return out if out.ndim else float(out)
+
+
+def rho_jump_profile(theta, amp, nodes) -> np.ndarray:
+    """int rho_jump_even_sum(theta, amp z) nu(dz): the compensator of the
+    shear's log-radius jumps, on the one-sided marks ``nodes`` = (z, w,
+    quadratic) of ``noise.jump_nodes``.
+
+    theta and amp broadcast against each other (one angle, an angle grid,
+    or one angle and amplitude per lane).  The node sum runs row by row as
+    a pairwise sum, which keeps every row's bits independent of the number
+    of rows (a BLAS matvec does not).
+    """
+    z, w, quadratic = nodes
+    vals = rho_jump_even_sum(np.asarray(theta, dtype=float)[..., None],
+                             np.asarray(amp, dtype=float)[..., None] * z)
+    if quadratic:
+        vals = vals / (z * z)
+    return (vals * w).sum(axis=-1)
 
 
 def shear_jump(sigma: float):
@@ -162,12 +181,6 @@ class NilpotentSystem:
             grad_a1=[lambda u: np.zeros(2)],
             grad_a2=[lambda u: np.array([a * s * u[1], a * s * u[0]])],
         )
-
-    def marcus_ito_jump_correction(self, u, z, epsilon: float) -> np.ndarray:
-        """xi(z)(u) - u - eps z V(u); identically zero for the shear flow."""
-        u = np.asarray(u, dtype=float)
-        jump = np.array([0.0, epsilon * self.sigma * z * u[0]])
-        return (u + jump) - u - jump
 
 
 @dataclass(frozen=True)
@@ -276,13 +289,6 @@ class DuffingSystem:
             grad_a1=[grad_a1],
             grad_a2=[lambda p: np.array([s * p[1], s * p[0]])],
         )
-
-    def a1_epsilon_scaled(self, p, epsilon: float) -> float:
-        """Alternative convention carrying the perturbation scale inside the
-        frame component; recorded so the consistency test can pin the
-        scale-free storage used everywhere else."""
-        x, y = p
-        return -epsilon * self.sigma * x * (x + x ** 3) / ((x + x ** 3) ** 2 + y * y)
 
 
 def make_nilpotent(a: float, sigma: float) -> NilpotentSystem:

@@ -17,13 +17,13 @@ from levyap.errors import ExitDetected
 from levyap.estimators import (EstimatorConfig, lyapunov_direct,
                                lyapunov_khasminskii, scaling_sweep)
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
-                             solve_stationary, zeta2_integral_profile)
+                             solve_stationary)
 from levyap.frame import (angle_jump_flow, decompose_tangent,
                           frame_coefficients, recompose_tangent)
 from levyap.marcus import (StepperConfig, integrate, marcus_jump_map)
-from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment
+from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
-                            make_nilpotent)
+                            make_nilpotent, rho_jump_profile)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -217,7 +217,7 @@ def test_acceptance_7_taylor_consistency():
     target = (0.5 * np.cos(th) ** 2 - np.sin(th) ** 2 * np.cos(th) ** 2) * m2
     worst = 0.0
     for eps in (1e-2, 1e-3):
-        prof = zeta2_integral_profile(measure, th, eps, lo=0.0) / eps ** 2
+        prof = rho_jump_profile(th, eps, jump_nodes(measure, lo=0.0)) / eps ** 2
         dev = np.abs(prof - target).max() / np.abs(target).max()
         worst = max(worst, dev)
         assert dev <= 0.01, f"eps={eps}: sup deviation {dev:.4f}"

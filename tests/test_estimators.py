@@ -342,6 +342,13 @@ def test_sweep_rejects_bad_epsilon_lists():
         scaling_sweep(NIL, BROWNIAN, [0.1, 0.15, 0.2, 0.3], cfg)
 
 
+@pytest.mark.parametrize("v0", [(0.0, 0.0), (math.nan, 0.5), (1.0, -math.inf)])
+def test_config_rejects_zero_or_nonfinite_tangent(v0):
+    # the lane kernels would turn such a tangent into -inf / NaN rates
+    with pytest.raises(InvalidParameter, match="v0"):
+        EstimatorConfig(horizon=1.0, replicates=1, v0=v0)
+
+
 def test_sweep_nonpositive_estimates_reported_or_fatal():
     calls = {"n": 0}
 

@@ -8,9 +8,9 @@ from levyap.errors import DegenerateNullspace, InvalidGrid, InvalidParameter
 from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
                              GeneratorMatrix, _bordered_system, _local_part,
                              build_generator, explicit_adjoint_residual,
-                             lyapunov_quadrature, solve_stationary,
-                             zeta2_integral_profile)
-from levyap.noise import JumpMeasureSpec, jump_moment
+                             lyapunov_quadrature, solve_stationary)
+from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
+from levyap.systems import rho_jump_profile
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
 
@@ -204,7 +204,7 @@ def test_lyapunov_quadrature_odd_term_drops_for_uniform_density():
 
 
 def test_zeta2_profile_positive_at_zero_angle():
-    prof = zeta2_integral_profile(MEASURE, np.array([0.0]), 0.1)
+    prof = rho_jump_profile(np.array([0.0]), 0.1, jump_nodes(MEASURE))
     want, _ = quad(lambda z: 2.0 * 0.5 * math.log1p((0.1 * z) ** 2)
                    * 1.0 * z ** -2.5, 0.05, 1.0)
     assert prof[0] == pytest.approx(want, rel=1e-8)
@@ -214,7 +214,7 @@ def test_zeta2_profile_positive_at_zero_angle():
 def test_zeta2_profile_from_origin_matches_quad():
     m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0)
     for th in (0.0, 0.7, 2.0):
-        prof = zeta2_integral_profile(m, np.array([th]), 0.2, lo=0.0)
+        prof = rho_jump_profile(np.array([th]), 0.2, jump_nodes(m, lo=0.0))
 
         def pair(z):
             def one(s):
@@ -234,7 +234,7 @@ def test_taylor_limit_of_jump_drift_term():
     th = 2.0 * math.pi * np.arange(64) / 64.0
     target = (0.5 * np.cos(th) ** 2 - np.sin(th) ** 2 * np.cos(th) ** 2) * m2
     for eps in (1e-2, 1e-3):
-        prof = zeta2_integral_profile(m, th, eps, lo=0.0) / eps ** 2
+        prof = rho_jump_profile(th, eps, jump_nodes(m, lo=0.0)) / eps ** 2
         assert np.abs(prof - target).max() <= 0.01 * np.abs(target).max()
 
 

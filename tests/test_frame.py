@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyap.errors import CriticalPoint
-from levyap.frame import (PWTransform, angle_jump_flow, coefficient_A,
-                          compute_Irho_generic, compute_R0, decompose_tangent,
-                          evaluator_from_model, frame_coefficients,
-                          frame_vectors, graded_terms, polar_fields, pw_scale,
-                          recompose_tangent, sigma0)
+from levyap.frame import (angle_jump_flow, coefficient_A, compute_Irho_generic,
+                          compute_R0, decompose_tangent, evaluator_from_model,
+                          frame_coefficients, frame_vectors, polar_fields,
+                          recompose_tangent, sigma0, wz_corrections)
 from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
                           nu_quadrature_quadratic)
 from levyap.quadrature import gauss_legendre
@@ -162,12 +161,12 @@ def test_frame_coefficients_zero_fields():
 def test_graded_terms_axis_reductions():
     co = DUF.coeffs(np.array([1.0, 0.4]))
     eps, beta = 0.2, 2.0 / 3.0
-    g0 = graded_terms(co, 0.0, eps, beta)
-    assert g0.sigma1[0] == pytest.approx(eps ** (1 - beta) * co.d[0], rel=1e-12)
-    assert g0.sigma2[0] == pytest.approx(eps * co.b[0], rel=1e-12)
-    g1 = graded_terms(co, math.pi / 2.0, eps, beta)
-    assert g1.sigma1[0] == pytest.approx(-eps ** (1 + beta) * co.c[0], abs=1e-12)
-    assert g1.sigma2[0] == pytest.approx(eps * co.e[0], abs=1e-12)
+    s1, s2 = polar_fields(co, 0.0, eps, beta)
+    assert s1[0] == pytest.approx(eps ** (1 - beta) * co.d[0], rel=1e-12)
+    assert s2[0] == pytest.approx(eps * co.b[0], rel=1e-12)
+    s1, s2 = polar_fields(co, math.pi / 2.0, eps, beta)
+    assert s1[0] == pytest.approx(-eps ** (1 + beta) * co.c[0], abs=1e-12)
+    assert s2[0] == pytest.approx(eps * co.e[0], abs=1e-12)
 
 
 def test_graded_sums_match_matrix_route():
@@ -179,15 +178,15 @@ def test_graded_sums_match_matrix_route():
             p = random_point(rng)
             th = rng.uniform(0, 2 * math.pi)
             co = DUF.coeffs(p)
-            g = graded_terms(co, th, eps, beta)
+            sigma1, sigma2 = polar_fields(co, th, eps, beta)
             eb = eps ** beta
             m = np.array([[co.b[0], eb * co.c[0]],
                           [co.d[0] / eb, co.e[0]]])
             s, c = math.sin(th), math.cos(th)
             s1 = eps * (m[1, 0] * c * c + (m[1, 1] - m[0, 0]) * s * c - m[0, 1] * s * s)
             s2 = eps * (m[0, 0] * c * c + (m[0, 1] + m[1, 0]) * s * c + m[1, 1] * s * s)
-            assert g.sigma1[0] == pytest.approx(s1, rel=1e-10, abs=1e-13)
-            assert g.sigma2[0] == pytest.approx(s2, rel=1e-10, abs=1e-13)
+            assert sigma1[0] == pytest.approx(s1, rel=1e-10, abs=1e-13)
+            assert sigma2[0] == pytest.approx(s2, rel=1e-10, abs=1e-13)
 
 
 def test_wong_zakai_terms_from_first_principles():
@@ -200,7 +199,7 @@ def test_wong_zakai_terms_from_first_principles():
         p = random_point(rng, min_grad=0.5)
         th = rng.uniform(0, 2 * math.pi)
         co = DUF.coeffs_with_actions(p)
-        g = graded_terms(co, th, eps, beta)
+        wz1, wz2 = wz_corrections(co, th, eps, beta)
         v = DUF.v_values(p)[0]
         nv = np.linalg.norm(v)
         if nv < 1e-3:
@@ -217,59 +216,23 @@ def test_wong_zakai_terms_from_first_principles():
         s1, _ = sig(p, th)
         want1 = eps * dx1[0] + dth1[0] * s1[0]
         want2 = eps * dx2[0] + dth2[0] * s1[0]
-        assert g.sigma1_wz[0] == pytest.approx(want1, rel=2e-4, abs=1e-8)
-        assert g.sigma2_wz[0] == pytest.approx(want2, rel=2e-4, abs=1e-8)
-
-
-def test_lean_wz_sums_equal_graded_sums():
-    from levyap.frame import wz_corrections
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        p = random_point(rng, min_grad=0.5)
-        th = rng.uniform(0, 2 * math.pi)
-        co = DUF.coeffs_with_actions(p)
-        g = graded_terms(co, th, 0.12, 2.0 / 3.0)
-        w1, w2 = wz_corrections(co, th, 0.12, 2.0 / 3.0)
-        assert w1 == pytest.approx(float(np.sum(g.sigma1_wz)), rel=1e-12, abs=1e-15)
-        assert w2 == pytest.approx(float(np.sum(g.sigma2_wz)), rel=1e-12, abs=1e-15)
+        assert wz1 == pytest.approx(want1, rel=2e-4, abs=1e-8)
+        assert wz2 == pytest.approx(want2, rel=2e-4, abs=1e-8)
 
 
 def test_leading_wz_term_identity():
-    # half the leading Wong-Zakai part equals d^2 (cos^2/2 - sin^2 cos^2)
+    # half the leading Wong-Zakai part equals d^2 (cos^2/2 - sin^2 cos^2);
+    # for the shear system (only d nonzero, no x-dependence) it is the whole
+    # correction, at the scale eps^(2 - 2 beta)
     co = NIL.coeffs()
+    eps, beta = 0.1, 2.0 / 3.0
     rng = np.random.default_rng(7)
     for th in rng.uniform(0, 2 * math.pi, 50):
-        g = graded_terms(co, th, 0.1, 2.0 / 3.0)
+        _, wz2 = wz_corrections(co, th, eps, beta)
         s, c = math.sin(th), math.cos(th)
         want = co.d[0] ** 2 * (0.5 * c * c - s * s * c * c)
-        assert 0.5 * g.p_wz[0, 0] == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def test_pw_scale():
-    t = PWTransform(epsilon=0.1, beta=2.0 / 3.0)
-    assert np.allclose(pw_scale([0.0, 1.0], t), [0.0, 1.0])
-    identity = PWTransform(epsilon=1.0, beta=0.5)
-    w = np.array([1.3, -0.4])
-    assert np.array_equal(pw_scale(w, identity), w)
-    rng = np.random.default_rng(8)
-    bound = t.beta * math.log(1.0 / t.epsilon)
-    for _ in range(200):
-        w = rng.normal(size=2)
-        lhs = abs(math.log(np.linalg.norm(pw_scale(w, t)))
-                  - math.log(np.linalg.norm(w)))
-        assert lhs <= bound + 1e-12
-
-
-def test_growth_rate_invariant_under_rescaling_bound():
-    # deterministic bound on a stored path: the time-averaged difference
-    # decays like beta log(1/eps) / t
-    rng = np.random.default_rng(9)
-    t = PWTransform(epsilon=0.05, beta=2.0 / 3.0)
-    w = np.cumsum(rng.normal(size=(1000, 2)), axis=0) + 5.0
-    times = np.arange(1, 1001)
-    diff = np.abs(np.log(np.linalg.norm(pw_scale(w.T, t), axis=0))
-                  - np.log(np.linalg.norm(w, axis=1))) / times
-    assert np.all(diff <= t.beta * math.log(1.0 / t.epsilon) / times + 1e-12)
+        assert 0.5 * wz2 / eps ** (2 - 2 * beta) == pytest.approx(
+            want, rel=1e-12, abs=1e-14)
 
 
 def test_sigma0_reduces_to_gaussian_terms_without_jumps():

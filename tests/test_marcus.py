@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from levyap.errors import ExitDetected
+from levyap.errors import ExitDetected, InvalidParameter
 from levyap.marcus import (StepperConfig, TrajectoryState, VectorFieldSet,
-                           compensator_drift, integrate, marcus_jump_jacobian,
-                           marcus_jump_map, step)
+                           integrate, marcus_jump_jacobian, marcus_jump_map,
+                           step)
 from levyap.noise import (IncrementBatch, JumpMeasureSpec, NoiseModel,
                           sample_block, trajectory_streams)
+from levyap.quadrature import gauss_legendre
 from levyap.systems import make_duffing, make_nilpotent
 
 NIL = make_nilpotent(1.0, 1.0)
@@ -69,12 +70,25 @@ def test_jump_jacobian_unit_determinant():
         assert abs(np.linalg.det(J) - 1.0) < 1e-8
 
 
+def bracket_drift(fields, measure, x, nodes=32):
+    """int [xi(z)(x) - x - eps z V(x)] nu(dz) over floor <= |z| < cutoff:
+    Gauss-Legendre in |z|, both signs, one RK4 jump flow per node."""
+    zq, wq = gauss_legendre(nodes, measure.floor_delta, measure.cutoff_c)
+    dens = measure.c_alpha * zq ** (-1.0 - measure.alpha)
+    vx = fields.diffusion[0](x)
+    out = np.zeros(2)
+    for zi, wi, di in zip(zq, wq, dens):
+        for z in (zi, -zi):
+            out += wi * di * (marcus_jump_map(fields, z, x) - x
+                              - fields.epsilon * z * vx)
+    return out
+
+
 def test_compensator_vanishes_for_linear_fields():
-    cfg = StepperConfig(dt=1e-3)
-    noise = NoiseModel(measure=MEASURE)
+    # the stepper adds no jump drift: for the linear noise field of both
+    # systems the Marcus jump equals its Ito form, node by node
     for system in (NIL, DUF):
-        drift = compensator_drift(system.fields(0.3), noise,
-                                  np.array([1.1, -0.4]), cfg)
+        drift = bracket_drift(system.fields(0.3), MEASURE, np.array([1.1, -0.4]))
         assert np.linalg.norm(drift) < 1e-12
 
 
@@ -143,6 +157,16 @@ def test_integrate_zero_horizon():
     summary = integrate(NIL.fields(0.1), NO_JUMPS, [1.0, 0.5], 0.0, cfg, (0, 0))
     assert summary.n_steps == 0
     assert np.array_equal(summary.final.x, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("v0", [[0.0, 0.0], [math.nan, 1.0], [1.0, math.inf]])
+@pytest.mark.parametrize("burn_in", [0.0, 0.2])
+def test_integrate_rejects_zero_or_nonfinite_tangent(v0, burn_in):
+    cfg = StepperConfig(dt=1e-3)
+    with pytest.raises(InvalidParameter, match="v0"):
+        integrate(DUF.fields(0.1), NoiseModel(measure=MEASURE), [1.0, 0.0],
+                  0.5, cfg, (0, 0), v0=np.array(v0), renorm_interval=10,
+                  burn_in_time=burn_in)
 
 
 def test_integrate_nilpotent_linear_solution():

@@ -7,35 +7,44 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levyap.errors import DivergentMoment, InvalidMeasure, InvalidParameter
-from levyap.noise import (JumpMeasureSpec, NoiseModel, jump_moment,
-                          sample_block, sample_brownian, sample_jumps,
-                          trajectory_streams)
+from levyap.noise import (BlockIncrements, JumpMeasureSpec, NoiseModel,
+                          jump_moment, sample_block, trajectory_streams)
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.1)
+# a driver of 4 independent components without a jump part
+NO_JUMPS_4D = NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=0.0,
+                                                 cutoff_c=1.0, dimension=4))
+
+
+def rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed + 1000)
 
 
 def test_brownian_zero_dt_is_zero():
-    rng = np.random.default_rng(0)
-    assert np.array_equal(sample_brownian(2, 0.0, rng), np.zeros(2))
+    rb, rj = rngs(0)
+    block = sample_block(NoiseModel(measure=MEASURE), 0.0, 3, rb, rj)
+    assert np.array_equal(block.gauss, np.zeros((3, 1)))
+    # dt = 0 consumes neither stream
+    assert rb.random() == np.random.default_rng(0).random()
+    assert rj.random() == np.random.default_rng(1000).random()
 
 
 def test_brownian_variance():
-    rng = np.random.default_rng(1)
-    draws = np.concatenate([sample_brownian(4, 1.0, rng) for _ in range(250_000)])
-    assert abs(draws.var() - 1.0) < 0.01
+    block = sample_block(NO_JUMPS_4D, 1.0, 250_000, *rngs(1))
+    assert block.gauss.shape == (250_000, 4)
+    assert abs(block.gauss.var() - 1.0) < 0.01
 
 
 def test_brownian_mean_small_dt():
-    rng = np.random.default_rng(2)
-    draws = np.concatenate([sample_brownian(1, 0.25, rng) for _ in range(10**4)])
-    se = 0.5 / math.sqrt(len(draws))
+    draws = sample_block(NoiseModel(measure=None), 0.25, 10**4, *rngs(2)).gauss
+    se = 0.5 / math.sqrt(draws.size)
     assert abs(draws.mean()) < 5 * se
 
 
 def test_jumps_zero_dt_empty():
-    rng = np.random.default_rng(0)
-    offs, comps, marks = sample_jumps(MEASURE, 0.0, rng)
-    assert len(offs) == len(comps) == len(marks) == 0
+    block = sample_block(NoiseModel(measure=MEASURE), 0.0, 5, *rngs(0))
+    assert (len(block.jump_steps) == len(block.jump_offsets)
+            == len(block.jump_components) == len(block.jump_marks) == 0)
 
 
 def test_jump_count_mean_matches_intensity():
@@ -51,8 +60,9 @@ def test_jump_count_mean_matches_intensity():
 
 
 def test_jump_marks_in_band_and_sorted():
-    rng = np.random.default_rng(7)
-    offs, comps, marks = sample_jumps(MEASURE, 50.0, rng)
+    noise = NoiseModel(measure=MEASURE, brownian=False)
+    block = sample_block(noise, 50.0, 1, *rngs(7))
+    offs, marks = block.jump_offsets, block.jump_marks
     assert len(marks) > 100
     assert np.all(np.abs(marks) >= 0.1) and np.all(np.abs(marks) < 1.0)
     assert np.all(np.diff(offs) >= 0)
@@ -74,7 +84,7 @@ def test_jump_mark_moments():
 def test_zero_floor_sampling_rejected():
     bad = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.0)
     with pytest.raises(InvalidMeasure):
-        sample_jumps(bad, 1.0, np.random.default_rng(0))
+        sample_block(NoiseModel(measure=bad), 1.0, 1, *rngs(0))
 
 
 def test_second_moment_paper_value():
@@ -166,4 +176,55 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameter):
         JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=2.0)
     with pytest.raises(InvalidParameter):
-        sample_brownian(1, -1.0, np.random.default_rng(0))
+        sample_block(NoiseModel(measure=None), -1.0, 1, *rngs(0))
+
+
+def _scanned_step_slices(block):
+    """Reference slices: scan the sorted jump steps one step at a time."""
+    out, jpos = [], 0
+    for i in range(block.n_steps):
+        jhi = jpos
+        while jhi < len(block.jump_steps) and block.jump_steps[jhi] == i:
+            jhi += 1
+        out.append((jpos, jhi))
+        jpos = jhi
+    return out
+
+
+def test_step_slices_match_per_step_scan():
+    # jump-heavy: about 4 events per step, so steps with 0, 1 and several
+    noise = NoiseModel(measure=MEASURE)
+    block = sample_block(noise, 0.1, 400, *trajectory_streams(17, 2))
+    counts = np.bincount(block.jump_steps, minlength=block.n_steps)
+    assert {0, 1} <= set(counts.tolist()) and counts.max() >= 5
+    assert list(block.step_slices()) == _scanned_step_slices(block)
+    for i, (jlo, jhi) in enumerate(block.step_slices()):
+        assert np.all(block.jump_steps[jlo:jhi] == i)
+
+
+def test_step_slices_edge_blocks():
+    cases = [np.array([], dtype=np.int64),           # no events at all
+             np.array([3, 3, 3]),                    # only on the last step
+             np.array([0, 0, 2, 3]),                 # first and last steps
+             np.array([1])]                          # one event
+    for steps in cases:
+        n = len(steps)
+        block = BlockIncrements(0.1, 4, np.zeros((4, 1)), steps, np.zeros(n),
+                                np.zeros(n, dtype=np.int64), np.ones(n))
+        got = list(block.step_slices())
+        assert got == _scanned_step_slices(block)
+        assert len(got) == 4 and got[-1][1] == n
+        assert all(isinstance(v, int) for pair in got for v in pair)
+
+
+def test_step_mark_sums_add_in_event_order():
+    measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
+                              floor_delta=0.01, dimension=3)
+    block = sample_block(NoiseModel(measure=measure), 0.01, 500,
+                         *trajectory_streams(3, 1))
+    want = np.zeros((500, 3))
+    np.add.at(want, (block.jump_steps, block.jump_components), block.jump_marks)
+    assert np.array_equal(block.step_mark_sums(), want)
+    empty = sample_block(NoiseModel(measure=None), 0.01, 4, *rngs(0))
+    sums = empty.step_mark_sums()
+    assert sums.dtype == float and np.array_equal(sums, np.zeros((4, 1)))

@@ -24,15 +24,6 @@ def test_nilpotent_constant_coefficients():
     assert co.b[0] == co.c[0] == co.e[0] == 0.0
 
 
-def test_nilpotent_marcus_ito_identity():
-    sys_ = make_nilpotent(1.0, 1.0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        u, z = rng.normal(size=2), rng.uniform(-1, 1)
-        corr = sys_.marcus_ito_jump_correction(u, z, 0.3)
-        assert np.allclose(corr, 0.0, atol=1e-15)
-
-
 def test_duffing_noise_matrix_values():
     sig = 1.7
     sys_ = make_duffing(sig)
@@ -67,14 +58,6 @@ def test_duffing_field_reconstruction():
         v = ff.a1[0](p) * u1 + ff.a2[0](p) * u2
         want = np.array([0.0, 1.1 * p[0]])
         assert np.allclose(v, want, rtol=1e-8, atol=1e-10)
-
-
-def test_duffing_scaled_a1_convention():
-    sys_ = make_duffing(1.0)
-    ff = sys_.frame_fields()
-    p = np.array([0.8, -0.6])
-    eps = 0.2
-    assert sys_.a1_epsilon_scaled(p, eps) == pytest.approx(eps * ff.a1[0](p), rel=1e-12)
 
 
 def test_duffing_critical_point_isolated():
