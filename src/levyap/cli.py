@@ -29,7 +29,7 @@ from .estimators import (EstimatorConfig, LyapunovEstimate,
                          scaling_sweep)
 from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
                        lyapunov_quadrature, solve_stationary)
-from .marcus import StepperConfig, integrate
+from .marcus import StepperConfig, check_epsilon, integrate
 from .noise import JumpMeasureSpec, NoiseModel
 from .systems import make_duffing, make_nilpotent
 
@@ -154,8 +154,8 @@ def _jsonable_config(cfg: dict) -> dict:
             for k, v in cfg.items() if k not in _VOLATILE_KEYS}
 
 
-def build_runtime(cfg: dict):
-    """(system, noise, estimator config) from a resolved flat config."""
+def _build_model(cfg: dict):
+    """(system, noise) from a resolved flat config."""
     name = cfg["system.name"]
     if name == "nilpotent":
         system = make_nilpotent(cfg["system.a"], cfg["system.sigma"])
@@ -172,18 +172,40 @@ def build_runtime(cfg: dict):
     noise = NoiseModel(measure=measure, brownian=cfg["noise.brownian"],
                        ar_small_jumps=cfg["noise.ar_small_jumps"],
                        ar_threshold=cfg["noise.ar_threshold"])
-    x0 = None
-    if cfg["run.x0"]:
-        parts = cfg["run.x0"].split(",")
-        if len(parts) != 2:
-            raise ConfigError("run.x0 must be 'x,y'")
-        x0 = (float(parts[0]), float(parts[1]))
-    est = EstimatorConfig(dt=cfg["run.dt"], horizon=cfg["run.horizon"],
-                          replicates=cfg["run.replicates"], seed=cfg["run.seed"],
-                          burn_in=cfg["run.burn_in"],
-                          renorm_interval=cfg["run.renorm_interval"],
-                          beta=cfg["run.beta"], workers=cfg["run.workers"],
-                          x0=x0)
+    return system, noise
+
+
+def _x0(cfg: dict):
+    """The initial point of run.x0, or None for the system default."""
+    if not cfg["run.x0"]:
+        return None
+    parts = cfg["run.x0"].split(",")
+    if len(parts) != 2:
+        raise ConfigError("run.x0 must be 'x,y'")
+    return (float(parts[0]), float(parts[1]))
+
+
+def _check_run_epsilon(cfg: dict) -> None:
+    """Refuse run.epsilon outside [0, 1) before any set-up."""
+    try:
+        check_epsilon(cfg["run.epsilon"])
+    except InvalidParameter as exc:
+        raise ConfigError(f"run.epsilon: {exc}") from exc
+
+
+def build_runtime(cfg: dict):
+    """(system, noise, estimator config) from a resolved flat config; a
+    value the estimator config refuses is a ConfigError."""
+    system, noise = _build_model(cfg)
+    try:
+        est = EstimatorConfig(dt=cfg["run.dt"], horizon=cfg["run.horizon"],
+                              replicates=cfg["run.replicates"],
+                              seed=cfg["run.seed"], burn_in=cfg["run.burn_in"],
+                              renorm_interval=cfg["run.renorm_interval"],
+                              beta=cfg["run.beta"], workers=cfg["run.workers"],
+                              x0=_x0(cfg))
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
     return system, noise, est
 
 
@@ -253,6 +275,7 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
 
 
 def cmd_lyapunov(cfg: dict) -> int:
+    _check_run_epsilon(cfg)
     system, noise, est_cfg = build_runtime(cfg)
     methods = [m.strip() for m in cfg["run.method"].split(",") if m.strip()]
     _check_methods(methods, system)
@@ -334,14 +357,15 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    system, noise, est_cfg = build_runtime(cfg)
+    _check_run_epsilon(cfg)
+    system, noise = _build_model(cfg)
     if not cfg["output.path"]:
         raise ConfigError("simulate needs output.path")
     fields = system.fields(cfg["run.epsilon"])
     scfg = StepperConfig(dt=cfg["run.dt"],
                          tol_crit=system.hamiltonian().tol_crit)
-    x0 = np.asarray(est_cfg.x0 if est_cfg.x0 is not None else system.default_x0,
-                    float)
+    x0 = _x0(cfg)
+    x0 = np.asarray(x0 if x0 is not None else system.default_x0, float)
     polar = system.name == "nilpotent"
     rows = []
     stride = max(1, cfg["run.record_stride"])
@@ -382,7 +406,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_fp_solve(cfg: dict) -> int:
-    system, noise, _ = build_runtime(cfg)
+    system, noise = _build_model(cfg)
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")
     dens, lam = _fp_solve(cfg, noise)

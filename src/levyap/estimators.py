@@ -32,7 +32,8 @@ from . import frame as fr
 from ._lanes import shear_angle_lanes, shear_direct_lanes
 from .errors import (AllTrajectoriesExited, EmptyMeasure, ExitDetected,
                      InvalidParameter, NonPositiveEstimate)
-from .marcus import StepperConfig, TrajectoryState, integrate, step
+from .marcus import (StepperConfig, TrajectoryState, check_epsilon, integrate,
+                     step)
 from .noise import (JumpMeasureSpec, NoiseModel, jump_nodes, nu_quadrature,
                     sample_block, trajectory_streams)
 from .quadrature import gauss_legendre
@@ -59,10 +60,21 @@ class EstimatorConfig:
     theta0: float = 0.7
 
     def __post_init__(self):
+        for name in ("dt", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+        n = int(round(self.horizon / self.dt))
+        if n < 1:
+            raise InvalidParameter(f"horizon {self.horizon} is under half a step "
+                                   f"dt = {self.dt}: no step would be taken")
         if self.replicates < 1:
             raise InvalidParameter("replicates must be >= 1")
         if not 0.0 <= self.burn_in < 1.0:
             raise InvalidParameter("burn_in fraction must lie in [0, 1)")
+        if int(round(self.burn_in * n)) >= n:
+            raise InvalidParameter(f"burn_in {self.burn_in} of {n} steps leaves "
+                                   "no step to average over")
         v0 = np.asarray(self.v0, dtype=float)
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise InvalidParameter(f"tangent v0 must be finite and nonzero, got {v0}")
@@ -238,6 +250,7 @@ def _direct_generic_worker(payload, indices):
 def lyapunov_direct(system, noise: NoiseModel, epsilon: float,
                     cfg: EstimatorConfig) -> LyapunovEstimate:
     """Tangent-growth estimate; replicate spread gives the standard error."""
+    epsilon = check_epsilon(epsilon)
     worker = _direct_lane_worker if system.constant_shear else _direct_generic_worker
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
                         cfg.workers)
@@ -361,6 +374,7 @@ def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
     sample stride).  Brownian and compensated-jump martingale increments are
     not accumulated.
     """
+    epsilon = check_epsilon(epsilon)
     use_lanes = system.constant_shear and not force_generic
     worker = _khas_lane_worker if use_lanes else _khas_generic_worker
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
@@ -441,6 +455,7 @@ def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
     integrand, the shear block scaled by eps^beta and the noise block by
     eps^(2-2beta).  At the standard beta = 2/3 this is eps^(2/3) times the
     average of the combined integrand."""
+    epsilon = check_epsilon(epsilon)
     th = occupation.theta_centers
     e_sh = epsilon ** beta
     e_nz = epsilon ** (2.0 - 2.0 * beta)
@@ -484,6 +499,7 @@ def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
                                 cfg: EstimatorConfig) -> LyapunovEstimate:
     """Theorem-route estimate with replicate spread from per-replicate
     occupation histograms."""
+    epsilon = check_epsilon(epsilon)
     worker = _khas_lane_worker if system.constant_shear else _khas_generic_worker
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
                         cfg.workers)
@@ -501,8 +517,10 @@ def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
 
 def check_sweep_epsilons(eps_list) -> list:
     """The epsilons as floats; InvalidParameter unless there are at least
-    4, strictly increasing, spanning at least a factor of 4."""
-    eps_list = [float(e) for e in eps_list]
+    4, each in (0, 1), strictly increasing, spanning at least a factor of 4."""
+    eps_list = [check_epsilon(e) for e in eps_list]
+    if any(e == 0.0 for e in eps_list):
+        raise InvalidParameter("sweep epsilons must be positive")
     if len(eps_list) < 4:
         raise InvalidParameter("a sweep needs at least 4 epsilon values")
     if any(e2 <= e1 for e1, e2 in zip(eps_list, eps_list[1:])):

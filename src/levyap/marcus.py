@@ -32,6 +32,15 @@ from .errors import ExitDetected, FlowEscape, InvalidParameter
 from .noise import NoiseModel, sample_block, trajectory_streams
 
 
+def check_epsilon(epsilon) -> float:
+    """epsilon as a float; InvalidParameter unless it lies in [0, 1), the
+    small-noise range that the stepper and the estimators are built for."""
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon < 1.0:
+        raise InvalidParameter(f"epsilon must lie in [0, 1), got {epsilon}")
+    return epsilon
+
+
 @dataclass
 class VectorFieldSet:
     """Drift and perturbation fields of the state equation.
@@ -62,8 +71,7 @@ class VectorFieldSet:
     jump: Optional[Callable] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise InvalidParameter("epsilon must lie in [0, 1)")
+        check_epsilon(self.epsilon)
 
     @property
     def d(self) -> int:

@@ -21,6 +21,26 @@ from .frame import FrameCoefficients, HamiltonianModel, PerturbationFields
 from .marcus import VectorFieldSet
 
 
+def theta_jump_sc(theta, st, ct, s, out=None, work=(None, None)):
+    """exact_theta_jump from theta with st = sin(theta), ct = cos(theta)
+    already known: the one place the angle jump formula is written, shared
+    by ``exact_theta_jump`` and the angle lane kernel.  The result goes to
+    ``out`` when given (it may be theta itself), the intermediate values to
+    the two arrays of ``work`` when given; either way the bits are those of
+    theta + ((arctan2(st + s ct, ct) - arctan2(st, ct) + pi) % 2pi - pi)."""
+    u, v = work
+    w = np.add(st, np.multiply(s, ct, u), u)
+    w = np.subtract(np.arctan2(w, ct, u), np.arctan2(st, ct, v), u)
+    w = np.subtract(np.remainder(np.add(w, np.pi, u), 2.0 * np.pi, u), np.pi, u)
+    return np.add(theta, w, out)
+
+
+def rho_jump_sc(st, ct, s):
+    """exact_rho_jump with st = sin(theta), ct = cos(theta) already known:
+    the one place the log-radius jump formula is written."""
+    return 0.5 * np.log1p(s * (2.0 * st * ct + s * ct * ct))
+
+
 def exact_theta_jump(theta, s):
     """Angle after the shear (u1, u2) -> (u1, s u1 + u2), glued globally.
 
@@ -30,11 +50,7 @@ def exact_theta_jump(theta, s):
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    st = np.sin(theta)
-    ct = np.cos(theta)
-    delta = np.arctan2(st + s * ct, ct) - np.arctan2(st, ct)
-    delta = (delta + np.pi) % (2.0 * np.pi) - np.pi
-    out = theta + delta
+    out = theta_jump_sc(theta, np.sin(theta), np.cos(theta), s)
     return out if out.ndim else float(out)
 
 
@@ -42,8 +58,7 @@ def exact_rho_jump(theta, s):
     """Log-radius change of the same shear: 0.5 log(1 + 2s sc + s^2 c^2)."""
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    c = np.cos(theta)
-    out = 0.5 * np.log1p(s * (2.0 * np.sin(theta) * c + s * c * c))
+    out = rho_jump_sc(np.sin(theta), np.cos(theta), s)
     return out if out.ndim else float(out)
 
 

@@ -127,7 +127,8 @@ def test_sweep_empty_epsilons_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("epsilons", ["0.1,0.2,0.4", "0.1,0.3,0.2,0.5",
-                                      "0.1,0.12,0.14,0.2", "0.1,abc,0.3,0.5"])
+                                      "0.1,0.12,0.14,0.2", "0.1,abc,0.3,0.5",
+                                      "0.5,1,2,4"])
 def test_sweep_bad_epsilon_list_usage_error(epsilons, monkeypatch, capsys):
     import levyap.cli as cli
 
@@ -237,6 +238,33 @@ def test_lyapunov_theorem33_refused_on_duffing_before_work(monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and "theorem33" in err
+
+
+@pytest.mark.parametrize("args", [["--epsilon", "1.5"], ["--horizon", "-1"],
+                                  ["--horizon", "0.0004"],
+                                  ["--horizon", "0.003", "--burn-in", "0.9"],
+                                  ["--dt", "0"], ["--dt", "nan"],
+                                  ["--replicates", "0"]])
+def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("an estimator ran on a refused configuration")
+
+    monkeypatch.setattr("levyap.cli.lyapunov_direct", no_work)
+    assert run_cli(["lyapunov", "--replicates", "2"] + args) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_epsilon_refused_before_any_set_up(monkeypatch, capsys):
+    import levyap.cli as cli
+
+    def no_model(cfg):
+        raise AssertionError("run.epsilon is checked before any set-up")
+
+    monkeypatch.setattr(cli, "build_runtime", no_model)
+    monkeypatch.setattr(cli, "_build_model", no_model)
+    assert run_cli(["lyapunov", "--epsilon", "1.5"]) == 2
+    assert run_cli(["simulate", "--epsilon", "1", "--output", "unused"]) == 2
+    assert "run.epsilon" in capsys.readouterr().err
 
 
 def test_lyapunov_khasminskii_writes_martingale_rate(tmp_path, capsys):

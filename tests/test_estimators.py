@@ -340,6 +340,50 @@ def test_sweep_rejects_bad_epsilon_lists():
         scaling_sweep(NIL, BROWNIAN, [0.1, 0.2, 0.15, 0.4], cfg)
     with pytest.raises(InvalidParameter):
         scaling_sweep(NIL, BROWNIAN, [0.1, 0.15, 0.2, 0.3], cfg)
+    # every epsilon must lie in (0, 1)
+    with pytest.raises(InvalidParameter):
+        scaling_sweep(NIL, BROWNIAN, [0.5, 1.0, 2.0, 4.0], cfg)
+    with pytest.raises(InvalidParameter):
+        scaling_sweep(NIL, BROWNIAN, [0.0, 0.1, 0.2, 0.4], cfg)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5, -0.1, math.nan])
+def test_estimators_refuse_epsilon_outside_unit_interval(eps, monkeypatch):
+    """The lane estimators refuse what VectorFieldSet refuses, before any
+    replicate runs."""
+    import levyap.estimators as est_mod
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("replicates ran before the epsilon check")
+
+    monkeypatch.setattr(est_mod, "_run_chunked", no_work)
+    cfg = EstimatorConfig(horizon=1.0, replicates=1)
+    occ = OccupationMeasure(np.array([0.5]), np.array([1.0]))
+    for run in (lambda: lyapunov_direct(NIL, BROWNIAN, eps, cfg),
+                lambda: lyapunov_khasminskii(NIL, BROWNIAN, eps, cfg),
+                lambda: lyapunov_theorem33_estimate(NIL, BROWNIAN, eps, cfg),
+                lambda: lyapunov_theorem33(NIL, BROWNIAN, eps, occ)):
+        with pytest.raises(InvalidParameter, match="epsilon"):
+            run()
+
+
+@pytest.mark.parametrize("field, value", [("dt", 0.0), ("dt", -1e-3),
+                                          ("dt", math.nan), ("horizon", 0.0),
+                                          ("horizon", -1.0),
+                                          ("horizon", math.inf),
+                                          ("horizon", 4e-4)])
+def test_config_rejects_nonpositive_or_nonfinite_dt_and_horizon(field, value):
+    # a horizon under half a step (dt = 1e-3) takes no step, and dt = 0
+    # divides by zero
+    with pytest.raises(InvalidParameter, match=field):
+        EstimatorConfig(**{field: value})
+
+
+def test_config_rejects_burn_in_covering_every_step():
+    # round(0.9 * 3) = 3 burn-in steps of 3: nothing would be averaged
+    with pytest.raises(InvalidParameter, match="burn_in"):
+        EstimatorConfig(horizon=3e-3, burn_in=0.9)
+    EstimatorConfig(horizon=3e-3, burn_in=0.5)
 
 
 @pytest.mark.parametrize("v0", [(0.0, 0.0), (math.nan, 0.5), (1.0, -math.inf)])

@@ -6,7 +6,8 @@ import pytest
 from levyap.errors import InvalidParameter
 from levyap.frame import angle_jump_flow
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
-                            make_nilpotent, rho_jump_even_sum)
+                            make_nilpotent, rho_jump_even_sum, rho_jump_sc,
+                            theta_jump_sc)
 
 
 def test_invalid_parameters():
@@ -76,6 +77,25 @@ def test_exact_jump_values():
     assert exact_rho_jump(0.0, 1.0) == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
     assert exact_theta_jump(1.1, 0.0) == 1.1
     assert exact_rho_jump(1.1, 0.0) == 0.0
+
+
+def test_jump_formula_helpers_keep_the_inline_bits():
+    """exact_theta_jump / exact_rho_jump, and theta_jump_sc / rho_jump_sc
+    on precomputed sines and cosines as the angle lane kernel calls them,
+    give the bits of the jump formulas written out here."""
+    rng = np.random.default_rng(12)
+    th = np.concatenate([rng.uniform(-20.0, 20.0, 4000),
+                         math.pi / 2 + rng.uniform(-1e-6, 1e-6, 200)])
+    s = np.concatenate([rng.standard_normal(3000) * 0.3,
+                        rng.uniform(-5.0, 5.0, 1000), np.zeros(200)])
+    st, ct = np.sin(th), np.cos(th)
+    delta = np.arctan2(st + s * ct, ct) - np.arctan2(st, ct)
+    want_t = th + ((delta + np.pi) % (2.0 * np.pi) - np.pi)
+    want_r = 0.5 * np.log1p(s * (2.0 * np.sin(th) * ct + s * ct * ct))
+    assert exact_theta_jump(th, s).tobytes() == want_t.tobytes()
+    assert exact_rho_jump(th, s).tobytes() == want_r.tobytes()
+    assert theta_jump_sc(th, st, ct, s).tobytes() == want_t.tobytes()
+    assert rho_jump_sc(st, ct, s).tobytes() == want_r.tobytes()
 
 
 def test_exact_jump_continuity_across_vertical():
