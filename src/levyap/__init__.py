@@ -17,7 +17,7 @@ from .frame import (FrameCoefficients, HamiltonianModel, PerturbationFields,
                     frame_coefficients, frame_vectors, recompose_tangent,
                     sigma0)
 from .marcus import (StepperConfig, TrajectoryState, VectorFieldSet, integrate,
-                     marcus_jump_jacobian, marcus_jump_map, step)
+                     step)
 from .noise import (IncrementBatch, JumpMeasureSpec, NoiseModel, jump_moment,
                     trajectory_streams)
 from .systems import (DuffingSystem, NilpotentSystem, exact_rho_jump,

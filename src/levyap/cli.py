@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameter, LevyapError
+from .errors import ConfigError, InvalidMeasure, InvalidParameter, LevyapError
 from .estimators import (EstimatorConfig, LyapunovEstimate,
                          check_sweep_epsilons, lyapunov_direct,
                          lyapunov_khasminskii, lyapunov_theorem33_estimate,
@@ -155,23 +155,27 @@ def _jsonable_config(cfg: dict) -> dict:
 
 
 def _build_model(cfg: dict):
-    """(system, noise) from a resolved flat config."""
+    """(system, noise) from a resolved flat config; a value the system or
+    the noise model refuses is a ConfigError."""
     name = cfg["system.name"]
-    if name == "nilpotent":
-        system = make_nilpotent(cfg["system.a"], cfg["system.sigma"])
-    elif name == "duffing":
-        system = make_duffing(cfg["system.sigma"])
-    else:
+    if name not in ("nilpotent", "duffing"):
         raise ConfigError(f"unknown system {name!r}")
-    measure = None
-    if cfg["noise.c_alpha"] > 0.0:
-        measure = JumpMeasureSpec(alpha=cfg["noise.alpha"],
-                                  c_alpha=cfg["noise.c_alpha"],
-                                  cutoff_c=cfg["noise.cutoff_c"],
-                                  floor_delta=cfg["noise.floor_delta"])
-    noise = NoiseModel(measure=measure, brownian=cfg["noise.brownian"],
-                       ar_small_jumps=cfg["noise.ar_small_jumps"],
-                       ar_threshold=cfg["noise.ar_threshold"])
+    try:
+        if name == "nilpotent":
+            system = make_nilpotent(cfg["system.a"], cfg["system.sigma"])
+        else:
+            system = make_duffing(cfg["system.sigma"])
+        measure = None
+        if cfg["noise.c_alpha"] > 0.0:
+            measure = JumpMeasureSpec(alpha=cfg["noise.alpha"],
+                                      c_alpha=cfg["noise.c_alpha"],
+                                      cutoff_c=cfg["noise.cutoff_c"],
+                                      floor_delta=cfg["noise.floor_delta"])
+        noise = NoiseModel(measure=measure, brownian=cfg["noise.brownian"],
+                           ar_small_jumps=cfg["noise.ar_small_jumps"],
+                           ar_threshold=cfg["noise.ar_threshold"])
+    except (InvalidParameter, InvalidMeasure) as exc:
+        raise ConfigError(str(exc)) from exc
     return system, noise
 
 
@@ -362,8 +366,11 @@ def cmd_simulate(cfg: dict) -> int:
     if not cfg["output.path"]:
         raise ConfigError("simulate needs output.path")
     fields = system.fields(cfg["run.epsilon"])
-    scfg = StepperConfig(dt=cfg["run.dt"],
-                         tol_crit=system.hamiltonian().tol_crit)
+    try:
+        scfg = StepperConfig(dt=cfg["run.dt"],
+                             tol_crit=system.hamiltonian().tol_crit)
+    except InvalidParameter as exc:
+        raise ConfigError(f"run.dt: {exc}") from exc
     x0 = _x0(cfg)
     x0 = np.asarray(x0 if x0 is not None else system.default_x0, float)
     polar = system.name == "nilpotent"
@@ -377,10 +384,10 @@ def cmd_simulate(cfg: dict) -> int:
             row += [_fmt(math.atan2(x[1], x[0])), _fmt(math.log(math.hypot(x[0], x[1])))]
         rows.append(",".join(row))
 
-    def observer(state):
+    def observer(t, x1, x2):
         counter["i"] += 1
         if counter["i"] % stride == 0:
-            record(state.t, state.x)
+            record(t, (x1, x2))
 
     exit_info = None
     if cfg["run.horizon"] > 0:

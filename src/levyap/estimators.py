@@ -32,8 +32,7 @@ from . import frame as fr
 from ._lanes import shear_angle_lanes, shear_direct_lanes
 from .errors import (AllTrajectoriesExited, EmptyMeasure, ExitDetected,
                      InvalidParameter, NonPositiveEstimate)
-from .marcus import (StepperConfig, TrajectoryState, check_epsilon, integrate,
-                     step)
+from .marcus import StepperConfig, check_epsilon, integrate, step
 from .noise import (JumpMeasureSpec, NoiseModel, jump_nodes, nu_quadrature,
                     sample_block, trajectory_streams)
 from .quadrature import gauss_legendre
@@ -213,8 +212,7 @@ def _sweep_lane_worker(payload, indices):
 
 def _direct_generic_one(system, noise, epsilon, cfg, index):
     fields = system.fields(epsilon)
-    scfg = StepperConfig(dt=cfg.dt, flow_substeps=cfg.flow_substeps,
-                         tol_crit=system.hamiltonian().tol_crit,
+    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.hamiltonian().tol_crit,
                          block_steps=cfg.block_steps)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else system.default_x0, float)
     growth = 0.0
@@ -285,8 +283,8 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     beta = cfg.beta
     fields = system.fields(epsilon)
     model = system.hamiltonian()
-    scfg = StepperConfig(dt=cfg.dt, flow_substeps=cfg.flow_substeps,
-                         tol_crit=model.tol_crit, block_steps=cfg.block_steps)
+    scfg = StepperConfig(dt=cfg.dt, tol_crit=model.tol_crit,
+                         block_steps=cfg.block_steps)
     coeffs_fn = system.coeffs
     v_fn = system.v_values
     rate = noise.gaussian_rate
@@ -310,6 +308,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     while step_no < n:
         m = min(cfg.block_steps, n - step_no)
         block = sample_block(noise, dt, m, *streams)
+        gauss = block.gauss.tolist()
         for i, (jlo, jhi) in enumerate(block.step_slices()):
             co = system.coeffs_with_actions(x)
             wz1, wz2 = fr.wz_corrections(co, theta, epsilon, beta)
@@ -326,9 +325,9 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
             drift_th = (-e_sh * co.shear * math.sin(theta) ** 2
                         + 0.5 * rate * wz1)
             batch = block.batch(i, jlo, jhi)
-            nojump = block.batch(i, len(block.jump_steps), len(block.jump_steps))
             try:
-                state = step(fields, noise, TrajectoryState(0.0, x), nojump, scfg)
+                _, p1, p2, _, _ = step(fields, rate, scfg, 0.0, float(x[0]),
+                                       float(x[1]), None, None, gauss[i])
             except ExitDetected:
                 restarts += 1
                 attempt += 1
@@ -339,7 +338,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                 theta = cfg.theta0
                 streams = trajectory_streams(cfg.seed, index, attempt)
                 break
-            xc = state.x
+            xc = np.array([p1, p2])
             theta = theta + dt * drift_th
             s1, _ = fr.polar_fields(coeffs_fn(xc), theta, epsilon, beta)
             theta = theta + float(s1 @ batch.brownian)

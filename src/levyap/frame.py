@@ -26,9 +26,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CriticalPoint, InvalidParameter
-from .marcus import _rk4
 from .noise import JumpMeasureSpec, jump_nodes
 from .quadrature import check_converged, gauss_legendre
+
+
+def _rk4(f: Callable, y: np.ndarray, h: float) -> np.ndarray:
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,8 @@ A step advances the state in four sub-moves:
   2. Euler increments for the Stratonovich-to-Ito correction of the
      continuous noise and for the net jump-compensator drift;
   3. Euler-Maruyama Gaussian increment;
-  4. jumps of the batch applied in time order through the exact Marcus
-     flow: the closed-form jump map of the fields when they carry one
-     (``VectorFieldSet.jump``), otherwise the flow ODE solved by RK4 with a
-     fixed number of substeps.
+  4. jumps of the step applied in time order through the closed-form
+     Marcus jump map of the fields (``VectorFieldSet.jump``).
 
 For a symmetric jump measure the compensator of the raw jump events cancels
 the bracket drift of the Ito form exactly, leaving only the first-moment
@@ -18,6 +16,13 @@ integrator therefore applies no jump-related drift.
 
 An optional tangent vector is transported alongside by the linearized
 counterparts of each sub-move.
+
+The state is planar, so the field callbacks take and return plain float
+components and a step runs on Python floats only.  A step is a few dozen
+float operations; a numpy array per sub-move would cost several times
+more than that arithmetic, so nothing in the per-step path touches numpy:
+``integrate`` turns each noise block into lists once and builds arrays only
+for the state it hands back.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ExitDetected, FlowEscape, InvalidParameter
+from .errors import ExitDetected, InvalidParameter
 from .noise import NoiseModel, sample_block, trajectory_streams
 
 
@@ -43,32 +48,35 @@ def check_epsilon(epsilon) -> float:
 
 @dataclass
 class VectorFieldSet:
-    """Drift and perturbation fields of the state equation.
+    """Drift and perturbation fields of the planar state equation.
 
-    drift               x -> R^2, the unperturbed Hamiltonian field
-    drift_jacobian      x -> 2x2, for tangent transport (optional)
-    diffusion           d maps x -> R^2
-    diffusion_jacobians d maps x -> 2x2 (optional; finite differences are
-                        used for tangent corrections where needed)
+    Every callback takes and returns plain float components, not arrays
+    (see the module docstring for why):
+
+    drift               (x1, x2) -> (f1, f2), the unperturbed Hamiltonian field
+    drift_tangent       (x1, x2, v1, v2) -> Df(x) v, for tangent transport
+    diffusion           d callbacks (x1, x2) -> V_k(x)
+    diffusion_tangents  d callbacks (x1, x2, v1, v2) -> DV_k(x) v
+    jump                (w, x1, x2, v1, v2) -> (x1', x2', v1', v2'), the
+                        closed-form Marcus jump of the scaled mark vector
+                        w = eps z (a sequence of d floats): x' is the flow
+                        along sum_k w_k V_k at time one, v' its Jacobian at
+                        x applied to v.  Without a tangent v1 and v2 are
+                        None and stay None.  The callback holds no copy of
+                        eps.
     epsilon             perturbation scale in [0, 1)
-    grad_h              x -> R^2 gradient of H, used for exit detection
-                        (optional; disables the critical-point check if None)
-    jump                (w, x, v) -> (x', v'), the closed-form Marcus jump of
-                        scaled mark vector w = eps z: x' is the flow along
-                        sum_k w_k V_k at time one, v' its Jacobian at x
-                        applied to the tangent v (None stays None).  The
-                        callback holds no copy of eps.  Optional; without it
-                        jumps go through the RK4 flow (``marcus_jump_map``,
-                        ``marcus_jump_jacobian``).
+    grad_h              (x1, x2) -> (g1, g2), the gradient of H, used for
+                        exit detection (optional; disables the
+                        critical-point check if None)
     """
 
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Sequence[Callable[[np.ndarray], np.ndarray]]
+    drift: Callable
+    drift_tangent: Callable
+    diffusion: Sequence[Callable]
+    diffusion_tangents: Sequence[Callable]
+    jump: Callable
     epsilon: float
-    drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    diffusion_jacobians: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
-    grad_h: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    jump: Optional[Callable] = None
+    grad_h: Optional[Callable] = None
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
@@ -81,16 +89,13 @@ class VectorFieldSet:
 @dataclass
 class StepperConfig:
     dt: float
-    flow_substeps: int = 8
     tol_crit: float = 1e-6
     bound_explode: float = 1e8
     block_steps: int = 16384
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidParameter("dt must be positive")
-        if self.flow_substeps < 1:
-            raise InvalidParameter("flow_substeps must be >= 1")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidParameter(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass
@@ -111,171 +116,122 @@ class TrajectorySummary:
     exited: bool = False
 
 
-def _rk4(f: Callable, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _state(t, x1, x2, v1, v2, flag=None) -> TrajectoryState:
+    v = None if v1 is None else np.array([v1, v2])
+    return TrajectoryState(t, np.array([x1, x2]), v, flag)
 
 
-def _flow_field(fields: VectorFieldSet, z: np.ndarray):
-    eps = fields.epsilon
-
-    def f(x):
-        out = np.zeros(2)
-        for zk, vk in zip(z, fields.diffusion):
-            if zk != 0.0:
-                out += zk * vk(x)
-        return eps * out
-
-    return f
-
-
-def marcus_jump_map(fields: VectorFieldSet, z, x: np.ndarray,
-                    substeps: int = 8) -> np.ndarray:
-    """Value at time one of the flow along eps * sum_k z_k V_k starting at x."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if not np.any(z):
-        return np.array(x, dtype=float)
-    f = _flow_field(fields, z)
-    y = np.array(x, dtype=float)
-    h = 1.0 / substeps
-    for _ in range(substeps):
-        y = _rk4(f, y, h)
-        if not np.all(np.isfinite(y)):
-            raise FlowEscape("jump flow left the domain")
-    return y
-
-
-def marcus_jump_jacobian(fields: VectorFieldSet, z, x: np.ndarray,
-                         substeps: int = 8) -> np.ndarray:
-    """Derivative of the jump map at x, by the variational equation."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if fields.diffusion_jacobians is None:
-        raise InvalidParameter("diffusion_jacobians required for the jump jacobian")
-    if not np.any(z):
-        return np.eye(2)
-    eps = fields.epsilon
-
-    def f(y):
-        x_, J = y[:2], y[2:].reshape(2, 2)
-        dx = np.zeros(2)
-        dJ = np.zeros((2, 2))
-        for zk, vk, dvk in zip(z, fields.diffusion, fields.diffusion_jacobians):
-            if zk != 0.0:
-                dx += zk * vk(x_)
-                dJ += zk * (dvk(x_) @ J)
-        return np.concatenate([eps * dx, (eps * dJ).ravel()])
-
-    y = np.concatenate([np.asarray(x, dtype=float), np.eye(2).ravel()])
-    h = 1.0 / substeps
-    for _ in range(substeps):
-        y = _rk4(f, y, h)
-        if not np.all(np.isfinite(y)):
-            raise FlowEscape("variational flow left the domain")
-    return y[2:].reshape(2, 2)
-
-
-def _check_exit(fields: VectorFieldSet, state: TrajectoryState,
-                cfg: StepperConfig) -> Optional[str]:
-    if not np.all(np.isfinite(state.x)) or np.linalg.norm(state.x) > cfg.bound_explode:
+def _exit_flag(fields: VectorFieldSet, cfg: StepperConfig, x1, x2) -> Optional[str]:
+    if not math.hypot(x1, x2) <= cfg.bound_explode:     # also catches NaN
         return "explosion"
     if fields.grad_h is not None and cfg.tol_crit > 0.0:
-        if np.linalg.norm(fields.grad_h(state.x)) < cfg.tol_crit:
+        if math.hypot(*fields.grad_h(x1, x2)) < cfg.tol_crit:
             return "critical-point"
     return None
 
 
-def _tangent_correction(fields: VectorFieldSet, x: np.ndarray, v: np.ndarray,
-                        rate: float, dt: float) -> np.ndarray:
-    """Stratonovich correction of the tangent: 0.5 eps^2 sum_k
-    (DV_k DV_k + D(DV_k)[V_k]) v, with the second-derivative part by a
-    directional finite difference of DV_k."""
-    if fields.diffusion_jacobians is None or rate == 0.0:
-        return np.zeros(2)
-    eps = fields.epsilon
-    out = np.zeros(2)
-    for vk, dvk in zip(fields.diffusion, fields.diffusion_jacobians):
-        J = dvk(x)
-        out += J @ (J @ v)
-        vkx = vk(x)
-        nv = np.linalg.norm(vkx)
+def _tangent_correction(fields: VectorFieldSet, x1, x2, v1, v2):
+    """sum_k (DV_k DV_k + D(DV_k)[V_k]) v, the bracket of the Stratonovich
+    correction of the tangent, with the second-derivative part by a
+    directional finite difference of DV_k v."""
+    o1 = o2 = 0.0
+    for V, DV in zip(fields.diffusion, fields.diffusion_tangents):
+        u1, u2 = DV(x1, x2, *DV(x1, x2, v1, v2))
+        o1 += u1
+        o2 += u2
+        e1, e2 = V(x1, x2)
+        nv = math.hypot(e1, e2)
         if nv > 0.0:
-            h = 1e-6 * (1.0 + np.linalg.norm(x)) / nv
-            d2 = (dvk(x + h * vkx) - dvk(x - h * vkx)) / (2.0 * h)
-            out += d2 @ v
-    return 0.5 * eps * eps * rate * dt * out
+            h = 1e-6 * (1.0 + math.hypot(x1, x2)) / nv
+            p1, p2 = DV(x1 + h * e1, x2 + h * e2, v1, v2)
+            m1, m2 = DV(x1 - h * e1, x2 - h * e2, v1, v2)
+            o1 += (p1 - m1) / (2.0 * h)
+            o2 += (p2 - m2) / (2.0 * h)
+    return o1, o2
 
 
-def step(fields: VectorFieldSet, noise: NoiseModel, state: TrajectoryState,
-         batch, cfg: StepperConfig) -> TrajectoryState:
-    """Advance one step of size batch.dt; raises ExitDetected on exit."""
-    if state.exit_flag is not None:
-        raise ExitDetected(state)
+def step(fields: VectorFieldSet, rate: float, cfg: StepperConfig,
+         t, x1, x2, v1, v2, db, jumps=()):
+    """Advance (t, x, v) by one step of size cfg.dt; returns the new
+    (t, x1, x2, v1, v2).  v1 = v2 = None carries no tangent.
+
+    ``rate`` is the Gaussian variance rate of the noise model, ``db`` the
+    step's d Gaussian increments and ``jumps`` its (component, mark) events
+    in time order.  Raises ExitDetected with the state after the step when
+    that state exits.
+    """
+    dt = cfg.dt
     eps = fields.epsilon
-    dt = batch.dt
-    x = np.array(state.x, dtype=float)
-    v = None if state.v is None else np.array(state.v, dtype=float)
+    h2 = 0.5 * dt
+    h6 = dt / 6.0
 
-    # (i) deterministic drift, RK4 (joint with tangent when present)
-    if v is None:
-        x = _rk4(fields.drift, x, dt)
-    else:
-        if fields.drift_jacobian is None:
-            raise InvalidParameter("drift_jacobian required for tangent transport")
+    # (i) deterministic drift, RK4; the tangent stages sit at the same points
+    f = fields.drift
+    a1, a2 = f(x1, x2)
+    y1, y2 = x1 + h2 * a1, x2 + h2 * a2
+    b1, b2 = f(y1, y2)
+    z1, z2 = x1 + h2 * b1, x2 + h2 * b2
+    c1, c2 = f(z1, z2)
+    w1, w2 = x1 + dt * c1, x2 + dt * c2
+    d1, d2 = f(w1, w2)
+    if v1 is not None:
+        g = fields.drift_tangent
+        p1, p2 = g(x1, x2, v1, v2)
+        q1, q2 = g(y1, y2, v1 + h2 * p1, v2 + h2 * p2)
+        r1, r2 = g(z1, z2, v1 + h2 * q1, v2 + h2 * q2)
+        s1, s2 = g(w1, w2, v1 + dt * r1, v2 + dt * r2)
+        v1 += h6 * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
+        v2 += h6 * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
+    x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+    x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
 
-        def f(y):
-            return np.concatenate([fields.drift(y[:2]),
-                                   fields.drift_jacobian(y[:2]) @ y[2:]])
-
-        y = _rk4(f, np.concatenate([x, v]), dt)
-        x, v = y[:2], y[2:]
-
-    rate = noise.gaussian_rate
     if eps > 0.0:
+        diffusion, tangents = fields.diffusion, fields.diffusion_tangents
         # (ii) Ito correction of the Stratonovich continuous part.  The net
         # jump-compensator drift is -eps * sum_k V_k(x) * int z nu(dz) = 0
         # for the symmetric measures supported here.
         if rate > 0.0:
-            corr = np.zeros(2)
-            if fields.diffusion_jacobians is not None:
-                for vk, dvk in zip(fields.diffusion, fields.diffusion_jacobians):
-                    corr += dvk(x) @ vk(x)
-            x = x + 0.5 * eps * eps * rate * dt * corr
-            if v is not None:
-                v = v + _tangent_correction(fields, x, v, rate, dt)
+            c = 0.5 * eps * eps * rate * dt
+            e1 = e2 = 0.0
+            for V, DV in zip(diffusion, tangents):
+                u1, u2 = DV(x1, x2, *V(x1, x2))
+                e1 += u1
+                e2 += u2
+            x1 += c * e1
+            x2 += c * e2
+            if v1 is not None:
+                u1, u2 = _tangent_correction(fields, x1, x2, v1, v2)
+                v1 += c * u1
+                v2 += c * u2
 
         # (iii) Gaussian part, Euler-Maruyama
-        db = batch.brownian
-        if np.any(db):
-            inc = np.zeros(2)
-            vinc = np.zeros(2)
-            for k, vk in enumerate(fields.diffusion):
-                inc += vk(x) * db[k]
-                if v is not None:
-                    vinc += (fields.diffusion_jacobians[k](x) @ v) * db[k]
-            x = x + eps * inc
-            if v is not None:
-                v = v + eps * vinc
+        if any(db):
+            e1 = e2 = u1 = u2 = 0.0
+            for V, DV, dw in zip(diffusion, tangents, db):
+                m1, m2 = V(x1, x2)
+                e1 += m1 * dw
+                e2 += m2 * dw
+                if v1 is not None:
+                    m1, m2 = DV(x1, x2, v1, v2)
+                    u1 += m1 * dw
+                    u2 += m2 * dw
+            x1 += eps * e1
+            x2 += eps * e2
+            if v1 is not None:
+                v1 += eps * u1
+                v2 += eps * u2
 
         # (iv) jumps, in time order
-        for j in range(batch.n_jumps):
-            z = np.zeros(fields.d)
-            z[batch.jump_components[j]] = batch.jump_marks[j]
-            if fields.jump is not None:
-                x, v = fields.jump(eps * z, x, v)
-                continue
-            if v is not None:
-                J = marcus_jump_jacobian(fields, z, x, cfg.flow_substeps)
-                v = J @ v
-            x = marcus_jump_map(fields, z, x, cfg.flow_substeps)
+        for k, z in jumps:
+            w = [0.0] * len(diffusion)
+            w[k] = eps * z
+            x1, x2, v1, v2 = fields.jump(w, x1, x2, v1, v2)
 
-    out = TrajectoryState(state.t + dt, x, v)
-    out.exit_flag = _check_exit(fields, out, cfg)
-    if out.exit_flag is not None:
-        raise ExitDetected(out)
-    return out
+    t += dt
+    flag = _exit_flag(fields, cfg, x1, x2)
+    if flag is not None:
+        raise ExitDetected(_state(t, x1, x2, v1, v2, flag))
+    return t, x1, x2, v1, v2
 
 
 def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
@@ -289,66 +245,71 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
     (master_seed, index) pair fed to the documented splitting rule.  When a
     tangent v0 is given, log ||v|| is accumulated every ``renorm_interval``
     steps (or whenever |log ||v||| exceeds 20) after ``burn_in_time``.
-    ``observer(state)`` is invoked after every step when provided.
+    ``observer(t, x1, x2)`` is invoked after every step when provided.
     A tangent v0 must be finite and nonzero (InvalidParameter otherwise).
     """
+    v1 = v2 = None
     if v0 is not None:
-        v0 = np.array(v0, dtype=float)
-        if not (np.all(np.isfinite(v0)) and np.any(v0)):
+        v1, v2 = (float(c) for c in v0)
+        if not (math.isfinite(v1) and math.isfinite(v2) and (v1 or v2)):
             raise InvalidParameter(f"tangent v0 must be finite and nonzero, got {v0}")
     if isinstance(rng_or_seed[0], np.random.Generator):
         rng_b, rng_j = rng_or_seed
     else:
         rng_b, rng_j = trajectory_streams(*rng_or_seed)
-    state = TrajectoryState(0.0, np.array(x0, dtype=float), v0)
-    flag = _check_exit(fields, state, cfg)
+    t = 0.0
+    x1, x2 = (float(c) for c in x0)
+    flag = _exit_flag(fields, cfg, x1, x2)
     if flag is not None:
-        state.exit_flag = flag
-        summary = TrajectorySummary(state, 0, 0, exited=True)
+        state = _state(t, x1, x2, v1, v2, flag)
         if raise_on_exit:
             raise ExitDetected(state)
-        return summary
+        return TrajectorySummary(state, 0, 0, exited=True)
 
+    rate = noise.gaussian_rate
     n_total = int(round(horizon / cfg.dt))
-    summary = TrajectorySummary(state, 0, 0)
+    n_steps = n_jumps = 0
+    log_growth = growth_time = 0.0
     done = 0
     since_renorm = 0
+    every = max(renorm_interval, 1)
     growth_start = None if burn_in_time > 0.0 else 0.0
     while done < n_total:
         m = min(cfg.block_steps, n_total - done)
         block = sample_block(noise, cfg.dt, m, rng_b, rng_j)
-        for i, (jlo, jhi) in enumerate(block.step_slices()):
-            batch = block.batch(i, jlo, jhi)
+        events = list(zip(block.jump_components.tolist(), block.jump_marks.tolist()))
+        gauss = zip(*block.gauss.T.tolist())    # per step, the d increments
+        for db, (jlo, jhi) in zip(gauss, block.step_slices()):
             try:
-                state = step(fields, noise, state, batch, cfg)
+                t, x1, x2, v1, v2 = step(fields, rate, cfg, t, x1, x2, v1, v2,
+                                         db, events[jlo:jhi])
             except ExitDetected as exc:
-                summary.final = exc.state
-                summary.exited = True
                 if raise_on_exit:
                     raise
-                return summary
-            summary.n_steps += 1
-            summary.n_jumps += batch.n_jumps
+                return TrajectorySummary(exc.state, n_steps, n_jumps, log_growth,
+                                         growth_time, exited=True)
+            n_steps += 1
+            n_jumps += jhi - jlo
             if observer is not None:
-                observer(state)
-            if state.v is not None:
-                if growth_start is None and state.t >= burn_in_time:
+                observer(t, x1, x2)
+            if v1 is not None:
+                nv = math.hypot(v1, v2)
+                if growth_start is None and t >= burn_in_time:
                     # burn-in crossed: drop transient growth, start the clock
-                    state.v = state.v / np.linalg.norm(state.v)
-                    growth_start = state.t
+                    v1, v2 = v1 / nv, v2 / nv
+                    growth_start = t
                     since_renorm = 0
                     continue
                 since_renorm += 1
-                nv = float(np.linalg.norm(state.v))
-                if since_renorm >= max(renorm_interval, 1) or abs(math.log(nv)) > 20.0:
+                if since_renorm >= every or abs(math.log(nv)) > 20.0:
                     if growth_start is not None:
-                        summary.log_growth += math.log(nv)
-                        summary.growth_time = state.t - growth_start
-                    state.v = state.v / nv
+                        log_growth += math.log(nv)
+                        growth_time = t - growth_start
+                    v1, v2 = v1 / nv, v2 / nv
                     since_renorm = 0
         done += m
-    if state.v is not None and since_renorm > 0 and growth_start is not None:
-        summary.log_growth += math.log(float(np.linalg.norm(state.v)))
-        summary.growth_time = state.t - growth_start
-    summary.final = state
-    return summary
+    if v1 is not None and since_renorm > 0 and growth_start is not None:
+        log_growth += math.log(math.hypot(v1, v2))
+        growth_time = t - growth_start
+    return TrajectorySummary(_state(t, x1, x2, v1, v2), n_steps, n_jumps,
+                             log_growth, growth_time)

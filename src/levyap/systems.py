@@ -2,7 +2,8 @@
 
 Both bundles expose the callbacks the integrator, the frame machinery and
 the estimators need: the Hamiltonian model, the raw vector fields with
-their closed-form Marcus jump, the frame-coefficient evaluator, and (for the
+their closed-form Marcus jump (float-component callbacks, powers written as
+products), the frame-coefficient evaluator, and (for the
 shear system) closed-form jump maps on the circle with the compensator
 integral of the log-radius jump (``rho_jump_profile``).  ``coeffs`` and
 ``v_values`` take one point of shape (2,) or a batch of shape (N, 2); the
@@ -93,22 +94,24 @@ def rho_jump_profile(theta, amp, nodes) -> np.ndarray:
     return (vals * w).sum(axis=-1)
 
 
-def shear_jump(sigma: float):
-    """Closed-form Marcus jump along the noise field V(u) = (0, sigma u1).
+def shear_noise(sigma: float) -> dict:
+    """The noise field V(u) = (0, sigma u1) of both example systems, as the
+    ``VectorFieldSet`` keywords diffusion, diffusion_tangents and jump.
 
-    For the scaled mark w = eps z the flow of w V is the shear
-    u2 += sigma w u1; the shear is linear, so its Jacobian moves the tangent
-    the same way.  Used as ``VectorFieldSet.jump`` by both example systems.
+    For the scaled mark w = eps z the Marcus flow of w V is the shear
+    u2 += sigma w u1; the shear is linear, so its Jacobian moves the
+    tangent the same way.
     """
 
-    def jump(w, u, v):
+    def jump(w, u1, u2, v1, v2):
         s = sigma * w[0]
-        u = np.array([u[0], u[1] + s * u[0]])
-        if v is not None:
-            v = np.array([v[0], v[1] + s * v[0]])
-        return u, v
+        if v1 is None:
+            return u1, u2 + s * u1, None, None
+        return u1, u2 + s * u1, v1, v2 + s * v1
 
-    return jump
+    return {"diffusion": [lambda u1, u2: (0.0, sigma * u1)],
+            "diffusion_tangents": [lambda u1, u2, v1, v2: (0.0, sigma * v1)],
+            "jump": jump}
 
 
 def _field_values(sigma: float, u) -> np.ndarray:
@@ -161,15 +164,12 @@ class NilpotentSystem:
         )
 
     def fields(self, epsilon: float) -> VectorFieldSet:
-        a, s = self.a, self.sigma
+        a = self.a
         return VectorFieldSet(
-            drift=lambda u: np.array([a * u[1], 0.0]),
-            drift_jacobian=lambda u: np.array([[0.0, a], [0.0, 0.0]]),
-            diffusion=[lambda u: np.array([0.0, s * u[0]])],
-            diffusion_jacobians=[lambda u: np.array([[0.0, 0.0], [s, 0.0]])],
+            drift=lambda u1, u2: (a * u2, 0.0),
+            drift_tangent=lambda u1, u2, v1, v2: (a * v2, 0.0),
             epsilon=epsilon,
-            grad_h=None,
-            jump=shear_jump(s),
+            **shear_noise(self.sigma),
         )
 
     def coeffs(self, x=None) -> FrameCoefficients:
@@ -229,16 +229,12 @@ class DuffingSystem:
         )
 
     def fields(self, epsilon: float) -> VectorFieldSet:
-        s = self.sigma
         return VectorFieldSet(
-            drift=lambda p: np.array([p[1], -p[0] - p[0] ** 3]),
-            drift_jacobian=lambda p: np.array([[0.0, 1.0],
-                                               [-1.0 - 3.0 * p[0] ** 2, 0.0]]),
-            diffusion=[lambda p: np.array([0.0, s * p[0]])],
-            diffusion_jacobians=[lambda p: np.array([[0.0, 0.0], [s, 0.0]])],
+            drift=lambda x, y: (y, -x - x * x * x),
+            drift_tangent=lambda x, y, v1, v2: (v2, (-1.0 - 3.0 * x * x) * v1),
             epsilon=epsilon,
-            grad_h=lambda p: np.array([p[0] + p[0] ** 3, p[1]]),
-            jump=shear_jump(s),
+            grad_h=lambda x, y: (x + x * x * x, y),
+            **shear_noise(self.sigma),
         )
 
     # Powers are written as products so that one point and a batch of

@@ -1,0 +1,321 @@
+"""Reference implementations the tests compare the package against.
+
+* ``array_step``, ``array_integrate`` and ``array_direct_one``: the Marcus
+  stepper on numpy arrays, with array-valued fields of both example systems
+  (``array_fields``).  The package steps Python floats through component
+  callbacks; this is the same scheme with other arithmetic, so the two agree
+  pathwise to rounding on the same noise.
+* ``marcus_jump_map``, ``marcus_jump_jacobian`` and ``rk4_jump``: the Marcus
+  jump flow ODE solved by RK4, the oracle of the systems' closed-form jumps.
+* ``shear_exponent``: the exact top exponent of the Brownian shear system.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from levyap.errors import ExitDetected, FlowEscape
+from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
+from levyap.noise import IncrementBatch, sample_block, trajectory_streams
+
+LAMBDA1 = math.sqrt(math.pi) * 0.75 ** (1.0 / 3.0) / math.gamma(1.0 / 6.0)
+
+
+def shear_exponent(a: float, eps: float, sigma: float, rate: float = 1.0) -> float:
+    """Top Lyapunov exponent of du1 = a u2 dt, du2 = eps sigma u1 dW, where
+    W has variance rate ``rate`` per unit time (the shear system without
+    jumps):
+
+        lambda(eps) = LAMBDA1 (a eps sigma sqrt(rate))^(2/3),
+        LAMBDA1 = sqrt(pi) (3/4)^(1/3) / Gamma(1/6) = 0.28930826...
+
+    The noise matrix B = [[0, 0], [1, 0]] has B^2 = 0, so the Ito and
+    Stratonovich forms coincide.  Write s = eps sigma sqrt(rate) and
+    W = sqrt(rate) B_t with B a standard Brownian motion.  Rescale time and
+    the second coordinate: t = tau r, u2 = kappa w2.  Then
+    du1/dr = a tau kappa w2 and dw2 = (s sqrt(tau) / kappa) u1 dB'_r, with
+    B' a standard Brownian motion in r.  Choosing kappa = s sqrt(tau) and
+    a tau kappa = 1, i.e. tau = (a s)^(-2/3), leaves the parameter-free
+    system du1 = w2 dr, dw2 = u1 dB'.  A constant diagonal change of
+    coordinates leaves exponents unchanged, so lambda = LAMBDA1 / tau with
+    LAMBDA1 the exponent of the parameter-free system.  That exponent is
+    the stationary mean of the Riccati process omega = w2 / u1,
+    d omega = -omega^2 dr + dB', which gives the closed form above
+    (Pardoux & Wihstutz, SIAM J. Appl. Math. 48, 1988; the circle
+    Fokker-Planck solve reproduces it, see tests/test_fpcircle.py).
+    """
+    return LAMBDA1 * (a * eps * sigma * math.sqrt(rate)) ** (2.0 / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# numpy stepper
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ArrayFields:
+    """The fields with array-valued callbacks: x -> R^2 values, x -> 2x2
+    Jacobians, and jump(w, x, v) -> (x', v') with v None kept None."""
+
+    drift: Callable
+    drift_jacobian: Callable
+    diffusion: Sequence[Callable]
+    diffusion_jacobians: Sequence[Callable]
+    epsilon: float
+    jump: Callable
+    grad_h: Optional[Callable] = None
+
+
+def array_fields(system, epsilon: float) -> ArrayFields:
+    """Array-valued fields of ``make_nilpotent`` or ``make_duffing``."""
+    s = system.sigma
+
+    def jump(w, u, v):
+        k = s * w[0]
+        u = np.array([u[0], u[1] + k * u[0]])
+        if v is not None:
+            v = np.array([v[0], v[1] + k * v[0]])
+        return u, v
+
+    noise = dict(diffusion=[lambda p: np.array([0.0, s * p[0]])],
+                 diffusion_jacobians=[lambda p: np.array([[0.0, 0.0], [s, 0.0]])],
+                 epsilon=epsilon, jump=jump)
+    if system.name == "nilpotent":
+        a = system.a
+        return ArrayFields(drift=lambda u: np.array([a * u[1], 0.0]),
+                           drift_jacobian=lambda u: np.array([[0.0, a], [0.0, 0.0]]),
+                           **noise)
+    return ArrayFields(
+        drift=lambda p: np.array([p[1], -p[0] - p[0] ** 3]),
+        drift_jacobian=lambda p: np.array([[0.0, 1.0], [-1.0 - 3.0 * p[0] ** 2, 0.0]]),
+        grad_h=lambda p: np.array([p[0] + p[0] ** 3, p[1]]),
+        **noise)
+
+
+def _rk4(f: Callable, y: np.ndarray, h: float) -> np.ndarray:
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_exit(fields: ArrayFields, state: TrajectoryState,
+                cfg: StepperConfig) -> Optional[str]:
+    if not np.all(np.isfinite(state.x)) or np.linalg.norm(state.x) > cfg.bound_explode:
+        return "explosion"
+    if fields.grad_h is not None and cfg.tol_crit > 0.0:
+        if np.linalg.norm(fields.grad_h(state.x)) < cfg.tol_crit:
+            return "critical-point"
+    return None
+
+
+def _tangent_correction(fields: ArrayFields, x, v, rate: float, dt: float):
+    eps = fields.epsilon
+    out = np.zeros(2)
+    for vk, dvk in zip(fields.diffusion, fields.diffusion_jacobians):
+        J = dvk(x)
+        out += J @ (J @ v)
+        vkx = vk(x)
+        nv = np.linalg.norm(vkx)
+        if nv > 0.0:
+            h = 1e-6 * (1.0 + np.linalg.norm(x)) / nv
+            out += ((dvk(x + h * vkx) - dvk(x - h * vkx)) / (2.0 * h)) @ v
+    return 0.5 * eps * eps * rate * dt * out
+
+
+def array_step(fields: ArrayFields, rate: float, state: TrajectoryState,
+               batch: IncrementBatch, cfg: StepperConfig) -> TrajectoryState:
+    """One step of size batch.dt; raises ExitDetected on exit."""
+    eps = fields.epsilon
+    dt = batch.dt
+    x = np.array(state.x, dtype=float)
+    v = None if state.v is None else np.array(state.v, dtype=float)
+    if v is None:
+        x = _rk4(fields.drift, x, dt)
+    else:
+        def f(y):
+            return np.concatenate([fields.drift(y[:2]),
+                                   fields.drift_jacobian(y[:2]) @ y[2:]])
+
+        y = _rk4(f, np.concatenate([x, v]), dt)
+        x, v = y[:2], y[2:]
+    if eps > 0.0:
+        if rate > 0.0:
+            corr = np.zeros(2)
+            for vk, dvk in zip(fields.diffusion, fields.diffusion_jacobians):
+                corr += dvk(x) @ vk(x)
+            x = x + 0.5 * eps * eps * rate * dt * corr
+            if v is not None:
+                v = v + _tangent_correction(fields, x, v, rate, dt)
+        db = batch.brownian
+        if np.any(db):
+            inc = np.zeros(2)
+            vinc = np.zeros(2)
+            for k, vk in enumerate(fields.diffusion):
+                inc += vk(x) * db[k]
+                if v is not None:
+                    vinc += (fields.diffusion_jacobians[k](x) @ v) * db[k]
+            x = x + eps * inc
+            if v is not None:
+                v = v + eps * vinc
+        for j in range(batch.n_jumps):
+            z = np.zeros(len(fields.diffusion))
+            z[batch.jump_components[j]] = batch.jump_marks[j]
+            x, v = fields.jump(eps * z, x, v)
+    out = TrajectoryState(state.t + dt, x, v)
+    out.exit_flag = _check_exit(fields, out, cfg)
+    if out.exit_flag is not None:
+        raise ExitDetected(out)
+    return out
+
+
+def array_integrate(fields: ArrayFields, noise, x0, horizon: float,
+                    cfg: StepperConfig, rng_or_seed, v0=None,
+                    renorm_interval: int = 0, burn_in_time: float = 0.0,
+                    observer: Optional[Callable] = None,
+                    raise_on_exit: bool = True) -> TrajectorySummary:
+    """``levyap.marcus.integrate`` on arrays; ``observer(state)``."""
+    if isinstance(rng_or_seed[0], np.random.Generator):
+        rng_b, rng_j = rng_or_seed
+    else:
+        rng_b, rng_j = trajectory_streams(*rng_or_seed)
+    v0 = None if v0 is None else np.array(v0, dtype=float)
+    state = TrajectoryState(0.0, np.array(x0, dtype=float), v0)
+    flag = _check_exit(fields, state, cfg)
+    if flag is not None:
+        state.exit_flag = flag
+        if raise_on_exit:
+            raise ExitDetected(state)
+        return TrajectorySummary(state, 0, 0, exited=True)
+    rate = noise.gaussian_rate
+    n_total = int(round(horizon / cfg.dt))
+    summary = TrajectorySummary(state, 0, 0)
+    done = 0
+    since_renorm = 0
+    growth_start = None if burn_in_time > 0.0 else 0.0
+    while done < n_total:
+        m = min(cfg.block_steps, n_total - done)
+        block = sample_block(noise, cfg.dt, m, rng_b, rng_j)
+        for i, (jlo, jhi) in enumerate(block.step_slices()):
+            batch = block.batch(i, jlo, jhi)
+            try:
+                state = array_step(fields, rate, state, batch, cfg)
+            except ExitDetected as exc:
+                summary.final = exc.state
+                summary.exited = True
+                if raise_on_exit:
+                    raise
+                return summary
+            summary.n_steps += 1
+            summary.n_jumps += batch.n_jumps
+            if observer is not None:
+                observer(state)
+            if state.v is not None:
+                if growth_start is None and state.t >= burn_in_time:
+                    state.v = state.v / np.linalg.norm(state.v)
+                    growth_start = state.t
+                    since_renorm = 0
+                    continue
+                since_renorm += 1
+                nv = float(np.linalg.norm(state.v))
+                if since_renorm >= max(renorm_interval, 1) or abs(math.log(nv)) > 20.0:
+                    if growth_start is not None:
+                        summary.log_growth += math.log(nv)
+                        summary.growth_time = state.t - growth_start
+                    state.v = state.v / nv
+                    since_renorm = 0
+        done += m
+    if state.v is not None and since_renorm > 0 and growth_start is not None:
+        summary.log_growth += math.log(float(np.linalg.norm(state.v)))
+        summary.growth_time = state.t - growth_start
+    summary.final = state
+    return summary
+
+
+def array_direct_one(system, noise, epsilon: float, cfg, index: int):
+    """(rate, restarts, failed) of one direct replicate, restarting on exit
+    as ``levyap.estimators`` does, stepped by ``array_integrate``."""
+    fields = array_fields(system, epsilon)
+    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.hamiltonian().tol_crit,
+                         block_steps=cfg.block_steps)
+    x0 = np.asarray(cfg.x0 if cfg.x0 is not None else system.default_x0, float)
+    growth = gtime = consumed = 0.0
+    restarts = attempt = 0
+    burn = cfg.burn_in * cfg.horizon
+    while consumed < cfg.horizon and attempt <= cfg.max_restarts:
+        summary = array_integrate(fields, noise, x0, cfg.horizon - consumed, scfg,
+                                  trajectory_streams(cfg.seed, index, attempt),
+                                  v0=cfg.v0, renorm_interval=cfg.renorm_interval,
+                                  burn_in_time=max(burn - consumed, 0.0),
+                                  raise_on_exit=False)
+        growth += summary.log_growth
+        gtime += summary.growth_time
+        consumed += summary.final.t
+        if not summary.exited:
+            break
+        restarts += 1
+        attempt += 1
+    failed = gtime < 0.5 * (1.0 - cfg.burn_in) * cfg.horizon
+    return (growth / gtime if gtime > 0 else math.nan), restarts, failed
+
+
+# ---------------------------------------------------------------------------
+# Marcus jump flow by RK4, on the package's component callbacks
+# ---------------------------------------------------------------------------
+
+def _flow_rhs(fields, w):
+    """y -> (sum_k w_k V_k(x), sum_k w_k DV_k(x) J) on y = (x, J.ravel())."""
+
+    def f(y):
+        x, J = y[:2], y[2:].reshape(2, 2)
+        dx = np.zeros(2)
+        dJ = np.zeros((2, 2))
+        for wk, vk, dvk in zip(w, fields.diffusion, fields.diffusion_tangents):
+            if wk != 0.0:
+                dx += wk * np.array(vk(*x))
+                dJ += wk * np.array([dvk(*x, *J[:, 0]), dvk(*x, *J[:, 1])]).T
+        return np.concatenate([dx, dJ.ravel()])
+
+    return f
+
+
+def jump_flow(fields, w, x, substeps: int = 8):
+    """(x', J): the flow along sum_k w_k V_k at time one from x, and its
+    Jacobian at x, by RK4 on the variational system."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    y = np.concatenate([np.asarray(x, dtype=float), np.eye(2).ravel()])
+    if np.any(w):
+        f = _flow_rhs(fields, w)
+        for _ in range(substeps):
+            y = _rk4(f, y, 1.0 / substeps)
+            if not np.all(np.isfinite(y)):
+                raise FlowEscape("jump flow left the domain")
+    return y[:2], y[2:].reshape(2, 2)
+
+
+def marcus_jump_map(fields, z, x, substeps: int = 8) -> np.ndarray:
+    """Value at time one of the flow along eps * sum_k z_k V_k from x."""
+    return jump_flow(fields, fields.epsilon * np.atleast_1d(z), x, substeps)[0]
+
+
+def marcus_jump_jacobian(fields, z, x, substeps: int = 8) -> np.ndarray:
+    """Derivative of the jump map at x, by the variational equation."""
+    return jump_flow(fields, fields.epsilon * np.atleast_1d(z), x, substeps)[1]
+
+
+def rk4_jump(fields, substeps: int = 8):
+    """A ``VectorFieldSet.jump`` callback that solves the flow of ``fields``
+    (their diffusion values and tangents) by RK4 instead of in closed form."""
+
+    def jump(w, x1, x2, v1, v2):
+        (y1, y2), J = jump_flow(fields, w, (x1, x2), substeps)
+        if v1 is None:
+            return float(y1), float(y2), None, None
+        u1, u2 = J @ np.array([v1, v2])
+        return float(y1), float(y2), float(u1), float(u2)
+
+    return jump

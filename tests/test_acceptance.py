@@ -20,10 +20,11 @@ from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              solve_stationary)
 from levyap.frame import (angle_jump_flow, decompose_tangent,
                           frame_coefficients, recompose_tangent)
-from levyap.marcus import (StepperConfig, integrate, marcus_jump_map)
+from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
                             make_nilpotent, rho_jump_profile)
+from oracles import marcus_jump_map, shear_exponent
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -45,7 +46,14 @@ def test_acceptance_1_scaling_law_brownian():
     cfg = EstimatorConfig(dt=1e-3, horizon=1e4, replicates=16, seed=2026)
     sweep = scaling_sweep(NIL, NoiseModel(measure=None), SWEEP_EPS, cfg)
     assert 0.57 <= sweep.slope <= 0.77, f"slope {sweep.slope:.4f}"
-    _report(1, f"Brownian-only sweep slope {sweep.slope:.4f} in [0.57, 0.77]")
+    # 16 replicates: the studentized error is t with 15 degrees of freedom,
+    # whose two-sided tail beyond 6 is about 2e-5
+    for est in sweep.estimates:
+        exact = shear_exponent(1.0, est.epsilon, 1.0)
+        assert abs(est.value - exact) <= 6.0 * est.stderr, \
+            f"eps={est.epsilon}: {est.value:.5f} vs exact {exact:.5f}"
+    _report(1, f"Brownian-only sweep slope {sweep.slope:.4f} in [0.57, 0.77]; "
+               f"every estimate within 6 stderr of the exact exponent")
 
 
 @pytest.mark.slow
@@ -191,8 +199,8 @@ def test_acceptance_6_conservation_and_exit():
     h0 = model.h(np.array([1.0, 0.0]))
     worst = {"dev": 0.0}
 
-    def watch(state):
-        worst["dev"] = max(worst["dev"], abs(model.h(state.x) - h0))
+    def watch(t, x1, x2):
+        worst["dev"] = max(worst["dev"], abs(model.h(np.array([x1, x2])) - h0))
 
     integrate(DUF.fields(0.0), NoiseModel(measure=None), [1.0, 0.0], 100.0,
               cfg, (0, 0), observer=watch)

@@ -10,6 +10,10 @@ import pytest
 
 from levyap.cli import CONFIG_SCHEMA, load_config_file, main
 from levyap.errors import ConfigError
+from levyap.marcus import StepperConfig
+from levyap.noise import JumpMeasureSpec, NoiseModel
+from levyap.systems import make_duffing, make_nilpotent
+from oracles import array_fields, array_integrate
 
 
 def run_cli(args):
@@ -67,6 +71,36 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     b = json.loads((tmp_path / "b.json").read_text())
     assert a == b
     assert "runtime" not in json.dumps(a)
+
+
+@pytest.mark.parametrize("system", ["nilpotent", "duffing"])
+def test_simulate_rows_match_numpy_oracle(system, tmp_path, capsys):
+    """simulate's rows agree to rounding with the numpy stepper of
+    tests/oracles.py on the same stream."""
+    x0 = (1.0, 0.5) if system == "nilpotent" else (1.0, 0.0)
+    out = tmp_path / system
+    assert run_cli(["simulate", "--system", system, "--horizon", "2",
+                    "--epsilon", "0.2", "--seed", "42", "--floor-delta", "0.05",
+                    "--record-stride", "50", "--output", str(out)]) == 0
+    got = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=2)
+    model = make_nilpotent(1.0, 1.0) if system == "nilpotent" else make_duffing(1.0)
+    noise = NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=1.0,
+                                               cutoff_c=1.0, floor_delta=0.05))
+    rows = [[0.0, *x0]]
+
+    def observer(state):
+        if round(state.t / 1e-3) % 50 == 0:
+            rows.append([state.t, *state.x])
+
+    array_integrate(array_fields(model, 0.2), noise, x0, 2.0,
+                    StepperConfig(dt=1e-3, tol_crit=model.hamiltonian().tol_crit),
+                    (42, 0), observer=observer)
+    want = np.array(rows)
+    if system == "nilpotent":
+        want = np.column_stack([want, np.arctan2(want[:, 2], want[:, 1]),
+                                np.log(np.hypot(want[:, 1], want[:, 2]))])
+    assert got.shape == want.shape == (41, 5 if system == "nilpotent" else 3)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_simulate_duffing_conserves_energy(tmp_path, capsys):
@@ -174,13 +208,17 @@ def test_workers_do_not_change_artifacts(tmp_path, capsys):
     base = ["lyapunov", "--method", "direct,khasminskii", "--horizon", "30",
             "--replicates", "8", "--epsilon", "0.2", "--seed", "12",
             "--floor-delta", "0.05"]
-    blobs = {}
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}"
-        run_cli(base + ["--workers", str(workers), "--output", str(out)])
-        blobs[workers] = (out.with_suffix(".json").read_bytes(),
-                          out.with_suffix(".csv").read_bytes())
-    assert blobs[1] == blobs[4]
+    duffing = ["lyapunov", "--system", "duffing", "--method", "direct",
+               "--horizon", "2", "--replicates", "4", "--epsilon", "0.1",
+               "--seed", "3", "--floor-delta", "0.05"]
+    for args, counts in ((base, (1, 4)), (duffing, (1, 2))):
+        blobs = {}
+        for workers in counts:
+            out = tmp_path / f"{args[2]}-w{workers}"
+            assert run_cli(args + ["--workers", str(workers), "--output", str(out)]) == 0
+            blobs[workers] = (out.with_suffix(".json").read_bytes(),
+                              out.with_suffix(".csv").read_bytes())
+        assert blobs[counts[0]] == blobs[counts[1]]
 
 
 def test_fp_solve_artifacts(tmp_path, capsys):
@@ -252,6 +290,19 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
     monkeypatch.setattr("levyap.cli.lyapunov_direct", no_work)
     assert run_cli(["lyapunov", "--replicates", "2"] + args) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("args", [["lyapunov", "--a", "0"],
+                                  ["lyapunov", "--sigma", "-1"],
+                                  ["lyapunov", "--alpha", "2.5"],
+                                  ["lyapunov", "--cutoff-c", "0"],
+                                  ["simulate", "--dt", "0"]])
+def test_refused_model_values_usage_error(args, tmp_path, capsys):
+    out = tmp_path / "refused"
+    assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",
+                           "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_epsilon_refused_before_any_set_up(monkeypatch, capsys):

@@ -148,12 +148,13 @@ def test_khasminskii_zero_drift_is_exactly_zero():
         def fields(self, epsilon):
             from levyap.marcus import VectorFieldSet
             return VectorFieldSet(
-                drift=lambda p: np.array([p[1], -p[0]]),
-                drift_jacobian=lambda p: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                diffusion=[lambda p: np.zeros(2)],
-                diffusion_jacobians=[lambda p: np.zeros((2, 2))],
+                drift=lambda x1, x2: (x2, -x1),
+                drift_tangent=lambda x1, x2, v1, v2: (v2, -v1),
+                diffusion=[lambda x1, x2: (0.0, 0.0)],
+                diffusion_tangents=[lambda x1, x2, v1, v2: (0.0, 0.0)],
+                jump=lambda w, x1, x2, v1, v2: (x1, x2, v1, v2),
                 epsilon=epsilon,
-                grad_h=lambda p: np.array([p[0], p[1]]))
+                grad_h=lambda x1, x2: (x1, x2))
 
         def coeffs(self, p):
             return fr.FrameCoefficients(0.0, np.zeros((1, 2, 2)),

@@ -11,6 +11,7 @@ from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
                              lyapunov_quadrature, solve_stationary)
 from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
 from levyap.systems import rho_jump_profile
+from oracles import shear_exponent
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
 
@@ -123,6 +124,18 @@ def test_grid_convergence_order_brownian():
             diffs.append(np.abs(prev - mu[::2]).max())
         prev = mu
     assert diffs[1] < diffs[0] / 3.5
+
+
+def test_richardson_value_matches_exact_brownian_exponent():
+    """The second-order FP quadrature, Richardson-extrapolated from n = 1024
+    and 2048, reproduces the exact Brownian shear exponent."""
+    eps = 0.1
+    lam = {n: lyapunov_quadrature(solve_stationary(
+               build_generator(1.0, 1.0, eps, None, CircleGrid(n))),
+               1.0, 1.0, eps, None) for n in (1024, 2048)}
+    extrap = (4.0 * lam[2048] - lam[1024]) / 3.0
+    exact = shear_exponent(1.0, eps, 1.0)
+    assert abs(extrap - exact) <= 2e-8 * exact
 
 
 def test_degenerate_nullspace_detected():

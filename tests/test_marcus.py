@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 from levyap.errors import ExitDetected, InvalidParameter
+from levyap.estimators import EstimatorConfig, _direct_generic_one
 from levyap.marcus import (StepperConfig, TrajectoryState, VectorFieldSet,
-                           integrate, marcus_jump_jacobian, marcus_jump_map,
-                           step)
+                           integrate, step)
 from levyap.noise import (IncrementBatch, JumpMeasureSpec, NoiseModel,
                           sample_block, trajectory_streams)
 from levyap.quadrature import gauss_legendre
 from levyap.systems import make_duffing, make_nilpotent
+from oracles import (ArrayFields, array_direct_one, array_step,
+                     marcus_jump_jacobian, marcus_jump_map, rk4_jump)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
 NO_JUMPS = NoiseModel(measure=None)
-
-
-def empty_batch(dt, d=1):
-    return IncrementBatch(dt, np.zeros(d))
 
 
 def test_jump_map_zero_mark_identity():
@@ -75,7 +73,7 @@ def bracket_drift(fields, measure, x, nodes=32):
     Gauss-Legendre in |z|, both signs, one RK4 jump flow per node."""
     zq, wq = gauss_legendre(nodes, measure.floor_delta, measure.cutoff_c)
     dens = measure.c_alpha * zq ** (-1.0 - measure.alpha)
-    vx = fields.diffusion[0](x)
+    vx = np.array(fields.diffusion[0](*x))
     out = np.zeros(2)
     for zi, wi, di in zip(zq, wq, dens):
         for z in (zi, -zi):
@@ -93,47 +91,44 @@ def test_compensator_vanishes_for_linear_fields():
 
 
 def test_step_single_jump_reproduces_jump_map():
+    # a step with one jump is the drift move followed by the jump map
     fields = NIL.fields(0.2)
-    x = np.array([1.0, 0.5])
-    batch = IncrementBatch(0.0, np.zeros(1), np.array([0.0]),
-                           np.array([0], dtype=np.int64), np.array([0.8]))
     cfg = StepperConfig(dt=1e-3)
-    out = step(fields, NoiseModel(measure=MEASURE), TrajectoryState(0.0, x),
-               batch, cfg)
-    assert np.allclose(out.x, marcus_jump_map(fields, 0.8, x), rtol=1e-14)
+    drifted = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, [0.0])
+    jumped = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, [0.0], [(0, 0.8)])
+    assert np.allclose(jumped[1:3], marcus_jump_map(fields, 0.8, drifted[1:3]),
+                       rtol=1e-14)
 
 
 @pytest.mark.parametrize("system", [NIL, DUF], ids=["nilpotent", "duffing"])
 def test_closed_form_jumps_match_rk4_route(system):
-    """The system's closed-form jump and the RK4 flow route (the fields
-    without ``jump``) agree on state and tangent, one or several jumps.
-    The jump scale follows ``fields.epsilon``, also after a replace."""
+    """The system's closed-form jump and the RK4 flow route agree on state
+    and tangent, one or several jumps.  The jump scale follows
+    ``fields.epsilon``, also after a replace."""
     exact = dataclasses.replace(system.fields(0.7), epsilon=0.3)
-    assert exact.jump is not None
-    flowed = dataclasses.replace(system.fields(0.3), jump=None)
-    noise = NoiseModel(measure=MEASURE)
+    fields = system.fields(0.3)
+    flowed = dataclasses.replace(fields, jump=rk4_jump(fields))
+    rate = NoiseModel(measure=MEASURE).gaussian_rate
     cfg = StepperConfig(dt=1e-3)
     rng = np.random.default_rng(9)
     for n_jumps in (1, 2, 3, 7):
         x = rng.normal(size=2) + np.array([1.0, 0.0])
         v = rng.normal(size=2)
         marks = rng.choice([-1.0, 1.0], n_jumps) * rng.uniform(0.05, 1.0, n_jumps)
-        batch = IncrementBatch(1e-3, rng.normal(0.0, 0.03, 1),
-                               np.sort(rng.uniform(0.0, 1e-3, n_jumps)),
-                               np.zeros(n_jumps, dtype=np.int64), marks)
-        a = step(exact, noise, TrajectoryState(0.0, x, v), batch, cfg)
-        b = step(flowed, noise, TrajectoryState(0.0, x, v), batch, cfg)
-        assert np.allclose(a.x, b.x, rtol=1e-12, atol=1e-12)
-        assert np.allclose(a.v, b.v, rtol=1e-12, atol=1e-12)
-        c = step(exact, noise, TrajectoryState(0.0, x), batch, cfg)
-        assert c.v is None and np.array_equal(c.x, a.x)
+        db = [float(rng.normal(0.0, 0.03))]
+        jumps = [(0, float(z)) for z in marks]
+        a = step(exact, rate, cfg, 0.0, *x, *v, db, jumps)
+        b = step(flowed, rate, cfg, 0.0, *x, *v, db, jumps)
+        assert np.allclose(a[1:], b[1:], rtol=1e-12, atol=1e-12)
+        c = step(exact, rate, cfg, 0.0, *x, None, None, db, jumps)
+        assert c[3:] == (None, None) and c[1:3] == a[1:3]
 
 
 def test_integrate_closed_form_jumps_match_rk4_route():
     noise = NoiseModel(measure=MEASURE)
     cfg = StepperConfig(dt=1e-3)
     exact = DUF.fields(0.2)
-    flowed = dataclasses.replace(exact, jump=None)
+    flowed = dataclasses.replace(exact, jump=rk4_jump(exact))
     runs = [integrate(f, noise, [1.0, 0.0], 0.5, cfg, (5, 1), v0=[1.0, 0.5],
                       renorm_interval=10) for f in (exact, flowed)]
     assert runs[0].n_jumps == runs[1].n_jumps > 0
@@ -145,11 +140,11 @@ def test_step_energy_conservation_drift_only():
     fields = DUF.fields(0.0)
     model = DUF.hamiltonian()
     cfg = StepperConfig(dt=1e-3)
-    state = TrajectoryState(0.0, np.array([1.0, 0.0]))
-    h0 = model.h(state.x)
+    state = (0.0, 1.0, 0.0, None, None)
+    h0 = model.h(np.array(state[1:3]))
     for _ in range(1000):
-        state = step(fields, NO_JUMPS, state, empty_batch(1e-3), cfg)
-    assert abs(model.h(state.x) - h0) <= 1e-8
+        state = step(fields, 1.0, cfg, *state, [0.0])
+    assert abs(model.h(np.array(state[1:3])) - h0) <= 1e-8
 
 
 def test_integrate_zero_horizon():
@@ -183,8 +178,8 @@ def test_integrate_duffing_level_set():
     h0 = model.h(np.array([1.0, 0.0]))
     assert h0 == pytest.approx(0.75)
 
-    def watch(state):
-        worst["dev"] = max(worst["dev"], abs(model.h(state.x) - h0))
+    def watch(t, x1, x2):
+        worst["dev"] = max(worst["dev"], abs(model.h(np.array([x1, x2])) - h0))
 
     integrate(DUF.fields(0.0), NO_JUMPS, [1.0, 0.0], 100.0, cfg, (0, 0),
               observer=watch)
@@ -222,22 +217,21 @@ def test_integrate_deterministic():
 def test_jumps_applied_in_offset_order():
     # two non-commuting shears: component 0 shears x2, component 1 shears x1
     fields = VectorFieldSet(
-        drift=lambda x: np.zeros(2),
-        diffusion=[lambda x: np.array([0.0, x[0]]),
-                   lambda x: np.array([x[1], 0.0])],
-        diffusion_jacobians=[lambda x: np.array([[0.0, 0.0], [1.0, 0.0]]),
-                             lambda x: np.array([[0.0, 1.0], [0.0, 0.0]])],
+        drift=lambda x1, x2: (0.0, 0.0),
+        drift_tangent=lambda x1, x2, v1, v2: (0.0, 0.0),
+        diffusion=[lambda x1, x2: (0.0, x1), lambda x1, x2: (x2, 0.0)],
+        diffusion_tangents=[lambda x1, x2, v1, v2: (0.0, v1),
+                            lambda x1, x2, v1, v2: (v2, 0.0)],
+        jump=None,
         epsilon=0.5,
     )
+    fields.jump = rk4_jump(fields)
     cfg = StepperConfig(dt=1e-3)
     x = np.array([1.0, 1.0])
 
     def run(order):
-        offs = np.array([0.1, 0.2])
-        comps = np.array(order, dtype=np.int64)
-        marks = np.array([0.8, -0.6])
-        batch = IncrementBatch(0.0, np.zeros(2), offs, comps, marks)
-        return step(fields, NO_JUMPS, TrajectoryState(0.0, x), batch, cfg).x
+        jumps = list(zip(order, [0.8, -0.6]))
+        return step(fields, 1.0, cfg, 0.0, *x, None, None, [0.0, 0.0], jumps)[1:3]
 
     first = run([0, 1])
     swapped = run([1, 0])
@@ -288,3 +282,70 @@ def test_chain_rule_u_vs_polar_pathwise():
     tol = 0.2 * math.sqrt(dt)
     assert np.mean(theta_err) < tol
     assert np.mean(rho_err) < tol
+
+
+DIRECT_CASES = {
+    "jumps": (NoiseModel(measure=MEASURE), 0.1, 0.1),
+    "brownian": (NO_JUMPS, 0.1, 0.1),
+    "eps0": (NoiseModel(measure=MEASURE), 0.0, 0.1),
+    "burn_in0": (NoiseModel(measure=MEASURE), 0.1, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(DIRECT_CASES))
+def test_duffing_direct_matches_numpy_oracle(case):
+    """The float stepper and the numpy stepper of tests/oracles.py give the
+    same Duffing direct replicate rates to rounding."""
+    noise, eps, burn_in = DIRECT_CASES[case]
+    cfg = EstimatorConfig(dt=1e-3, horizon=2.0, replicates=2, seed=3,
+                          burn_in=burn_in)
+    for index in range(2):
+        lam, restarts, failed = _direct_generic_one(DUF, noise, eps, cfg, index)
+        want = array_direct_one(DUF, noise, eps, cfg, index)
+        assert (restarts, failed) == want[1:] == (0, False)
+        assert abs(lam - want[0]) <= 1e-12 * abs(want[0])
+
+
+def test_duffing_restart_path_matches_numpy_oracle():
+    # the origin is a critical point: every attempt exits at once
+    cfg = EstimatorConfig(dt=1e-3, horizon=1.0, replicates=1, seed=3,
+                          x0=(0.0, 0.0), max_restarts=5)
+    noise = NoiseModel(measure=MEASURE)
+    got = _direct_generic_one(DUF, noise, 0.1, cfg, 0)
+    want = array_direct_one(DUF, noise, 0.1, cfg, 0)
+    assert got[1:] == want[1:] == (6, True)
+    assert math.isnan(got[0]) and math.isnan(want[0])
+
+
+def test_step_matches_numpy_oracle_on_nonlinear_noise():
+    """Two noise fields with position-dependent Jacobians, so that the Ito
+    correction, both parts of the tangent correction (the finite
+    difference included) and the Gaussian tangent term are all nonzero."""
+    fields = VectorFieldSet(
+        drift=lambda x1, x2: (x2, -x1 - x1 * x1 * x1),
+        drift_tangent=lambda x1, x2, v1, v2: (v2, (-1.0 - 3.0 * x1 * x1) * v1),
+        diffusion=[lambda x1, x2: (0.3 * x2 * x2, x1 * x2),
+                   lambda x1, x2: (x1 * x1, 0.0)],
+        diffusion_tangents=[lambda x1, x2, v1, v2: (0.6 * x2 * v2, x2 * v1 + x1 * v2),
+                            lambda x1, x2, v1, v2: (2.0 * x1 * v1, 0.0)],
+        jump=None,
+        epsilon=0.4,
+    )
+    arrays = ArrayFields(
+        drift=lambda p: np.array([p[1], -p[0] - p[0] ** 3]),
+        drift_jacobian=lambda p: np.array([[0.0, 1.0], [-1.0 - 3.0 * p[0] ** 2, 0.0]]),
+        diffusion=[lambda p: np.array([0.3 * p[1] ** 2, p[0] * p[1]]),
+                   lambda p: np.array([p[0] ** 2, 0.0])],
+        diffusion_jacobians=[lambda p: np.array([[0.0, 0.6 * p[1]], [p[1], p[0]]]),
+                             lambda p: np.array([[2.0 * p[0], 0.0], [0.0, 0.0]])],
+        epsilon=0.4, jump=None)
+    cfg = StepperConfig(dt=1e-2)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x, v = rng.normal(size=2), rng.normal(size=2)
+        db = rng.normal(0.0, 0.1, 2)
+        got = step(fields, 1.3, cfg, 0.0, *x, *v, db.tolist())
+        want = array_step(arrays, 1.3, TrajectoryState(0.0, x, v),
+                          IncrementBatch(1e-2, db), cfg)
+        assert np.allclose(got[1:3], want.x, rtol=1e-12, atol=0.0)
+        assert np.allclose(got[3:], want.v, rtol=1e-12, atol=0.0)
