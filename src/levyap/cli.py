@@ -166,7 +166,7 @@ def _build_model(cfg: dict):
         else:
             system = make_duffing(cfg["system.sigma"])
         measure = None
-        if cfg["noise.c_alpha"] > 0.0:
+        if cfg["noise.c_alpha"] != 0.0:      # the measure refuses c_alpha < 0
             measure = JumpMeasureSpec(alpha=cfg["noise.alpha"],
                                       c_alpha=cfg["noise.c_alpha"],
                                       cutoff_c=cfg["noise.cutoff_c"],
@@ -174,6 +174,9 @@ def _build_model(cfg: dict):
         noise = NoiseModel(measure=measure, brownian=cfg["noise.brownian"],
                            ar_small_jumps=cfg["noise.ar_small_jumps"],
                            ar_threshold=cfg["noise.ar_threshold"])
+        # jumps with a sampling floor of 0 have infinite activity, which
+        # every command refuses: jump_rate raises InvalidMeasure for them
+        noise.jump_rate
     except (InvalidParameter, InvalidMeasure) as exc:
         raise ConfigError(str(exc)) from exc
     return system, noise

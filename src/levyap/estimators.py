@@ -52,7 +52,6 @@ class EstimatorConfig:
     drift_stride: int = 10
     theta_bins: int = 256
     block_steps: int = 16384
-    flow_substeps: int = 8
     max_restarts: int = 64
     x0: Optional[Sequence[float]] = None
     v0: Sequence[float] = (1.0, 0.5)
@@ -286,7 +285,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     scfg = StepperConfig(dt=cfg.dt, tol_crit=model.tol_crit,
                          block_steps=cfg.block_steps)
     coeffs_fn = system.coeffs
-    v_fn = system.v_values
+    frame, jump = system.frame, fields.jump
     rate = noise.gaussian_rate
     dt = cfg.dt
     n = int(round(cfg.horizon / dt))
@@ -309,6 +308,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
         m = min(cfg.block_steps, n - step_no)
         block = sample_block(noise, dt, m, *streams)
         gauss = block.gauss.tolist()
+        events = list(zip(block.jump_components.tolist(), block.jump_marks.tolist()))
         for i, (jlo, jhi) in enumerate(block.step_slices()):
             co = system.coeffs_with_actions(x)
             wz1, wz2 = fr.wz_corrections(co, theta, epsilon, beta)
@@ -324,7 +324,6 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                     occ[idx] += 1.0
             drift_th = (-e_sh * co.shear * math.sin(theta) ** 2
                         + 0.5 * rate * wz1)
-            batch = block.batch(i, jlo, jhi)
             try:
                 _, p1, p2, _, _ = step(fields, rate, scfg, 0.0, float(x[0]),
                                        float(x[1]), None, None, gauss[i])
@@ -338,17 +337,15 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                 theta = cfg.theta0
                 streams = trajectory_streams(cfg.seed, index, attempt)
                 break
-            xc = np.array([p1, p2])
             theta = theta + dt * drift_th
-            s1, _ = fr.polar_fields(coeffs_fn(xc), theta, epsilon, beta)
-            theta = theta + float(s1 @ batch.brownian)
-            for j in range(batch.n_jumps):
-                z = np.zeros(fields.d)
-                z[batch.jump_components[j]] = batch.jump_marks[j]
-                y = fr.angle_jump_flow(coeffs_fn, v_fn, z, xc, theta, epsilon,
-                                       beta, cfg.flow_substeps)
-                xc, theta = y[:2], float(y[2])
-            x = xc
+            s1, _ = fr.polar_fields(coeffs_fn((p1, p2)), theta, epsilon, beta)
+            theta = theta + float(s1 @ block.gauss[i])
+            for k, z in events[jlo:jhi]:
+                w = [0.0] * fields.d
+                w[k] = epsilon * z
+                p1, p2, theta, _ = fr.angle_jump_flow(frame, jump, w, p1, p2,
+                                                      theta, epsilon, beta)
+            x = (p1, p2)
             step_no += 1
     if n_acc == 0:
         return math.nan, restarts, True, occ
@@ -399,8 +396,8 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
     without it) to the cutoff: a Gaussian substitute for the band below the
     sampling floor is already in the continuous part.  Constant-shear
     systems use the closed-form even-sum of the log-radius jump (the linear
-    part cancels under the symmetric measure); other systems integrate the
-    joint jump flow.
+    part cancels under the symmetric measure); other systems sum the
+    closed-form Marcus jump of the pair over the quadrature marks.
     """
     if measure is None or not measure.has_jumps:
         return 0.0
@@ -408,8 +405,8 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
     if system.constant_shear:
         amp = epsilon ** (1.0 - beta) * system.sigma
         return float(rho_jump_profile(theta, amp, jump_nodes(measure, lo)))
-    return fr.compute_Irho_generic(system.coeffs, system.v_values, measure, x,
-                                   theta, epsilon, beta=beta, lo=lo)
+    return fr.compute_Irho_generic(system.frame, system.fields(epsilon).jump,
+                                   measure, x, theta, epsilon, beta=beta, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +466,7 @@ def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
         raise InvalidParameter(
             "position-dependent systems need an occupation measure with x bins")
     coeffs_fn = system.coeffs
-    v_fn = system.v_values
+    jump = system.fields(epsilon).jump
     rate = noise.gaussian_rate
     total = 0.0
     for ix, xc in enumerate(occupation.x_centers):
@@ -477,8 +474,8 @@ def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
             wgt = occupation.weights[ix, it]
             if wgt > 0.0:
                 xc_ = np.asarray(xc, float)
-                full = fr.sigma0(coeffs_fn, v_fn, noise.measure, xc_, float(t),
-                                 epsilon, beta=beta, rate=rate,
+                full = fr.sigma0(coeffs_fn, system.frame, jump, noise.measure,
+                                 xc_, float(t), epsilon, beta=beta, rate=rate,
                                  lo=noise.sampling_floor, **quad_kw)
                 shear_part = coeffs_fn(xc_).shear * math.sin(t) * math.cos(t)
                 total += wgt * (e_sh * shear_part + e_nz * (full - shear_part))

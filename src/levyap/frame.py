@@ -12,9 +12,13 @@ matrices.  This module computes
 * the polar-coordinate noise fields of the rescaled system (rescaled by
   T = diag(eps^beta, 1), which regularizes the singular perturbation) and
   the Wong-Zakai corrections assembled from first principles, and
-* the leading-order growth-rate integrand (drift shear term, Gaussian
-  quadratic-variation term, and the jump term evaluated by nested
-  quadrature over the jump flow).
+* the Marcus jump of the pair (x, theta) and of the log-radius in closed
+  form: the plane tangent goes through the fields' closed-form jump and is
+  read back in the rescaled frame at the landing point, and
+* the jump quadratures built on it (the compensator integral of the
+  log-radius equation and the jump term of the leading-order growth-rate
+  integrand, next to its drift shear and Gaussian quadratic-variation
+  terms).
 """
 
 from __future__ import annotations
@@ -28,14 +32,6 @@ import numpy as np
 from .errors import CriticalPoint, InvalidParameter
 from .noise import JumpMeasureSpec, jump_nodes
 from .quadrature import check_converged, gauss_legendre
-
-
-def _rk4(f: Callable, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,8 @@ class FrameCoefficients:
     shear is the off-diagonal drift rate (the [[0, shear], [0, 0]] block);
     mats[k] is the 2x2 noise matrix of component k with entries
     [[b, c], [d, e]].  dmats[k], when present, holds the directional
-    derivative of mats[k] along V_k (needed for Wong-Zakai terms).  For a
-    batch of N points shear has shape (N,) and mats, dmats (N, d, 2, 2);
-    the entry properties then have shape (N, d).  Data that does not depend
-    on the point may keep the one-point shapes: they broadcast.
+    derivative of mats[k] along V_k (needed for Wong-Zakai terms).  The
+    entry properties have shape (d,).
     """
 
     shear: float
@@ -199,14 +193,10 @@ def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
                  beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Polar noise fields (sigma1_k, sigma2_k) at angle theta: the angle and
     log-radius components of the rescaled noise matrices, at the scales
-    eps^(1-beta), eps and eps^(1+beta).
-
-    One point: theta a float, results of shape (d,).  A batch: theta of
-    shape (N,) with coefficients of a batch of N points, results (N, d).
+    eps^(1-beta), eps and eps^(1+beta), each of shape (d,).
     """
-    th = np.asarray(theta, dtype=float)[..., None]
-    s = np.sin(th)
-    c = np.cos(th)
+    s = math.sin(theta)
+    c = math.cos(theta)
     sc, s2, c2 = s * c, s * s, c * c
     e1, e2, e3 = epsilon ** (1.0 - beta), epsilon, epsilon ** (1.0 + beta)
     b, cc, d, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
@@ -239,84 +229,41 @@ def wz_corrections(coeffs: FrameCoefficients, theta: float, epsilon: float,
     return float(np.sum(wz1)), float(np.sum(wz2))
 
 
-def angle_jump_flow(coeffs_fn: Callable, v_fn: Callable, z: np.ndarray,
-                    x: np.ndarray, theta: float, epsilon: float, beta: float,
-                    substeps: int = 8, b_points: Optional[np.ndarray] = None):
-    """Joint Marcus flow of (x, theta, log-radius increment) for one mark or
-    a batch of marks.
+def angle_jump_flow(frame: Callable, jump: Callable, w: Sequence[float],
+                    x1: float, x2: float, theta: float, epsilon: float,
+                    beta: float):
+    """Marcus jump of the pair (x, theta) for the scaled mark vector
+    w = eps z, in closed form: returns (x1', x2', theta', rho increment).
 
-    coeffs_fn(x) -> FrameCoefficients, v_fn(x) -> (d, 2) field values.
-    Integrates d(xi, z1, z2)/dtau = (eps sum z_k V_k, sum z_k sigma1_k,
-    sum z_k sigma2_k) from (x, theta, 0) to tau = 1 by RK4.  With
-    ``b_points`` (sorted, in [0, 1]) the flow state is additionally
-    recorded at those times; returns (states_at_b, final) where each state
-    is (x, theta, rho_increment).
-
-    z of shape (d,) is one mark and a state has shape (4,).  z of shape
-    (N, d) is a batch of N marks flowed from the same (x, theta) as one RK4
-    solve of an (N, 4) state; coeffs_fn and v_fn are then called on points
-    of shape (N, 2) and must return FrameCoefficients with mats (N, d, 2, 2)
-    (or constant data that broadcasts) and field values (N, d, 2).  Every
-    row follows the arithmetic of the one-mark call.
+    ``jump`` is the fields' closed-form Marcus jump (``VectorFieldSet.jump``)
+    and ``frame(x1, x2) -> (U1, U2)`` the frame the coefficients are written
+    in, with det[U1 U2] = 1 (true of every frame (J grad H, grad H / |grad H|^2)).
+    The rescaled tangent (cos theta, sin theta) has frame coordinates
+    (eps^-beta cos theta, sin theta).  Its plane tangent is pushed through the
+    jump with the point, read back in the frame at the landing point and
+    rescaled by diag(eps^beta, 1).  One atan2 gives the turn in (-pi, pi),
+    exact while a jump turns the rescaled tangent by less than half a turn
+    (the shear of the example systems never does).  This is the time-one
+    flow of (x, theta, log-radius) along the noise field; ``polar_fields``
+    are its rates at time zero.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-
-    def rhs(y):
-        pt = y[..., :2]
-        s1, s2 = polar_fields(coeffs_fn(pt), y[..., 2], epsilon, beta)
-        vx = v_fn(pt)
-        return np.concatenate([epsilon * np.sum(z[..., None] * vx, axis=-2),
-                               np.sum(z * s1, axis=-1)[..., None],
-                               np.sum(z * s2, axis=-1)[..., None]], axis=-1)
-
-    y = np.concatenate([np.asarray(x, dtype=float), [theta], [0.0]])
-    if z.ndim == 2:
-        y = np.tile(y, (len(z), 1))
-
-    def advance(y, gap):
-        nsub = max(1, int(math.ceil(substeps * gap)))
-        h = gap / nsub
-        for _ in range(nsub):
-            y = _rk4(rhs, y, h)
-        return y
-
-    if b_points is None:
-        return advance(y, 1.0)
-    recorded = []
-    pos = 0.0
-    for tb in b_points:
-        if tb - pos > 1e-15:
-            y = advance(y, tb - pos)
-        pos = tb
-        recorded.append(y.copy())
-    if 1.0 - pos > 1e-15:
-        y = advance(y, 1.0 - pos)
-    return recorded, y
+    e_b = epsilon ** beta
+    c, s = math.cos(theta), math.sin(theta)
+    (a1, a2), (b1, b2) = frame(x1, x2)
+    w1 = c / e_b
+    y1, y2, v1, v2 = jump(w, x1, x2, w1 * a1 + s * b1, w1 * a2 + s * b2)
+    (a1, a2), (b1, b2) = frame(y1, y2)
+    p = e_b * (v1 * b2 - v2 * b1)
+    q = a1 * v2 - a2 * v1
+    return (y1, y2, theta + math.atan2(c * q - s * p, c * p + s * q),
+            math.log(math.hypot(p, q)))
 
 
-def _signed_marks(zq: np.ndarray, dim: int) -> np.ndarray:
-    """Marks (+z_0, -z_0, +z_1, -z_1, ...) on component 0, shape (2n, dim);
-    components are independent, and d = 1 in practice."""
-    marks = np.zeros((2 * len(zq), dim))
-    marks[0::2, 0] = zq
-    marks[1::2, 0] = -zq
-    return marks
-
-
-def _sum_in_order(weights: np.ndarray, values: np.ndarray) -> float:
-    """sum_i w_i v_i accumulated node by node (not a BLAS dot), so the
-    result keeps the bits of a per-node loop."""
-    total = 0.0
-    for w, v in zip(weights.tolist(), values.tolist()):
-        total += w * v
-    return total
-
-
-def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
-               x: np.ndarray, theta: float, epsilon: float,
-               beta: float = 2.0 / 3.0, inner_nodes: int = 8,
-               z_panel_nodes: int = 16, substeps: int = 8,
-               check: bool = False, lo: Optional[float] = None) -> float:
+def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable,
+               measure: JumpMeasureSpec, x: np.ndarray, theta: float,
+               epsilon: float, beta: float = 2.0 / 3.0, inner_nodes: int = 8,
+               z_panel_nodes: int = 16, check: bool = False,
+               lo: Optional[float] = None) -> float:
     """Jump term of the leading-order growth-rate integrand.
 
     For each mark z the inner double integral over the flow time collapses
@@ -324,32 +271,36 @@ def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
 
         (sum_k z_k d_k(xi(b z)))^2 cos(2 z1(b z)) cos^2(z1(b z)),
 
-    evaluated on Gauss-Legendre nodes along the flow; the outer integral
-    runs over the symmetrized jump measure from ``lo`` (default: the
-    measure's floor) to the cutoff.  All marks of both signs are flowed as
-    one batch (coeffs_fn and v_fn must accept a batch of points, see
-    ``angle_jump_flow``); the node sum runs in the order of the marks.
+    evaluated on Gauss-Legendre nodes b; the outer integral runs over the
+    symmetrized jump measure from ``lo`` (default: the measure's floor) to
+    the cutoff.  The flow along z V stopped at time b is the time-one flow
+    along b z V, so the state at b is the closed-form jump of mark b z
+    (``angle_jump_flow``).
     """
     if not measure.has_jumps:
         return 0.0
+    x1, x2 = float(x[0]), float(x[1])
+    pad = [0.0] * (measure.dimension - 1)
 
     def value(inner_n, panel_n):
         bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
-        order = np.argsort(bq)
-        bq, bw = bq[order], bw[order]
+        flow_w = (bw * (1.0 - bq)).tolist()
         zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
-        marks = _signed_marks(zq, measure.dimension)
-        states, _ = angle_jump_flow(coeffs_fn, v_fn, marks, x, theta,
-                                    epsilon, beta, substeps, b_points=bq)
-        g = np.empty((len(marks), len(bq)))
-        for j, st in enumerate(states):
-            zd = np.sum(marks * coeffs_fn(st[:, :2]).d, axis=-1)
-            th = st[:, 2]
-            g[:, j] = zd * zd * np.cos(2.0 * th) * np.cos(th) ** 2
-        vals = np.sum(bw * (1.0 - bq) * g, axis=-1)
-        if quadratic:
-            vals /= np.repeat(zq * zq, 2)
-        return _sum_in_order(np.repeat(wq, 2), vals)
+        total = 0.0
+        for z, wt in zip(zq.tolist(), wq.tolist()):
+            for zs in (z, -z):
+                val = 0.0
+                for b, fw in zip(bq.tolist(), flow_w):
+                    y1, y2, th, _ = angle_jump_flow(
+                        frame, jump, [epsilon * b * zs] + pad, x1, x2, theta,
+                        epsilon, beta)
+                    zd = zs * float(coeffs_fn((y1, y2)).d[0])
+                    ct = math.cos(th)
+                    val += fw * zd * zd * math.cos(2.0 * th) * ct * ct
+                if quadratic:
+                    val /= z * z
+                total += wt * val
+        return total
 
     out = value(inner_nodes, z_panel_nodes)
     if check:
@@ -357,9 +308,9 @@ def compute_R0(coeffs_fn: Callable, v_fn: Callable, measure: JumpMeasureSpec,
     return out
 
 
-def sigma0(coeffs_fn: Callable, v_fn: Callable, measure: Optional[JumpMeasureSpec],
-           x: np.ndarray, theta: float, epsilon: float,
-           jump_term: str = "r0", beta: float = 2.0 / 3.0,
+def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable,
+           measure: Optional[JumpMeasureSpec], x: np.ndarray, theta: float,
+           epsilon: float, jump_term: str = "r0", beta: float = 2.0 / 3.0,
            rate: float = 1.0, **quad_kw) -> float:
     """Leading-order growth-rate integrand at (x, theta).
 
@@ -377,50 +328,50 @@ def sigma0(coeffs_fn: Callable, v_fn: Callable, measure: Optional[JumpMeasureSpe
     if measure is None or not measure.has_jumps:
         return base
     if jump_term == "r0":
-        return base + compute_R0(coeffs_fn, v_fn, measure, x, theta, epsilon,
-                                 beta=beta, **quad_kw)
+        return base + compute_R0(coeffs_fn, frame, jump, measure, x, theta,
+                                 epsilon, beta=beta, **quad_kw)
     if jump_term == "irho":
         # the full compensator integral carries the leading scale
         # eps^(2 - 2 beta); rescaling by its inverse substitutes for the
         # separated jump term
-        ir = compute_Irho_generic(coeffs_fn, v_fn, measure, x, theta, epsilon,
+        ir = compute_Irho_generic(frame, jump, measure, x, theta, epsilon,
                                   beta=beta, **quad_kw)
         return base + epsilon ** (2.0 * beta - 2.0) * ir
     raise InvalidParameter(f"unknown jump_term {jump_term!r}")
 
 
-def compute_Irho_generic(coeffs_fn: Callable, v_fn: Callable,
+def compute_Irho_generic(frame: Callable, jump: Callable,
                          measure: JumpMeasureSpec, x: np.ndarray, theta: float,
                          epsilon: float, beta: float = 2.0 / 3.0,
-                         z_panel_nodes: int = 16, substeps: int = 8,
-                         check: bool = False, lo: Optional[float] = None,
-                         **_ignored) -> float:
+                         z_panel_nodes: int = 16, check: bool = False,
+                         lo: Optional[float] = None, **_ignored) -> float:
     """Compensator integral of the log-radius equation,
 
         int [ z2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz),
 
     over the marks lo <= |z| < cutoff (lo defaults to the measure's floor;
     pass the sampling floor when a Gaussian substitute covers the band
-    below it), with z2 from the joint jump flow, symmetrized over the mark
-    sign (the linear subtraction cancels pairwise in exact arithmetic).
-    All marks of both signs are flowed as one batch (coeffs_fn and v_fn
-    must accept a batch of points, see ``angle_jump_flow``); the node sum
-    runs in the order of the marks.
+    below it), with z2 the log-radius change of the closed-form jump
+    (``angle_jump_flow``).  The measure is symmetric and the subtracted term
+    linear in z, so each node contributes the pair sum z2(z) + z2(-z).
     """
     if not measure.has_jumps:
         return 0.0
+    x1, x2 = float(x[0]), float(x[1])
+    pad = [0.0] * (measure.dimension - 1)
 
     def value(panel_n):
         zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
-        _, s2 = polar_fields(coeffs_fn(x), theta, epsilon, beta)
-        marks = _signed_marks(zq, measure.dimension)
-        y = angle_jump_flow(coeffs_fn, v_fn, marks, x, theta, epsilon, beta,
-                            substeps)
-        terms = y[:, 3] - np.sum(marks * s2, axis=-1)
-        pairs = terms[0::2] + terms[1::2]
-        if quadratic:
-            pairs /= zq * zq
-        return _sum_in_order(wq, pairs)
+        total = 0.0
+        for z, wt in zip(zq.tolist(), wq.tolist()):
+            pair = (angle_jump_flow(frame, jump, [epsilon * z] + pad, x1, x2,
+                                    theta, epsilon, beta)[3]
+                    + angle_jump_flow(frame, jump, [-epsilon * z] + pad, x1, x2,
+                                      theta, epsilon, beta)[3])
+            if quadratic:
+                pair /= z * z
+            total += wt * pair
+        return total
 
     out = value(z_panel_nodes)
     if check:
@@ -430,25 +381,14 @@ def compute_Irho_generic(coeffs_fn: Callable, v_fn: Callable,
 
 def evaluator_from_model(model: HamiltonianModel, fields: PerturbationFields,
                          with_actions: bool = False):
-    """(coeffs_fn, v_fn) pair backed by the generic frame machinery; a batch
-    of points (N, 2) is evaluated point by point."""
+    """(coeffs_fn, frame) pair backed by the generic frame machinery."""
 
     def coeffs_fn(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return frame_coefficients(model, fields, x, with_actions=with_actions)
-        parts = [coeffs_fn(p) for p in x]
-        return FrameCoefficients(
-            np.array([co.shear for co in parts]),
-            np.stack([co.mats for co in parts]),
-            np.stack([co.dmats for co in parts]) if with_actions else None)
+        return frame_coefficients(model, fields, np.asarray(x, dtype=float),
+                                  with_actions=with_actions)
 
-    def v_fn(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.stack([v_fn(p) for p in x])
-        u1, u2 = frame_vectors(model, x)
-        return np.stack([fields.a1[k](x) * u1 + fields.a2[k](x) * u2
-                         for k in range(fields.d)])
+    def frame(x1, x2):
+        u1, u2 = frame_vectors(model, np.array([x1, x2]))
+        return tuple(u1.tolist()), tuple(u2.tolist())
 
-    return coeffs_fn, v_fn
+    return coeffs_fn, frame

@@ -56,8 +56,8 @@ class JumpMeasureSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise InvalidParameter(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.c_alpha < 0.0:
-            raise InvalidParameter("c_alpha must be nonnegative")
+        if not self.c_alpha >= 0.0:
+            raise InvalidParameter(f"c_alpha must be nonnegative, got {self.c_alpha}")
         if self.cutoff_c <= 0.0:
             raise InvalidParameter("cutoff_c must be positive")
         if not 0.0 <= self.floor_delta < self.cutoff_c:
@@ -119,6 +119,11 @@ class NoiseModel:
     brownian: bool = True
     ar_small_jumps: bool = False
     ar_threshold: float = 0.0
+
+    def __post_init__(self):
+        if not self.ar_threshold >= 0.0:
+            raise InvalidParameter(
+                f"ar_threshold must be nonnegative, got {self.ar_threshold}")
 
     @property
     def dimension(self) -> int:

@@ -3,11 +3,10 @@
 Both bundles expose the callbacks the integrator, the frame machinery and
 the estimators need: the Hamiltonian model, the raw vector fields with
 their closed-form Marcus jump (float-component callbacks, powers written as
-products), the frame-coefficient evaluator, and (for the
-shear system) closed-form jump maps on the circle with the compensator
-integral of the log-radius jump (``rho_jump_profile``).  ``coeffs`` and
-``v_values`` take one point of shape (2,) or a batch of shape (N, 2); the
-shear system's constant frame data broadcasts against a batch.
+products), the frame ``frame(x1, x2) -> (U1, U2)`` and the frame-coefficient
+evaluator ``coeffs`` written in it, and (for the shear system) closed-form
+jump maps on the circle with the compensator integral of the log-radius jump
+(``rho_jump_profile``).
 """
 
 from __future__ import annotations
@@ -114,14 +113,6 @@ def shear_noise(sigma: float) -> dict:
             "jump": jump}
 
 
-def _field_values(sigma: float, u) -> np.ndarray:
-    """(0, sigma u1) at one point, shape (1, 2), or a batch, shape (N, 1, 2)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape[:-1] + (1, 2))
-    out[..., 0, 1] = sigma * u[..., 0]
-    return out
-
-
 @dataclass(frozen=True)
 class NilpotentSystem:
     """Linear shear system: drift [[0, a], [0, 0]], noise [[0, 0], [s, 0]].
@@ -173,14 +164,15 @@ class NilpotentSystem:
         )
 
     def coeffs(self, x=None) -> FrameCoefficients:
-        """The constant frame data; it broadcasts against a batch of points."""
+        """The constant frame data."""
         return self._coeffs
 
     def coeffs_with_actions(self, x=None) -> FrameCoefficients:
         return self._coeffs
 
-    def v_values(self, x) -> np.ndarray:
-        return _field_values(self.sigma, x)
+    def frame(self, u1, u2):
+        """The canonical basis, in which ``coeffs`` is written."""
+        return (1.0, 0.0), (0.0, 1.0)
 
     def frame_fields(self) -> PerturbationFields:
         """Frame components against (U1, U2) = ((a u2, 0), (0, 1/(a u2))).
@@ -237,11 +229,7 @@ class DuffingSystem:
             **shear_noise(self.sigma),
         )
 
-    # Powers are written as products so that one point and a batch of
-    # points give the same bits (numpy's scalar and array ``**`` differ).
-
-    def _closed_entries(self, p) -> np.ndarray:
-        x, y = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    def _closed_entries(self, x, y) -> np.ndarray:
         s = self.sigma
         x3 = x * x * x
         g = x + x3
@@ -249,24 +237,24 @@ class DuffingSystem:
         b = -s * x * y * (x * x + 2.0) / n
         c = -s * x3 * g / (n * n)
         d = -s * x * g + s * y * y
-        return np.stack([np.stack([b, c], -1), np.stack([d, -b], -1)], -2)
+        return np.array([[b, c], [d, -b]])
 
     def coeffs(self, p, with_actions: bool = False) -> FrameCoefficients:
-        """Frame data at one point (mats (1, 2, 2)) or a batch (N, 1, 2, 2);
-        ``with_actions`` takes one point only."""
-        x, y = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+        """Frame data at the point p, written in ``frame``."""
+        x, y = float(p[0]), float(p[1])
         g = x + x * x * x
         n = g * g + y * y
         shear = 3.0 * x * x * (g * g - y * y) / (n * n)
-        mats = self._closed_entries(p)[..., None, :, :]
+        mats = self._closed_entries(x, y)[None]
         dmats = None
         if with_actions:
-            v = np.array([0.0, self.sigma * x])
             nv = abs(self.sigma * x)
             if nv > 0.0:
+                # central difference along the noise field V = (0, sigma x)
                 h = 1e-6 * (1.0 + math.hypot(x, y)) / nv
-                dmats = ((self._closed_entries(p + h * v)
-                          - self._closed_entries(p - h * v)) / (2.0 * h))[None, :, :]
+                dv = h * (self.sigma * x)
+                dmats = ((self._closed_entries(x, y + dv)
+                          - self._closed_entries(x, y - dv)) / (2.0 * h))[None]
             else:
                 dmats = np.zeros((1, 2, 2))
         return FrameCoefficients(shear, mats, dmats)
@@ -274,8 +262,12 @@ class DuffingSystem:
     def coeffs_with_actions(self, p) -> FrameCoefficients:
         return self.coeffs(p, with_actions=True)
 
-    def v_values(self, p) -> np.ndarray:
-        return _field_values(self.sigma, p)
+    def frame(self, x, y):
+        """(U1, U2) = ((y, -g), (g, y) / |grad H|^2) with g = x + x^3, the
+        frame ``coeffs`` is written in."""
+        g = x + x * x * x
+        n = g * g + y * y
+        return (y, -g), (g / n, y / n)
 
     def frame_fields(self) -> PerturbationFields:
         s = self.sigma

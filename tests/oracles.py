@@ -7,6 +7,9 @@
   pathwise to rounding on the same noise.
 * ``marcus_jump_map``, ``marcus_jump_jacobian`` and ``rk4_jump``: the Marcus
   jump flow ODE solved by RK4, the oracle of the systems' closed-form jumps.
+* ``rk4_angle_jump``: the joint Marcus flow of (x, theta, log-radius) solved
+  by RK4 on the polar noise fields, the oracle of the closed-form
+  ``frame.angle_jump_flow``.
 * ``shear_exponent``: the exact top exponent of the Brownian shear system.
 """
 
@@ -19,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from levyap.errors import ExitDetected, FlowEscape
+from levyap.frame import polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
 from levyap.noise import IncrementBatch, sample_block, trajectory_streams
 
@@ -319,3 +323,40 @@ def rk4_jump(fields, substeps: int = 8):
         return float(y1), float(y2), float(u1), float(u2)
 
     return jump
+
+
+def rk4_angle_jump(system, z, x, theta: float, eps: float, beta: float,
+                   substeps: int = 8, b_points=None):
+    """Joint Marcus flow of (x, theta, log-radius increment) for the mark
+    vector z, by RK4.
+
+    Integrates d(xi, z1, z2)/dtau = (eps sum z_k V_k, sum z_k sigma1_k,
+    sum z_k sigma2_k) from (x, theta, 0) to tau = 1, with V_k the diffusion
+    fields of ``system`` and sigma the polar fields of its ``coeffs``.
+    Returns the state (x1, x2, theta, rho) at tau = 1, or with ``b_points``
+    (sorted, in [0, 1]) the pair (states at those times, final state).
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    diffusion = system.fields(eps).diffusion
+
+    def rhs(y):
+        s1, s2 = polar_fields(system.coeffs(y[:2]), y[2], eps, beta)
+        vx = np.array([V(y[0], y[1]) for V in diffusion])
+        return np.concatenate([eps * (z @ vx), [z @ s1, z @ s2]])
+
+    def advance(y, gap):
+        nsub = max(1, int(math.ceil(substeps * gap)))
+        for _ in range(nsub):
+            y = _rk4(rhs, y, gap / nsub)
+        return y
+
+    y = np.array([x[0], x[1], theta, 0.0], dtype=float)
+    if b_points is None:
+        return advance(y, 1.0)
+    recorded, pos = [], 0.0
+    for tb in b_points:
+        if tb > pos:
+            y = advance(y, tb - pos)
+        pos = tb
+        recorded.append(y.copy())
+    return recorded, advance(y, 1.0 - pos) if pos < 1.0 else y

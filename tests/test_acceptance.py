@@ -24,7 +24,7 @@ from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
                             make_nilpotent, rho_jump_profile)
-from oracles import marcus_jump_map, shear_exponent
+from oracles import marcus_jump_map, rk4_angle_jump, shear_exponent
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -138,19 +138,22 @@ def test_acceptance_4_marcus_flow_properties():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
     beta = 2.0 / 3.0
     amp = eps ** (1.0 - beta)
-    worst = 0.0
+    worst = worst_jump = 0.0
     x0 = np.array([1.0, 0.5])
+    jump = nf.jump
     for _ in range(1000):
         th = rng.uniform(0, 2 * math.pi)
         z = rng.uniform(-1, 1)
-        y = angle_jump_flow(NIL.coeffs, NIL.v_values, np.array([z]), x0, th,
-                            eps, beta, substeps=32)
-        worst = max(worst,
-                    abs(y[2] - exact_theta_jump(th, amp * z)),
-                    abs(y[3] - exact_rho_jump(th, amp * z)))
+        want = (exact_theta_jump(th, amp * z), exact_rho_jump(th, amp * z))
+        y = rk4_angle_jump(NIL, [z], x0, th, eps, beta, substeps=32)
+        worst = max(worst, abs(y[2] - want[0]), abs(y[3] - want[1]))
+        y = angle_jump_flow(NIL.frame, jump, [eps * z], x0[0], x0[1], th, eps, beta)
+        worst_jump = max(worst_jump, abs(y[2] - want[0]), abs(y[3] - want[1]))
     assert worst < 1e-8, f"flow vs closed form worst {worst:.2e}"
+    assert worst_jump < 1e-13, f"closed-form jump vs shear formulas {worst_jump:.2e}"
     _report(4, f"zero-mark identity, flow reversal 1e-10, shear closed form, "
-               f"angle/log-radius flows vs closed forms worst {worst:.1e}")
+               f"angle/log-radius flows vs closed forms worst {worst:.1e}, "
+               f"closed-form pair jump worst {worst_jump:.1e}")
 
 
 # -------------------------------------------------------------------------

@@ -296,7 +296,11 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--sigma", "-1"],
                                   ["lyapunov", "--alpha", "2.5"],
                                   ["lyapunov", "--cutoff-c", "0"],
-                                  ["simulate", "--dt", "0"]])
+                                  ["simulate", "--dt", "0"],
+                                  ["lyapunov", "--floor-delta", "0"],
+                                  ["simulate", "--floor-delta", "0"],
+                                  ["lyapunov", "--c-alpha", "-1"],
+                                  ["lyapunov", "--ar-threshold", "-1"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",

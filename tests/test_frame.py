@@ -14,11 +14,18 @@ from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
                           nu_quadrature_quadratic)
 from levyap.quadrature import gauss_legendre
 from levyap.systems import make_duffing, make_nilpotent
+from oracles import rk4_angle_jump
 
 DUF = make_duffing(1.0)
 NIL = make_nilpotent(1.0, 1.0)
 MODEL = DUF.hamiltonian()
 FIELDS = DUF.frame_fields()
+
+
+def callbacks(system, eps):
+    """(coeffs, frame, jump) of a system at eps, as sigma0 and compute_R0
+    take them."""
+    return system.coeffs, system.frame, system.fields(eps).jump
 
 
 def random_point(rng, min_grad=0.3):
@@ -200,7 +207,7 @@ def test_wong_zakai_terms_from_first_principles():
         th = rng.uniform(0, 2 * math.pi)
         co = DUF.coeffs_with_actions(p)
         wz1, wz2 = wz_corrections(co, th, eps, beta)
-        v = DUF.v_values(p)[0]
+        v = np.array(DUF.fields(eps).diffusion[0](*p))
         nv = np.linalg.norm(v)
         if nv < 1e-3:
             continue
@@ -240,7 +247,7 @@ def test_sigma0_reduces_to_gaussian_terms_without_jumps():
     for _ in range(20):
         p = random_point(rng, min_grad=0.5)
         th = rng.uniform(0, 2 * math.pi)
-        got = sigma0(DUF.coeffs, DUF.v_values, None, p, th, 0.1)
+        got = sigma0(*callbacks(DUF, 0.1), None, p, th, 0.1)
         co = DUF.coeffs(p)
         s, c = math.sin(th), math.cos(th)
         want = co.shear * s * c + co.d[0] ** 2 * (0.5 * c * c - s * s * c * c)
@@ -253,7 +260,7 @@ def test_sigma0_nilpotent_small_eps_matches_closed_form():
     m2 = jump_moment(measure, 2.0, 0.0, 1.0)
     x = np.array([1.0, 0.5])
     for th in (0.3, 1.2, 2.5, 4.0):
-        got = sigma0(NIL.coeffs, NIL.v_values, measure, x, th, 1e-3,
+        got = sigma0(*callbacks(NIL, 1e-3), measure, x, th, 1e-3,
                      inner_nodes=8, z_panel_nodes=16)
         s, c = math.sin(th), math.cos(th)
         qv = 0.5 * c * c - s * s * c * c
@@ -265,8 +272,8 @@ def test_sigma0_quarter_turn_only_jump_term():
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
                               floor_delta=0.05)
     th = math.pi / 2.0
-    got = sigma0(NIL.coeffs, NIL.v_values, measure, np.array([1.0, 0.5]), th, 0.2)
-    r0 = compute_R0(NIL.coeffs, NIL.v_values, measure, np.array([1.0, 0.5]), th, 0.2)
+    got = sigma0(*callbacks(NIL, 0.2), measure, np.array([1.0, 0.5]), th, 0.2)
+    r0 = compute_R0(*callbacks(NIL, 0.2), measure, np.array([1.0, 0.5]), th, 0.2)
     # the angle flow never leaves pi/2 (the field vanishes there), so the
     # jump term itself vanishes and sigma0 reduces to rounding
     assert got == pytest.approx(r0, abs=1e-12)
@@ -275,13 +282,13 @@ def test_sigma0_quarter_turn_only_jump_term():
 
 def test_compute_r0_zero_mass():
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0)
-    assert compute_R0(NIL.coeffs, NIL.v_values, measure, np.ones(2), 0.3, 0.1) == 0.0
+    assert compute_R0(*callbacks(NIL, 0.1), measure, np.ones(2), 0.3, 0.1) == 0.0
 
 
 def test_compute_r0_node_doubling_converges():
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
                               floor_delta=0.05)
-    compute_R0(NIL.coeffs, NIL.v_values, measure, np.array([1.0, 0.5]), 0.8,
+    compute_R0(*callbacks(NIL, 0.1), measure, np.array([1.0, 0.5]), 0.8,
                0.1, check=True)
 
 
@@ -293,13 +300,13 @@ def test_irho_generic_matches_closed_form():
     rng = np.random.default_rng(11)
     for th in rng.uniform(0, 2 * math.pi, 10):
         closed = compute_Irho(NIL, measure, x, th, 0.1)
-        generic = compute_Irho_generic(NIL.coeffs, NIL.v_values, measure, x,
-                                       th, 0.1, substeps=16)
-        assert generic == pytest.approx(closed, rel=1e-5, abs=1e-9)
+        generic = compute_Irho_generic(NIL.frame, NIL.fields(0.1).jump,
+                                       measure, x, th, 0.1)
+        assert generic == pytest.approx(closed, rel=1e-10, abs=1e-15)
 
 
 def test_generic_evaluator_matches_bundle_for_duffing():
-    coeffs_fn, v_fn = evaluator_from_model(MODEL, FIELDS)
+    coeffs_fn, frame = evaluator_from_model(MODEL, FIELDS)
     rng = np.random.default_rng(12)
     for _ in range(50):
         p = random_point(rng, min_grad=0.5)
@@ -307,7 +314,7 @@ def test_generic_evaluator_matches_bundle_for_duffing():
         b = DUF.coeffs(p, with_actions=False)
         assert a.shear == pytest.approx(b.shear, rel=1e-8)
         assert np.allclose(a.mats, b.mats, rtol=1e-7, atol=1e-8)
-        assert np.allclose(v_fn(p), DUF.v_values(p), rtol=1e-10, atol=1e-12)
+        assert np.allclose(frame(*p), DUF.frame(*p), rtol=1e-14, atol=1e-15)
 
 
 def test_generic_evaluator_derivative_actions():
@@ -325,15 +332,52 @@ def test_sigma0_fallback_jump_term_agrees_at_small_eps():
                               floor_delta=0.05)
     x = np.array([1.0, 0.5])
     for th in (0.4, 1.1, 2.7):
-        full = sigma0(NIL.coeffs, NIL.v_values, measure, x, th, 1e-2,
+        full = sigma0(*callbacks(NIL, 1e-2), measure, x, th, 1e-2,
                       jump_term="r0")
-        fallback = sigma0(NIL.coeffs, NIL.v_values, measure, x, th, 1e-2,
+        fallback = sigma0(*callbacks(NIL, 1e-2), measure, x, th, 1e-2,
                           jump_term="irho")
         assert fallback == pytest.approx(full, rel=0.05, abs=1e-4)
 
 
-# per-node loops of the jump quadratures: the batched routines flow every
-# mark in one call and must reproduce these node by node
+# the closed-form jump against the joint flow ODE
+
+@pytest.mark.parametrize("system", [DUF, NIL], ids=["duffing", "nilpotent"])
+def test_angle_jump_flow_matches_rk4_oracle(system):
+    """The closed-form jump of (x, theta, log-radius) is the time-one joint
+    flow: RK4 converges to it at fourth order, and a flow stopped at time b
+    of mark z lands where the jump of mark b z does."""
+    eps, beta = 0.1, 2.0 / 3.0
+    jump = system.fields(eps).jump
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(6):
+        # Duffing: on the level H = 3/4 of the default start (1, 0)
+        p = rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
+        q = math.sqrt(1.5 - p * p - 0.5 * p ** 4) * rng.choice([-1.0, 1.0])
+        x = np.array([p, q]) if system is DUF else rng.uniform(-1.5, 1.5, 2)
+        cases.append((x, rng.uniform(0.0, 2 * math.pi), rng.uniform(-1.0, 1.0)))
+    worst = {}
+    for n in (8, 32, 128):
+        worst[n] = max(
+            np.max(np.abs(rk4_angle_jump(system, [z], x, th, eps, beta, substeps=n)
+                          - angle_jump_flow(system.frame, jump, [eps * z], x[0], x[1],
+                                            th, eps, beta)))
+            for x, th, z in cases)
+    assert worst[128] <= 1e-9
+    # fourth order: each fourfold refinement gains 4^4 = 256
+    assert worst[8] / worst[32] > 150 and worst[32] / worst[128] > 150, worst
+    bq = [0.1, 0.45, 0.8]
+    for x, th, z in cases:
+        states, _ = rk4_angle_jump(system, [z], x, th, eps, beta, substeps=128,
+                                   b_points=bq)
+        for b, st in zip(bq, states):
+            want = angle_jump_flow(system.frame, jump, [eps * b * z], x[0], x[1],
+                                   th, eps, beta)
+            assert np.max(np.abs(st - want)) <= 1e-9
+
+
+# per-node loops of the jump quadratures, with the compensator's linear term
+# subtracted node by node and the flow states summed by numpy
 
 def _z_nodes_oracle(measure, panel_n, lo=None):
     lo = measure.floor_delta if lo is None else lo
@@ -345,17 +389,18 @@ def _z_nodes_oracle(measure, panel_n, lo=None):
 
 
 def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
-                  panel_n=16, substeps=8, lo=None):
+                  panel_n=16, lo=None):
     zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
     _, s2 = polar_fields(system.coeffs(x), theta, eps, beta)
+    jump = system.fields(eps).jump
     total = 0.0
     for zi, wi in zip(zq, wq):
         pair = 0.0
         for sgn in (1.0, -1.0):
-            z = np.array([sgn * zi])
-            y = angle_jump_flow(system.coeffs, system.v_values, z, x, theta,
-                                eps, beta, substeps)
-            pair += y[3] - float(z @ s2)
+            z = sgn * zi
+            y = angle_jump_flow(system.frame, jump, [eps * z], x[0], x[1],
+                                theta, eps, beta)
+            pair += y[3] - z * s2[0]
         if quadratic:
             pair /= zi * zi
         total += wi * pair
@@ -363,21 +408,18 @@ def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
 
 
 def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
-                panel_n=16, substeps=8, lo=None):
+                panel_n=16, lo=None):
     bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
-    order = np.argsort(bq)
-    bq, bw = bq[order], bw[order]
     zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
+    jump = system.fields(eps).jump
     total = 0.0
     for zi, wi in zip(zq, wq):
-        for sgn in (1.0, -1.0):
-            z = np.array([sgn * zi])
-            states, _ = angle_jump_flow(system.coeffs, system.v_values, z, x,
-                                        theta, eps, beta, substeps, b_points=bq)
+        for z in (zi, -zi):
             g = np.empty(len(bq))
-            for j, st in enumerate(states):
-                zd = float(z @ system.coeffs(st[:2]).d)
-                th = st[2]
+            for j, b in enumerate(bq):
+                y1, y2, th, _ = angle_jump_flow(system.frame, jump, [eps * b * z],
+                                                x[0], x[1], theta, eps, beta)
+                zd = z * system.coeffs(np.array([y1, y2])).d[0]
                 g[j] = zd * zd * math.cos(2.0 * th) * math.cos(th) ** 2
             val = float(np.sum(bw * (1.0 - bq) * g))
             if quadratic:
@@ -403,59 +445,23 @@ def _quadrature_points():
 @pytest.mark.parametrize("lo", [None, 0.2])
 @pytest.mark.parametrize("measure", QUAD_MEASURES)
 def test_batched_jump_quadratures_match_per_node_loop(measure, lo):
+    """compute_Irho_generic and compute_R0 against the per-node loops."""
     for system, x, th in _quadrature_points():
-        for fn, oracle in ((compute_Irho_generic, irho_per_node),
-                           (compute_R0, r0_per_node)):
-            got = fn(system.coeffs, system.v_values, measure, x, th, 0.1,
-                     z_panel_nodes=8, lo=lo)
-            want = oracle(system, measure, x, th, 0.1, panel_n=8, lo=lo)
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
-                (fn.__name__, system.name, th)
+        got = compute_Irho_generic(system.frame, system.fields(0.1).jump,
+                                   measure, x, th, 0.1, z_panel_nodes=8, lo=lo)
+        want = irho_per_node(system, measure, x, th, 0.1, panel_n=8, lo=lo)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
+            ("irho", system.name, th)
+        got = compute_R0(*callbacks(system, 0.1), measure, x, th, 0.1,
+                         z_panel_nodes=8, lo=lo)
+        want = r0_per_node(system, measure, x, th, 0.1, panel_n=8, lo=lo)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
+            ("r0", system.name, th)
 
 
 def test_jump_quadratures_empty_above_cutoff():
     measure = QUAD_MEASURES[0]
     x = np.array([1.0, 0.5])
-    for fn in (compute_Irho_generic, compute_R0):
-        assert fn(NIL.coeffs, NIL.v_values, measure, x, 0.4, 0.1, lo=1.0) == 0.0
-
-
-@pytest.mark.parametrize("system", [DUF, NIL], ids=["duffing", "nilpotent"])
-def test_angle_jump_flow_batch_of_one_equals_scalar_call(system):
-    x = np.array([0.8, -0.6])
-    bq = np.array([0.1, 0.5, 0.9])
-    for z, th in ((0.7, 0.3), (-0.4, 2.2), (1.0, -1.1)):
-        one = angle_jump_flow(system.coeffs, system.v_values, np.array([z]), x,
-                              th, 0.1, 2.0 / 3.0)
-        batch = angle_jump_flow(system.coeffs, system.v_values,
-                                np.array([[z]]), x, th, 0.1, 2.0 / 3.0)
-        assert one.shape == (4,) and batch.shape == (1, 4)
-        assert np.array_equal(batch[0], one)
-        rec1, fin1 = angle_jump_flow(system.coeffs, system.v_values,
-                                     np.array([z]), x, th, 0.1, 2.0 / 3.0,
-                                     b_points=bq)
-        recb, finb = angle_jump_flow(system.coeffs, system.v_values,
-                                     np.array([[z]]), x, th, 0.1, 2.0 / 3.0,
-                                     b_points=bq)
-        assert np.array_equal(finb[0], fin1)
-        for a, b in zip(rec1, recb):
-            assert np.array_equal(b[0], a)
-
-
-def test_batched_system_callbacks_match_pointwise():
-    rng = np.random.default_rng(31)
-    pts = np.array([random_point(rng, min_grad=0.5) for _ in range(5)])
-    batch = DUF.coeffs(pts)
-    assert batch.mats.shape == (5, 1, 2, 2)
-    for system in (DUF, NIL):
-        vals = system.v_values(pts)
-        assert vals.shape == (5, 1, 2)
-        for i, p in enumerate(pts):
-            assert np.array_equal(vals[i], system.v_values(p))
-    for i, p in enumerate(pts):
-        one = DUF.coeffs(p)
-        assert batch.shear[i] == one.shear
-        assert np.array_equal(batch.mats[i], one.mats)
-    coeffs_fn, v_fn = evaluator_from_model(MODEL, FIELDS)
-    assert np.array_equal(coeffs_fn(pts).mats[2], coeffs_fn(pts[2]).mats)
-    assert np.array_equal(v_fn(pts)[2], v_fn(pts[2]))
+    assert compute_Irho_generic(NIL.frame, NIL.fields(0.1).jump, measure, x,
+                                0.4, 0.1, lo=1.0) == 0.0
+    assert compute_R0(*callbacks(NIL, 0.1), measure, x, 0.4, 0.1, lo=1.0) == 0.0

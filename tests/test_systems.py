@@ -117,21 +117,21 @@ def test_even_sum_matches_pair():
 
 
 def test_exact_jumps_match_generic_flow():
-    """Closed-form angle/log-radius jump maps against the joint flow ODE."""
+    """Closed-form angle/log-radius jump maps of the shear against the
+    generic closed-form jump of the pair (the plane tangent through the
+    fields' jump, read back in the rescaled frame)."""
     sys_ = make_nilpotent(1.0, 1.0)
     eps, beta = 0.1, 2.0 / 3.0
     amp = eps ** (1.0 - beta) * sys_.sigma
+    jump = sys_.fields(eps).jump
     rng = np.random.default_rng(5)
-    x = np.array([1.0, 0.5])
     worst_t = worst_r = 0.0
     for _ in range(1000):
         th = rng.uniform(0.0, 2.0 * math.pi)
         z = rng.uniform(-1.0, 1.0)
-        y = angle_jump_flow(sys_.coeffs, sys_.v_values, np.array([z]), x, th,
-                            eps, beta, substeps=32)
-        dt_ = abs(y[2] - exact_theta_jump(th, amp * z))
-        dr_ = abs(y[3] - exact_rho_jump(th, amp * z))
-        worst_t = max(worst_t, dt_)
-        worst_r = max(worst_r, dr_)
-    assert worst_t < 1e-8
-    assert worst_r < 1e-8
+        _, _, th2, rho = angle_jump_flow(sys_.frame, jump, [eps * z], 1.0, 0.5,
+                                         th, eps, beta)
+        worst_t = max(worst_t, abs(th2 - exact_theta_jump(th, amp * z)))
+        worst_r = max(worst_r, abs(rho - exact_rho_jump(th, amp * z)))
+    assert worst_t < 1e-13
+    assert worst_r < 1e-13
