@@ -1,25 +1,20 @@
 """Top Lyapunov exponents of one-degree-of-freedom Hamiltonian systems
 under small Brownian-plus-jump perturbations."""
 
-from .errors import (AllTrajectoriesExited, ConfigError, CriticalPoint,
-                     DegenerateNullspace, DivergentMoment, EmptyMeasure,
-                     ExitDetected, FlowEscape, InvalidGrid, InvalidMeasure,
-                     InvalidParameter, LevyapError, NonPositiveEstimate,
-                     QuadratureFailure)
+from .errors import (AllTrajectoriesExited, ConfigError, DegenerateNullspace,
+                     DivergentMoment, EmptyMeasure, ExitDetected, InvalidGrid,
+                     InvalidMeasure, InvalidParameter, LevyapError,
+                     NonPositiveEstimate, QuadratureFailure)
 from .estimators import (EstimatorConfig, LyapunovEstimate, OccupationMeasure,
                          SweepResult, compute_Irho, gather_occupation,
                          lyapunov_direct, lyapunov_khasminskii,
                          lyapunov_theorem33, scaling_sweep)
 from .fpcircle import (CircleDensity, CircleGrid, GeneratorMatrix,
                        build_generator, lyapunov_quadrature, solve_stationary)
-from .frame import (FrameCoefficients, HamiltonianModel, PerturbationFields,
-                    coefficient_A, compute_R0, decompose_tangent,
-                    frame_coefficients, frame_vectors, recompose_tangent,
-                    sigma0)
+from .frame import FrameCoefficients, compute_R0, sigma0
 from .marcus import (StepperConfig, TrajectoryState, VectorFieldSet, integrate,
                      step)
-from .noise import (IncrementBatch, JumpMeasureSpec, NoiseModel, jump_moment,
-                    trajectory_streams)
+from .noise import JumpMeasureSpec, NoiseModel, jump_moment, trajectory_streams
 from .systems import (DuffingSystem, NilpotentSystem, exact_rho_jump,
                       exact_theta_jump, make_duffing, make_nilpotent)
 

@@ -247,6 +247,18 @@ def _check_methods(methods: list, system) -> None:
                               "bins that no estimator records")
 
 
+def _check_fp_floor(cfg: dict, noise) -> None:
+    """Refuse, before any work starts, jumps with noise.floor_delta = 0 for
+    the plain circle generator: its nonlocal term models the measure on
+    [floor_delta, cutoff) and ignores both Gaussian substitutes, so a
+    substitute does not truncate it."""
+    m = noise.measure
+    if cfg["fp.variant"] == "plain" and m is not None and m.has_jumps \
+            and m.floor_delta <= 0.0:
+        raise ConfigError("the circle Fokker-Planck generator needs "
+                          "noise.floor_delta > 0 when jumps are on")
+
+
 def _fp_solve(cfg: dict, noise):
     """(stationary density, quadrature growth rate) of the circle FP problem."""
     gen = build_generator(cfg["system.a"], cfg["system.sigma"],
@@ -286,6 +298,8 @@ def cmd_lyapunov(cfg: dict) -> int:
     system, noise, est_cfg = build_runtime(cfg)
     methods = [m.strip() for m in cfg["run.method"].split(",") if m.strip()]
     _check_methods(methods, system)
+    if "fpcircle" in methods:
+        _check_fp_floor(cfg, noise)
     t0 = time.monotonic()
     estimates = [_run_method(m, system, noise, est_cfg, cfg) for m in methods]
     runtime = time.monotonic() - t0
@@ -370,8 +384,7 @@ def cmd_simulate(cfg: dict) -> int:
         raise ConfigError("simulate needs output.path")
     fields = system.fields(cfg["run.epsilon"])
     try:
-        scfg = StepperConfig(dt=cfg["run.dt"],
-                             tol_crit=system.hamiltonian().tol_crit)
+        scfg = StepperConfig(dt=cfg["run.dt"], tol_crit=system.tol_crit)
     except InvalidParameter as exc:
         raise ConfigError(f"run.dt: {exc}") from exc
     x0 = _x0(cfg)
@@ -419,6 +432,7 @@ def cmd_fp_solve(cfg: dict) -> int:
     system, noise = _build_model(cfg)
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")
+    _check_fp_floor(cfg, noise)
     dens, lam = _fp_solve(cfg, noise)
     grid = dens.grid
     explicit = explicit_adjoint_residual(dens, cfg["system.a"],

@@ -17,10 +17,6 @@ class DivergentMoment(LevyapError):
     """Raised when a requested jump-measure moment is infinite."""
 
 
-class FlowEscape(LevyapError):
-    """The jump-flow ODE left the admissible domain before time one."""
-
-
 class ExitDetected(LevyapError):
     """A trajectory hit a critical point or exploded.
 
@@ -30,10 +26,6 @@ class ExitDetected(LevyapError):
     def __init__(self, state):
         self.state = state
         super().__init__(f"trajectory exited at t={state.t:.6g} ({state.exit_flag})")
-
-
-class CriticalPoint(LevyapError):
-    """Frame quantities requested too close to a critical point of H."""
 
 
 class QuadratureFailure(LevyapError):

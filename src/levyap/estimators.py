@@ -211,7 +211,7 @@ def _sweep_lane_worker(payload, indices):
 
 def _direct_generic_one(system, noise, epsilon, cfg, index):
     fields = system.fields(epsilon)
-    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.hamiltonian().tol_crit,
+    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.tol_crit,
                          block_steps=cfg.block_steps)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else system.default_x0, float)
     growth = 0.0
@@ -281,8 +281,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     """
     beta = cfg.beta
     fields = system.fields(epsilon)
-    model = system.hamiltonian()
-    scfg = StepperConfig(dt=cfg.dt, tol_crit=model.tol_crit,
+    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.tol_crit,
                          block_steps=cfg.block_steps)
     coeffs_fn = system.coeffs
     frame, jump = system.frame, fields.jump

@@ -1,14 +1,13 @@
 """Moving-frame algebra for the linearized flow.
 
-Away from critical points of H the plane carries the orthogonal frame
-(U1, U2) with U1 the Hamiltonian field and U2 = grad H / ||grad H||^2.
-Written in this frame, the linearization of the perturbed flow is a shear
-(nilpotent) linear system driven by the noise through a family of 2x2
-matrices.  This module computes
+Away from critical points of H the plane carries the frame (U1, U2) with
+U1 the Hamiltonian field and U2 = grad H / ||grad H||^2.  Each example
+system gives its frame as ``frame(x1, x2)`` (the shear system, already in
+shear form, uses the canonical basis) and its linearization data in it
+(``FrameCoefficients``) in closed form.  Written in this frame, the
+linearization of the perturbed flow is a shear (nilpotent) linear system
+driven by the noise through a family of 2x2 matrices.  This module computes
 
-* the frame vectors and the tangent decomposition v = w1 U1 + w2 U2,
-* the shear rate and the per-component noise matrices (with optional
-  directional derivatives along the perturbation fields),
 * the polar-coordinate noise fields of the rescaled system (rescaled by
   T = diag(eps^beta, 1), which regularizes the singular perturbation) and
   the Wong-Zakai corrections assembled from first principles, and
@@ -29,38 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CriticalPoint, InvalidParameter
 from .noise import JumpMeasureSpec, jump_nodes
 from .quadrature import check_converged, gauss_legendre
-
-
-@dataclass(frozen=True)
-class HamiltonianModel:
-    """H with its first two derivative callbacks."""
-
-    h: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
-    hess_h: Callable[[np.ndarray], np.ndarray]
-    tol_crit: float = 1e-6
-
-
-@dataclass
-class PerturbationFields:
-    """Perturbation fields in frame components, V_k = a1_k U1 + a2_k U2.
-
-    Gradients of the component functions may be supplied analytically;
-    otherwise central finite differences with step 1e-6 (1 + ||x||) are used
-    for the derivative actions U_i . a_k^j.
-    """
-
-    a1: Sequence[Callable[[np.ndarray], float]]
-    a2: Sequence[Callable[[np.ndarray], float]]
-    grad_a1: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
-    grad_a2: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
-
-    @property
-    def d(self) -> int:
-        return len(self.a1)
 
 
 @dataclass
@@ -93,100 +62,6 @@ class FrameCoefficients:
     @property
     def e(self) -> np.ndarray:
         return self.mats[..., 1, 1]
-
-
-def _grad_norm2(model: HamiltonianModel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    g = model.grad_h(x)
-    n2 = float(g @ g)
-    if math.sqrt(n2) < model.tol_crit:
-        raise CriticalPoint(f"||grad H|| < {model.tol_crit} at {x}")
-    return g, n2
-
-
-def frame_vectors(model: HamiltonianModel, x: np.ndarray):
-    """(U1, U2) at x; U1 . H = 0, U2 . H = 1, U1 orthogonal to U2."""
-    g, n2 = _grad_norm2(model, x)
-    u1 = np.array([g[1], -g[0]])
-    return u1, g / n2
-
-
-def coefficient_A(model: HamiltonianModel, x: np.ndarray) -> float:
-    """Shear rate of the drift in the (U1, U2) frame.
-
-    Note the ||grad H||^4 normalization: it is fixed by the Lie-bracket
-    identity (DU1 U2 - DU2 U1) = shear * U1, which the tests verify by
-    finite differences.
-    """
-    g, n2 = _grad_norm2(model, x)
-    hh = model.hess_h(x)
-    num = (g[1] ** 2 - g[0] ** 2) * (hh[1, 1] - hh[0, 0]) + 4.0 * g[0] * g[1] * hh[0, 1]
-    return num / (n2 * n2)
-
-
-def _dir_deriv(f: Callable, x: np.ndarray, v: np.ndarray,
-               grad: Optional[Callable] = None) -> float:
-    if grad is not None:
-        return float(np.dot(grad(x), v))
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    h = 1e-6 * (1.0 + np.linalg.norm(x)) / nv
-    return (f(x + h * v) - f(x - h * v)) / (2.0 * h)
-
-
-def frame_coefficients(model: HamiltonianModel, fields: PerturbationFields,
-                       x: np.ndarray, with_actions: bool = False) -> FrameCoefficients:
-    """Noise matrices of the linearization in the (U1, U2) frame.
-
-    Entries per component k:
-        b = U1.a1 - shear a2      c = U2.a1 + shear a1
-        d = U1.a2                 e = U2.a2
-    With ``with_actions`` the directional derivatives of (b, c, d, e) along
-    V_k are attached (by finite differences of the entry functions).
-    """
-    u1, u2 = frame_vectors(model, x)
-    shear = coefficient_A(model, x)
-    d = fields.d
-    mats = np.zeros((d, 2, 2))
-    g1 = fields.grad_a1 or [None] * d
-    g2 = fields.grad_a2 or [None] * d
-
-    def entries(pt, k):
-        u1p, u2p = frame_vectors(model, pt)
-        sh = coefficient_A(model, pt)
-        a1k, a2k = fields.a1[k](pt), fields.a2[k](pt)
-        return np.array([
-            [_dir_deriv(fields.a1[k], pt, u1p, g1[k]) - sh * a2k,
-             _dir_deriv(fields.a1[k], pt, u2p, g1[k]) + sh * a1k],
-            [_dir_deriv(fields.a2[k], pt, u1p, g2[k]),
-             _dir_deriv(fields.a2[k], pt, u2p, g2[k])],
-        ])
-
-    for k in range(d):
-        mats[k] = entries(x, k)
-
-    dmats = None
-    if with_actions:
-        dmats = np.zeros((d, 2, 2))
-        for k in range(d):
-            vk = fields.a1[k](x) * u1 + fields.a2[k](x) * u2
-            nv = np.linalg.norm(vk)
-            if nv > 0.0:
-                h = 1e-6 * (1.0 + np.linalg.norm(x)) / nv
-                dmats[k] = (entries(x + h * vk, k) - entries(x - h * vk, k)) / (2.0 * h)
-    return FrameCoefficients(shear, mats, dmats)
-
-
-def decompose_tangent(model: HamiltonianModel, x: np.ndarray, v: np.ndarray):
-    """Frame coordinates (w1, w2) of a tangent vector."""
-    g, n2 = _grad_norm2(model, x)
-    u1 = np.array([g[1], -g[0]])
-    return float(v @ u1) / n2, float(v @ g)
-
-
-def recompose_tangent(model: HamiltonianModel, x: np.ndarray, w) -> np.ndarray:
-    u1, u2 = frame_vectors(model, x)
-    return w[0] * u1 + w[1] * u2
 
 
 def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
@@ -310,16 +185,14 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable,
 
 def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable,
            measure: Optional[JumpMeasureSpec], x: np.ndarray, theta: float,
-           epsilon: float, jump_term: str = "r0", beta: float = 2.0 / 3.0,
-           rate: float = 1.0, **quad_kw) -> float:
+           epsilon: float, beta: float = 2.0 / 3.0, rate: float = 1.0,
+           **quad_kw) -> float:
     """Leading-order growth-rate integrand at (x, theta).
 
     Drift shear term + Gaussian quadratic-variation term (at variance
-    ``rate`` per unit time and component) + jump term.  The jump term
-    defaults to the separated form ("r0"); "irho" substitutes the rescaled
-    full compensator integral eps^(-2 beta) I_rho instead (the fallback for
-    measures without the separation).  A ``lo`` in ``quad_kw`` starts the
-    jump marks there; the band below it then belongs in ``rate``.
+    ``rate`` per unit time and component) + the separated jump term
+    ``compute_R0``.  A ``lo`` in ``quad_kw`` starts the jump marks there;
+    the band below it then belongs in ``rate``.
     """
     co = coeffs_fn(x)
     s, c = math.sin(theta), math.cos(theta)
@@ -327,24 +200,15 @@ def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable,
             + rate * float(np.sum(co.d ** 2)) * (0.5 * c * c - s * s * c * c))
     if measure is None or not measure.has_jumps:
         return base
-    if jump_term == "r0":
-        return base + compute_R0(coeffs_fn, frame, jump, measure, x, theta,
-                                 epsilon, beta=beta, **quad_kw)
-    if jump_term == "irho":
-        # the full compensator integral carries the leading scale
-        # eps^(2 - 2 beta); rescaling by its inverse substitutes for the
-        # separated jump term
-        ir = compute_Irho_generic(frame, jump, measure, x, theta, epsilon,
-                                  beta=beta, **quad_kw)
-        return base + epsilon ** (2.0 * beta - 2.0) * ir
-    raise InvalidParameter(f"unknown jump_term {jump_term!r}")
+    return base + compute_R0(coeffs_fn, frame, jump, measure, x, theta,
+                             epsilon, beta=beta, **quad_kw)
 
 
 def compute_Irho_generic(frame: Callable, jump: Callable,
                          measure: JumpMeasureSpec, x: np.ndarray, theta: float,
                          epsilon: float, beta: float = 2.0 / 3.0,
                          z_panel_nodes: int = 16, check: bool = False,
-                         lo: Optional[float] = None, **_ignored) -> float:
+                         lo: Optional[float] = None) -> float:
     """Compensator integral of the log-radius equation,
 
         int [ z2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz),
@@ -378,17 +242,3 @@ def compute_Irho_generic(frame: Callable, jump: Callable,
         check_converged(out, value(2 * z_panel_nodes))
     return out
 
-
-def evaluator_from_model(model: HamiltonianModel, fields: PerturbationFields,
-                         with_actions: bool = False):
-    """(coeffs_fn, frame) pair backed by the generic frame machinery."""
-
-    def coeffs_fn(x):
-        return frame_coefficients(model, fields, np.asarray(x, dtype=float),
-                                  with_actions=with_actions)
-
-    def frame(x1, x2):
-        u1, u2 = frame_vectors(model, np.array([x1, x2]))
-        return tuple(u1.tolist()), tuple(u2.tolist())
-
-    return coeffs_fn, frame

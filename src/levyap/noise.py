@@ -23,7 +23,7 @@ bit-reproducible given (seed, index) independent of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -169,25 +169,6 @@ def trajectory_streams(master_seed: int, index: int, attempt: int = 0):
     return mk(0), mk(1)
 
 
-@dataclass
-class IncrementBatch:
-    """Noise for a single step: Gaussian vector plus time-ordered jumps.
-
-    jumps are (offset, component, mark) triples with offsets increasing in
-    [0, dt) and |mark| in [sampling floor, cutoff_c).
-    """
-
-    dt: float
-    brownian: np.ndarray
-    jump_offsets: np.ndarray = field(default_factory=lambda: np.empty(0))
-    jump_components: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    jump_marks: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.jump_marks)
-
-
 def _invcdf_magnitudes(measure: JumpMeasureSpec, lo: float, u: np.ndarray) -> np.ndarray:
     a = measure.alpha
     lo_p = lo ** -a
@@ -210,12 +191,6 @@ class BlockIncrements:
     jump_offsets: np.ndarray
     jump_components: np.ndarray
     jump_marks: np.ndarray
-
-    def batch(self, i: int, jlo: int, jhi: int) -> IncrementBatch:
-        return IncrementBatch(self.dt, self.gauss[i],
-                              self.jump_offsets[jlo:jhi],
-                              self.jump_components[jlo:jhi],
-                              self.jump_marks[jlo:jhi])
 
     def step_slices(self):
         """(jlo, jhi) for each step in order: the events of step i are

@@ -1,11 +1,12 @@
 """Ready-made example systems.
 
 Both bundles expose the callbacks the integrator, the frame machinery and
-the estimators need: the Hamiltonian model, the raw vector fields with
-their closed-form Marcus jump (float-component callbacks, powers written as
-products), the frame ``frame(x1, x2) -> (U1, U2)`` and the frame-coefficient
-evaluator ``coeffs`` written in it, and (for the shear system) closed-form
-jump maps on the circle with the compensator integral of the log-radius jump
+the estimators need: the raw vector fields with their closed-form Marcus
+jump (float-component callbacks, powers written as products), the
+critical-point tolerance ``tol_crit`` of the exit check, the frame
+``frame(x1, x2) -> (U1, U2)`` and the frame-coefficient evaluator
+``coeffs`` written in it, and (for the shear system) closed-form jump maps
+on the circle with the compensator integral of the log-radius jump
 (``rho_jump_profile``).
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter
-from .frame import FrameCoefficients, HamiltonianModel, PerturbationFields
+from .frame import FrameCoefficients
 from .marcus import VectorFieldSet
 
 
@@ -118,9 +119,9 @@ class NilpotentSystem:
     """Linear shear system: drift [[0, a], [0, 0]], noise [[0, 0], [s, 0]].
 
     It is the perturbed Hamiltonian system with H(u) = a u2^2 / 2 (whose
-    critical set is the whole line u2 = 0, so frame-based exit detection is
-    disabled; the system itself is linear and never reaches a singularity in
-    finite time).  The system is already in shear form, so its linearization
+    critical set is the whole line u2 = 0, so ``tol_crit = 0`` disables exit
+    detection; the system itself is linear and never reaches a singularity
+    in finite time).  The system is already in shear form, so its linearization
     data is constant in the canonical basis: shear rate a, noise matrix
     [[0, 0], [sigma, 0]].  Closed-form jump maps make it the oracle of choice
     for the generic flow machinery.
@@ -129,8 +130,8 @@ class NilpotentSystem:
     a: float
     sigma: float
     name: str = field(default="nilpotent", init=False)
-    d: int = field(default=1, init=False)
     constant_shear: bool = field(default=True, init=False)
+    tol_crit: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.a <= 0 or self.sigma <= 0:
@@ -144,15 +145,6 @@ class NilpotentSystem:
     @property
     def default_x0(self) -> np.ndarray:
         return np.array([1.0, 0.5])
-
-    def hamiltonian(self) -> HamiltonianModel:
-        a = self.a
-        return HamiltonianModel(
-            h=lambda u: 0.5 * a * u[1] ** 2,
-            grad_h=lambda u: np.array([0.0, a * u[1]]),
-            hess_h=lambda u: np.array([[0.0, 0.0], [0.0, a]]),
-            tol_crit=0.0,
-        )
 
     def fields(self, epsilon: float) -> VectorFieldSet:
         a = self.a
@@ -174,35 +166,21 @@ class NilpotentSystem:
         """The canonical basis, in which ``coeffs`` is written."""
         return (1.0, 0.0), (0.0, 1.0)
 
-    def frame_fields(self) -> PerturbationFields:
-        """Frame components against (U1, U2) = ((a u2, 0), (0, 1/(a u2))).
-
-        Used only to exercise the generic moving-frame machinery; the
-        coefficients it produces are position dependent, unlike the constant
-        canonical-basis data in ``coeffs``.
-        """
-        a, s = self.a, self.sigma
-        return PerturbationFields(
-            a1=[lambda u: 0.0],
-            a2=[lambda u: a * s * u[0] * u[1]],
-            grad_a1=[lambda u: np.zeros(2)],
-            grad_a2=[lambda u: np.array([a * s * u[1], a * s * u[0]])],
-        )
-
 
 @dataclass(frozen=True)
 class DuffingSystem:
     """Stochastic Duffing oscillator x'' = -x - x^3 + noise * x.
 
-    H(x, y) = x^2/2 + x^4/4 + y^2/2; the perturbation field is (0, sigma x).
-    Frame coefficients are stored in closed form; the generic moving-frame
-    machinery reproduces them and serves as the test oracle.
+    H(x, y) = x^2/2 + x^4/4 + y^2/2 (its gradient is the ``grad_h`` of
+    ``fields``, which the exit check compares with ``tol_crit``); the
+    perturbation field is (0, sigma x).  Frame coefficients are stored in
+    closed form; the tests rebuild them from ``frame`` and ``fields``.
     """
 
     sigma: float
     name: str = field(default="duffing", init=False)
-    d: int = field(default=1, init=False)
     constant_shear: bool = field(default=False, init=False)
+    tol_crit: float = field(default=1e-6, init=False)
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -211,14 +189,6 @@ class DuffingSystem:
     @property
     def default_x0(self) -> np.ndarray:
         return np.array([1.0, 0.0])
-
-    def hamiltonian(self) -> HamiltonianModel:
-        return HamiltonianModel(
-            h=lambda p: 0.5 * p[0] ** 2 + 0.25 * p[0] ** 4 + 0.5 * p[1] ** 2,
-            grad_h=lambda p: np.array([p[0] + p[0] ** 3, p[1]]),
-            hess_h=lambda p: np.array([[1.0 + 3.0 * p[0] ** 2, 0.0], [0.0, 1.0]]),
-            tol_crit=1e-6,
-        )
 
     def fields(self, epsilon: float) -> VectorFieldSet:
         return VectorFieldSet(
@@ -268,30 +238,6 @@ class DuffingSystem:
         g = x + x * x * x
         n = g * g + y * y
         return (y, -g), (g / n, y / n)
-
-    def frame_fields(self) -> PerturbationFields:
-        s = self.sigma
-
-        def a1(p):
-            x, y = p
-            n = (x + x ** 3) ** 2 + y * y
-            return -s * x * (x + x ** 3) / n
-
-        def grad_a1(p):
-            x, y = p
-            g = x + x ** 3
-            n = g * g + y * y
-            dx_num = -s * (2.0 * x + 4.0 * x ** 3)
-            dn_dx = 2.0 * g * (1.0 + 3.0 * x * x)
-            return np.array([(dx_num * n + s * x * g * dn_dx) / (n * n),
-                             s * x * g * 2.0 * y / (n * n)])
-
-        return PerturbationFields(
-            a1=[a1],
-            a2=[lambda p: s * p[0] * p[1]],
-            grad_a1=[grad_a1],
-            grad_a2=[lambda p: np.array([s * p[1], s * p[0]])],
-        )
 
 
 def make_nilpotent(a: float, sigma: float) -> NilpotentSystem:

@@ -10,6 +10,8 @@
 * ``rk4_angle_jump``: the joint Marcus flow of (x, theta, log-radius) solved
   by RK4 on the polar noise fields, the oracle of the closed-form
   ``frame.angle_jump_flow``.
+* ``frame_oracle``: a system's linearization read in its ``frame``, rebuilt
+  from its ``fields``, the oracle of the closed-form ``coeffs``.
 * ``shear_exponent``: the exact top exponent of the Brownian shear system.
 """
 
@@ -21,10 +23,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from levyap.errors import ExitDetected, FlowEscape
+from levyap.errors import ExitDetected, LevyapError
 from levyap.frame import polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
-from levyap.noise import IncrementBatch, sample_block, trajectory_streams
+from levyap.noise import sample_block, trajectory_streams
+
+
+class FlowEscape(LevyapError):
+    """The jump-flow ODE left the admissible domain before time one."""
+
 
 LAMBDA1 = math.sqrt(math.pi) * 0.75 ** (1.0 / 3.0) / math.gamma(1.0 / 6.0)
 
@@ -53,6 +60,37 @@ def shear_exponent(a: float, eps: float, sigma: float, rate: float = 1.0) -> flo
     Fokker-Planck solve reproduces it, see tests/test_fpcircle.py).
     """
     return LAMBDA1 * (a * eps * sigma * math.sqrt(rate)) ** (2.0 / 3.0)
+
+
+def duffing_energy(x1: float, x2: float) -> float:
+    """H(x, y) = x^2/2 + x^4/4 + y^2/2 of ``make_duffing``."""
+    return 0.5 * x1 * x1 + 0.25 * x1 ** 4 + 0.5 * x2 * x2
+
+
+def frame_coordinates(frame, x1: float, x2: float, v1: float, v2: float):
+    """(w1, w2) with v = w1 U1 + w2 U2 when det[U1 U2] = 1 (angle_jump_flow)."""
+    (a1, a2), (b1, b2) = frame(x1, x2)
+    return v1 * b2 - v2 * b1, a1 * v2 - a2 * v1
+
+
+def frame_oracle(frame, fields, x1: float, x2: float):
+    """(drift matrix, noise matrices) of the linearization read in ``frame``:
+    F^-1 (DX F - DF[X]) with F = [U1 U2] for X the drift and each V_k.  DX F
+    comes from the tangent callbacks, DF[X] = Im F(x + i h X) / h with
+    h = 1e-30 (complex step, exact to rounding: the callbacks are float
+    products).  A Hamiltonian drift gives [[0, shear], [0, 0]], the noise
+    fields ``coeffs(x).mats``."""
+    F = np.array(frame(x1, x2)).T
+
+    def in_frame(field, tangent):
+        X = field(x1, x2)
+        DXF = np.array([tangent(x1, x2, *u) for u in F.T]).T
+        DFX = np.array(frame(x1 + 1e-30j * X[0], x2 + 1e-30j * X[1])).T.imag * 1e30
+        return np.linalg.solve(F, DXF - DFX)
+
+    return (in_frame(fields.drift, fields.drift_tangent),
+            np.array([in_frame(V, DV) for V, DV in
+                      zip(fields.diffusion, fields.diffusion_tangents)]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +169,12 @@ def _tangent_correction(fields: ArrayFields, x, v, rate: float, dt: float):
     return 0.5 * eps * eps * rate * dt * out
 
 
-def array_step(fields: ArrayFields, rate: float, state: TrajectoryState,
-               batch: IncrementBatch, cfg: StepperConfig) -> TrajectoryState:
-    """One step of size batch.dt; raises ExitDetected on exit."""
+def array_step(fields: ArrayFields, rate: float, cfg: StepperConfig,
+               state: TrajectoryState, db, jumps=()) -> TrajectoryState:
+    """One step with ``db`` and ``jumps`` as ``marcus.step`` takes them;
+    raises ExitDetected on exit."""
     eps = fields.epsilon
-    dt = batch.dt
+    dt = cfg.dt
     x = np.array(state.x, dtype=float)
     v = None if state.v is None else np.array(state.v, dtype=float)
     if v is None:
@@ -155,7 +194,6 @@ def array_step(fields: ArrayFields, rate: float, state: TrajectoryState,
             x = x + 0.5 * eps * eps * rate * dt * corr
             if v is not None:
                 v = v + _tangent_correction(fields, x, v, rate, dt)
-        db = batch.brownian
         if np.any(db):
             inc = np.zeros(2)
             vinc = np.zeros(2)
@@ -166,9 +204,9 @@ def array_step(fields: ArrayFields, rate: float, state: TrajectoryState,
             x = x + eps * inc
             if v is not None:
                 v = v + eps * vinc
-        for j in range(batch.n_jumps):
+        for comp, mark in jumps:
             z = np.zeros(len(fields.diffusion))
-            z[batch.jump_components[j]] = batch.jump_marks[j]
+            z[comp] = mark
             x, v = fields.jump(eps * z, x, v)
     out = TrajectoryState(state.t + dt, x, v)
     out.exit_flag = _check_exit(fields, out, cfg)
@@ -204,10 +242,11 @@ def array_integrate(fields: ArrayFields, noise, x0, horizon: float,
     while done < n_total:
         m = min(cfg.block_steps, n_total - done)
         block = sample_block(noise, cfg.dt, m, rng_b, rng_j)
+        events = list(zip(block.jump_components, block.jump_marks))
         for i, (jlo, jhi) in enumerate(block.step_slices()):
-            batch = block.batch(i, jlo, jhi)
             try:
-                state = array_step(fields, rate, state, batch, cfg)
+                state = array_step(fields, rate, cfg, state, block.gauss[i],
+                                   events[jlo:jhi])
             except ExitDetected as exc:
                 summary.final = exc.state
                 summary.exited = True
@@ -215,7 +254,7 @@ def array_integrate(fields: ArrayFields, noise, x0, horizon: float,
                     raise
                 return summary
             summary.n_steps += 1
-            summary.n_jumps += batch.n_jumps
+            summary.n_jumps += jhi - jlo
             if observer is not None:
                 observer(state)
             if state.v is not None:
@@ -244,7 +283,7 @@ def array_direct_one(system, noise, epsilon: float, cfg, index: int):
     """(rate, restarts, failed) of one direct replicate, restarting on exit
     as ``levyap.estimators`` does, stepped by ``array_integrate``."""
     fields = array_fields(system, epsilon)
-    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.hamiltonian().tol_crit,
+    scfg = StepperConfig(dt=cfg.dt, tol_crit=system.tol_crit,
                          block_steps=cfg.block_steps)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else system.default_x0, float)
     growth = gtime = consumed = 0.0

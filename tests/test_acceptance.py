@@ -18,13 +18,13 @@ from levyap.estimators import (EstimatorConfig, lyapunov_direct,
                                lyapunov_khasminskii, scaling_sweep)
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              solve_stationary)
-from levyap.frame import (angle_jump_flow, decompose_tangent,
-                          frame_coefficients, recompose_tangent)
+from levyap.frame import angle_jump_flow
 from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
                             make_nilpotent, rho_jump_profile)
-from oracles import marcus_jump_map, rk4_angle_jump, shear_exponent
+from oracles import (duffing_energy, frame_coordinates, frame_oracle,
+                     marcus_jump_map, rk4_angle_jump, shear_exponent)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -161,34 +161,35 @@ def test_acceptance_4_marcus_flow_properties():
 # -------------------------------------------------------------------------
 
 def test_acceptance_5_frame_algebra():
-    model = DUF.hamiltonian()
-    fields = DUF.frame_fields()
+    # the Duffing linearization rebuilt from the integrated fields, in frame
+    fields = DUF.fields(0.0)
     rng = np.random.default_rng(505)
     count = 0
     while count < 1000:
         p = rng.uniform(-2, 2, 2)
-        if np.linalg.norm(model.grad_h(p)) < 0.3:
+        if math.hypot(*fields.grad_h(*p)) < 0.3:
             continue
         count += 1
         v = rng.normal(size=2) * 3.0
-        w = decompose_tangent(model, p, v)
-        assert np.allclose(recompose_tangent(model, p, w), v,
-                           rtol=1e-12, atol=1e-12)
-        co = frame_coefficients(model, fields, p)
+        w = frame_coordinates(DUF.frame, *p, *v)
+        u1, u2 = (np.array(u) for u in DUF.frame(*p))
+        assert np.allclose(w[0] * u1 + w[1] * u2, v, rtol=1e-12, atol=1e-12)
+        drift, mats = frame_oracle(DUF.frame, fields, *p)
+        (b, c), (d, e) = mats[0]
         x, y = p
         n = (x + x ** 3) ** 2 + y * y
-        assert co.shear == pytest.approx(
+        assert drift[0, 1] == pytest.approx(
             3 * x * x * ((x + x ** 3) ** 2 - y * y) / n ** 2, rel=1e-8, abs=1e-10)
-        assert co.c[0] == pytest.approx(
-            -x ** 3 * (x + x ** 3) / n ** 2, rel=1e-8, abs=1e-8)
-        assert co.d[0] == pytest.approx(
-            -x * (x + x ** 3) + y * y, rel=1e-8, abs=1e-8)
-        assert co.b[0] + co.e[0] == pytest.approx(0.0, abs=1e-8)
+        assert np.abs(drift[[0, 1, 1], [0, 0, 1]]).max() <= 1e-8
+        assert c == pytest.approx(-x ** 3 * (x + x ** 3) / n ** 2, rel=1e-8, abs=1e-8)
+        assert d == pytest.approx(-x * (x + x ** 3) + y * y, rel=1e-8, abs=1e-8)
+        assert b + e == pytest.approx(0.0, abs=1e-8)
     nil_co = NIL.coeffs()
     assert (nil_co.shear, nil_co.d[0]) == (1.0, 1.0)
     assert nil_co.b[0] == nil_co.c[0] == nil_co.e[0] == 0.0
     _report(5, "frame round trip 1e-12; shear-system constants (a, sigma, 0, 0, 0); "
-               "closed-form noise-matrix entries reproduced at 1000 points")
+               "nilpotent drift and closed-form noise-matrix entries reproduced "
+               "from the integrated fields at 1000 points")
 
 
 # -------------------------------------------------------------------------
@@ -197,13 +198,12 @@ def test_acceptance_5_frame_algebra():
 
 @pytest.mark.slow
 def test_acceptance_6_conservation_and_exit():
-    model = DUF.hamiltonian()
     cfg = StepperConfig(dt=1e-3)
-    h0 = model.h(np.array([1.0, 0.0]))
+    h0 = duffing_energy(1.0, 0.0)
     worst = {"dev": 0.0}
 
     def watch(t, x1, x2):
-        worst["dev"] = max(worst["dev"], abs(model.h(np.array([x1, x2])) - h0))
+        worst["dev"] = max(worst["dev"], abs(duffing_energy(x1, x2) - h0))
 
     integrate(DUF.fields(0.0), NoiseModel(measure=None), [1.0, 0.0], 100.0,
               cfg, (0, 0), observer=watch)

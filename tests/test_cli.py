@@ -93,7 +93,7 @@ def test_simulate_rows_match_numpy_oracle(system, tmp_path, capsys):
             rows.append([state.t, *state.x])
 
     array_integrate(array_fields(model, 0.2), noise, x0, 2.0,
-                    StepperConfig(dt=1e-3, tol_crit=model.hamiltonian().tol_crit),
+                    StepperConfig(dt=1e-3, tol_crit=model.tol_crit),
                     (42, 0), observer=observer)
     want = np.array(rows)
     if system == "nilpotent":
@@ -300,7 +300,10 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--floor-delta", "0"],
                                   ["simulate", "--floor-delta", "0"],
                                   ["lyapunov", "--c-alpha", "-1"],
-                                  ["lyapunov", "--ar-threshold", "-1"]])
+                                  ["lyapunov", "--ar-threshold", "-1"],
+                                  ["fp-solve", "--floor-delta", "0", "--ar-threshold", "0.1"],
+                                  ["lyapunov", "--method", "fpcircle", "--floor-delta", "0",
+                                   "--ar-threshold", "0.1"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",

@@ -132,18 +132,12 @@ def test_khasminskii_zero_drift_is_exactly_zero():
     @dataclass(frozen=True)
     class StillSystem:
         name: str = "still"
-        d: int = 1
         constant_shear: bool = False
+        tol_crit: float = 1e-6
 
         @property
         def default_x0(self):
             return np.array([1.0, 0.0])
-
-        def hamiltonian(self):
-            return fr.HamiltonianModel(
-                h=lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2),
-                grad_h=lambda p: np.array([p[0], p[1]]),
-                hess_h=lambda p: np.eye(2))
 
         def fields(self, epsilon):
             from levyap.marcus import VectorFieldSet

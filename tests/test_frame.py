@@ -1,25 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from levyap.errors import CriticalPoint
-from levyap.frame import (angle_jump_flow, coefficient_A, compute_Irho_generic,
-                          compute_R0, decompose_tangent, evaluator_from_model,
-                          frame_coefficients, frame_vectors, polar_fields,
-                          recompose_tangent, sigma0, wz_corrections)
+from levyap.frame import (angle_jump_flow, compute_Irho_generic, compute_R0,
+                          polar_fields, sigma0, wz_corrections)
+from levyap.marcus import VectorFieldSet
 from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
                           nu_quadrature_quadratic)
 from levyap.quadrature import gauss_legendre
-from levyap.systems import make_duffing, make_nilpotent
-from oracles import rk4_angle_jump
+from levyap.systems import make_duffing, make_nilpotent, shear_noise
+from oracles import frame_coordinates, frame_oracle, rk4_angle_jump
 
 DUF = make_duffing(1.0)
 NIL = make_nilpotent(1.0, 1.0)
-MODEL = DUF.hamiltonian()
-FIELDS = DUF.frame_fields()
+GRAD_H = DUF.fields(0.0).grad_h
 
 
 def callbacks(system, eps):
@@ -31,62 +27,55 @@ def callbacks(system, eps):
 def random_point(rng, min_grad=0.3):
     while True:
         p = rng.uniform(-2.0, 2.0, 2)
-        if np.linalg.norm(MODEL.grad_h(p)) >= min_grad:
+        if math.hypot(*GRAD_H(*p)) >= min_grad:
             return p
 
 
 def test_frame_vectors_duffing_reference_point():
-    u1, u2 = frame_vectors(MODEL, np.array([1.0, 0.0]))
+    u1, u2 = DUF.frame(1.0, 0.0)
     assert np.allclose(u1, [0.0, -2.0])
     assert np.allclose(u2, [0.5, 0.0])
 
 
 def test_frame_vectors_nilpotent_reference_point():
-    a = 1.7
-    model = make_nilpotent(a, 1.0).hamiltonian()
-    u1, u2 = frame_vectors(model, np.array([1.0, 1.0]))
-    assert np.allclose(u1, [a, 0.0])
-    assert np.allclose(u2, [0.0, 1.0 / a])
+    # the shear system's coeffs are written in the canonical basis
+    assert make_nilpotent(1.7, 1.0).frame(1.0, 1.0) == ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_frame_normalization_identities():
+    """det[U1 U2] = 1 (angle_jump_flow relies on it); Duffing's U1 is the
+    drift, U2 . grad H = 1, U1 . U2 = 0; the shear's frame is canonical."""
     rng = np.random.default_rng(0)
+    drift = DUF.fields(0.0).drift
     for _ in range(200):
         p = random_point(rng)
-        u1, u2 = frame_vectors(MODEL, p)
-        g = MODEL.grad_h(p)
+        for system in (DUF, NIL):
+            assert np.linalg.det(np.array(system.frame(*p))) == \
+                pytest.approx(1.0, abs=1e-12)
+        assert NIL.frame(*p) == ((1.0, 0.0), (0.0, 1.0))
+        u1, u2 = (np.array(u) for u in DUF.frame(*p))
+        g = np.array(GRAD_H(*p))
+        assert np.allclose(u1, drift(*p), rtol=1e-15, atol=0.0)
         assert abs(u1 @ g) < 1e-12 * (np.linalg.norm(u1) * np.linalg.norm(g))
         assert u2 @ g == pytest.approx(1.0, rel=1e-12)
         assert abs(u1 @ u2) < 1e-14
 
 
-def test_frame_vectors_critical_point_raises():
-    with pytest.raises(CriticalPoint):
-        frame_vectors(MODEL, np.array([1e-8, 0.0]))
-
-
 def test_shear_rate_duffing_value_and_closed_form():
-    assert coefficient_A(MODEL, np.array([1.0, 0.0])) == pytest.approx(0.75, rel=1e-12)
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        p = random_point(rng)
-        x, y = p
-        n = (x + x ** 3) ** 2 + y * y
-        want = 3.0 * x * x * ((x + x ** 3) ** 2 - y * y) / n ** 2
-        assert coefficient_A(MODEL, p) == pytest.approx(want, rel=1e-8, abs=1e-12)
+    # at (1, 0): g = 2, |grad H|^2 = 4, shear = 3 g^2 / 16
+    assert DUF.coeffs(np.array([1.0, 0.0])).shear == pytest.approx(0.75, rel=1e-12)
+    assert frame_oracle(DUF.frame, DUF.fields(0.0), 1.0, 0.0)[0][0, 1] == \
+        pytest.approx(0.75, rel=1e-12)
 
 
 def test_shear_rate_vanishes_for_radial_hamiltonian():
-    import levyap.frame as fr
-    model = fr.HamiltonianModel(
-        h=lambda p: 0.5 * (p[0] ** 2 + p[1] ** 2),
-        grad_h=lambda p: np.array([p[0], p[1]]),
-        hess_h=lambda p: np.eye(2),
-    )
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        p = rng.uniform(0.5, 2.0, 2)
-        assert coefficient_A(model, p) == 0.0
+    # H = |x|^2 / 2: the rotation carries its frame along
+    frame = lambda x, y: ((y, -x), (x / (x * x + y * y), y / (x * x + y * y)))
+    fields = VectorFieldSet(drift=lambda x, y: (y, -x), epsilon=0.0,
+                            drift_tangent=lambda x, y, v1, v2: (v2, -v1),
+                            **shear_noise(1.0))
+    for p in np.random.default_rng(2).uniform(0.5, 2.0, (50, 2)):
+        assert np.abs(frame_oracle(frame, fields, *p)[0]).max() <= 1e-14
 
 
 def test_shear_rate_against_bracket_oracle():
@@ -95,74 +84,55 @@ def test_shear_rate_against_bracket_oracle():
     rng = np.random.default_rng(3)
     h = 1e-6
 
-    def bracket_shear(model, p):
-        def jac(f, p):
-            J = np.zeros((2, 2))
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = h
-                J[:, j] = (np.asarray(f(p + e)) - np.asarray(f(p - e))) / (2 * h)
-            return J
+    def bracket_shear(frame, p):
+        def jac(i, p):
+            return np.array([np.subtract(frame(*(p + e))[i], frame(*(p - e))[i])
+                             for e in np.eye(2) * h]).T / (2 * h)
 
-        u1 = lambda q: frame_vectors(model, q)[0]
-        u2 = lambda q: frame_vectors(model, q)[1]
-        br = jac(u1, p) @ u2(p) - jac(u2, p) @ u1(p)
-        ref = u1(p)
-        return (br @ ref) / (ref @ ref)
+        u1, u2 = (np.array(u) for u in frame(*p))
+        br = jac(0, p) @ u2 - jac(1, p) @ u1
+        return (br @ u1) / (u1 @ u1)
 
     for _ in range(100):
         p = random_point(rng, min_grad=0.5)
-        assert coefficient_A(MODEL, p) == pytest.approx(bracket_shear(MODEL, p),
-                                                        rel=1e-6, abs=1e-8)
-    # nilpotent in the moving frame is position dependent, unlike the
-    # canonical-basis constants the bundle uses
-    nmodel = NIL.hamiltonian()
-    nmodel = type(nmodel)(nmodel.h, nmodel.grad_h, nmodel.hess_h, tol_crit=1e-10)
+        assert DUF.coeffs(p).shear == pytest.approx(bracket_shear(DUF.frame, p),
+                                                    rel=1e-6, abs=1e-8)
+    # the shear system in the moving frame of H = u2^2 / 2
+    moving = lambda u1, u2: ((u2, 0.0), (0.0, 1.0 / u2))
     p = np.array([0.7, 1.3])
-    assert coefficient_A(nmodel, p) == pytest.approx(1.0 / (1.0 * p[1] ** 2), rel=1e-10)
-    assert coefficient_A(nmodel, p) == pytest.approx(bracket_shear(nmodel, p), rel=1e-6)
+    shear = frame_oracle(moving, NIL.fields(0.0), *p)[0][0, 1]
+    assert shear == pytest.approx(1.0 / p[1] ** 2, rel=1e-10)
+    assert shear == pytest.approx(bracket_shear(moving, p), rel=1e-6)
 
 
 def test_decompose_reference_values_and_roundtrip():
-    w = decompose_tangent(MODEL, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    assert w == pytest.approx((-0.5, 2.0))
-    back = recompose_tangent(MODEL, np.array([1.0, 0.0]), w)
-    assert np.allclose(back, [1.0, 1.0], rtol=1e-14)
-    assert decompose_tangent(MODEL, np.array([1.0, 0.0]),
-                             frame_vectors(MODEL, np.array([1.0, 0.0]))[0]) == \
-        pytest.approx((1.0, 0.0))
-    assert decompose_tangent(MODEL, np.array([1.0, 0.0]), np.zeros(2)) == (0.0, 0.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(px=st.floats(-2, 2), py=st.floats(-2, 2),
-       vx=st.floats(-5, 5), vy=st.floats(-5, 5))
-def test_roundtrip_random(px, py, vx, vy):
-    p = np.array([px, py])
-    if np.linalg.norm(MODEL.grad_h(p)) < 0.3:
-        return
-    v = np.array([vx, vy])
-    w = decompose_tangent(MODEL, p, v)
-    back = recompose_tangent(MODEL, p, w)
-    assert np.allclose(back, v, rtol=1e-12, atol=1e-12)
+    # at (1, 0): (1, 1) = -U1 / 2 + 2 U2, U1 = (0, -2); the 1000-point
+    # round trip is acceptance 5
+    for v, w in (((1.0, 1.0), (-0.5, 2.0)), ((0.0, -2.0), (1.0, 0.0)),
+                 ((0.0, 0.0), (0.0, 0.0))):
+        assert frame_coordinates(DUF.frame, 1.0, 0.0, *v) == pytest.approx(w)
 
 
 def test_frame_coefficients_match_duffing_closed_forms():
+    """Rebuilt from ``frame`` and ``fields``: the drift [[0, shear], [0, 0]]
+    and ``coeffs(x).mats``, exact to rounding (2e-14 seen), both systems."""
     rng = np.random.default_rng(4)
-    for _ in range(1000):
-        p = random_point(rng)
-        co = frame_coefficients(MODEL, FIELDS, p)
-        ref = DUF.coeffs(p, with_actions=False)
-        assert co.shear == pytest.approx(ref.shear, rel=1e-8, abs=1e-12)
-        for got, want in zip(co.mats[0].ravel(), ref.mats[0].ravel()):
-            assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+    for system in (DUF, NIL):
+        fields = system.fields(0.0)
+        for _ in range(1000):
+            p = random_point(rng)
+            drift, mats = frame_oracle(system.frame, fields, *p)
+            ref = system.coeffs(p)
+            assert drift[0, 1] == pytest.approx(ref.shear, rel=1e-12, abs=1e-12)
+            assert np.abs(drift[[0, 1, 1], [0, 0, 1]]).max() <= 1e-12
+            assert np.allclose(mats, ref.mats, rtol=1e-12, atol=1e-12)
 
 
 def test_frame_coefficients_zero_fields():
-    from levyap.frame import PerturbationFields
-    zero = PerturbationFields(a1=[lambda p: 0.0], a2=[lambda p: 0.0])
-    co = frame_coefficients(MODEL, zero, np.array([1.0, 0.3]))
-    assert np.allclose(co.mats, 0.0, atol=1e-12)
+    zero = dataclasses.replace(DUF.fields(0.0),
+                               diffusion=[lambda x, y: (0.0, 0.0)],
+                               diffusion_tangents=[lambda x, y, v1, v2: (0.0, 0.0)])
+    assert np.allclose(frame_oracle(DUF.frame, zero, 1.0, 0.3)[1], 0.0, atol=1e-12)
 
 
 def test_graded_terms_axis_reductions():
@@ -305,37 +275,33 @@ def test_irho_generic_matches_closed_form():
         assert generic == pytest.approx(closed, rel=1e-10, abs=1e-15)
 
 
-def test_generic_evaluator_matches_bundle_for_duffing():
-    coeffs_fn, frame = evaluator_from_model(MODEL, FIELDS)
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        p = random_point(rng, min_grad=0.5)
-        a = coeffs_fn(p)
-        b = DUF.coeffs(p, with_actions=False)
-        assert a.shear == pytest.approx(b.shear, rel=1e-8)
-        assert np.allclose(a.mats, b.mats, rtol=1e-7, atol=1e-8)
-        assert np.allclose(frame(*p), DUF.frame(*p), rtol=1e-14, atol=1e-15)
-
-
 def test_generic_evaluator_derivative_actions():
-    coeffs_fn, _ = evaluator_from_model(MODEL, FIELDS, with_actions=True)
+    """dmats is the derivative of mats along V: the oracle's, centrally."""
+    fields = DUF.fields(0.0)
     rng = np.random.default_rng(14)
-    for _ in range(20):
+    h = 1e-6
+    for _ in range(200):
         p = random_point(rng, min_grad=0.5)
-        a = coeffs_fn(p)
-        b = DUF.coeffs_with_actions(p)
-        assert np.allclose(a.dmats, b.dmats, rtol=1e-4, atol=1e-5)
+        v = np.array(fields.diffusion[0](*p))
+        want = (frame_oracle(DUF.frame, fields, *(p + h * v))[1]
+                - frame_oracle(DUF.frame, fields, *(p - h * v))[1]) / (2.0 * h)
+        assert np.allclose(want, DUF.coeffs_with_actions(p).dmats,
+                           rtol=1e-4, atol=1e-5)
 
 
 def test_sigma0_fallback_jump_term_agrees_at_small_eps():
+    """The full compensator integral rescaled by eps^(2 beta - 2) in place of
+    the separated jump term gives the same integrand at small eps."""
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
                               floor_delta=0.05)
     x = np.array([1.0, 0.5])
+    eps, beta = 1e-2, 2.0 / 3.0
     for th in (0.4, 1.1, 2.7):
-        full = sigma0(*callbacks(NIL, 1e-2), measure, x, th, 1e-2,
-                      jump_term="r0")
-        fallback = sigma0(*callbacks(NIL, 1e-2), measure, x, th, 1e-2,
-                          jump_term="irho")
+        full = sigma0(*callbacks(NIL, eps), measure, x, th, eps)
+        ir = compute_Irho_generic(NIL.frame, NIL.fields(eps).jump, measure, x,
+                                  th, eps, beta=beta)
+        fallback = (sigma0(*callbacks(NIL, eps), None, x, th, eps)
+                    + eps ** (2.0 * beta - 2.0) * ir)
         assert fallback == pytest.approx(full, rel=0.05, abs=1e-4)
 
 

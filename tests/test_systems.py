@@ -38,37 +38,38 @@ def test_duffing_offdiagonal_antisymmetry():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         p = rng.uniform(-2, 2, 2)
-        if np.linalg.norm(sys_.hamiltonian().grad_h(p)) < 1e-3:
+        if math.hypot(*sys_.fields(0.0).grad_h(*p)) < 1e-3:
             continue
         co = sys_.coeffs(p)
         assert co.b[0] + co.e[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_duffing_field_reconstruction():
+    """The noise field V = (0, sigma x) in the frame: V = a1 U1 + a2 U2 with
+    a1 = -sigma x g / |grad H|^2 and a2 = V . grad H = sigma x y."""
     sys_ = make_duffing(1.1)
-    model = sys_.hamiltonian()
-    ff = sys_.frame_fields()
     rng = np.random.default_rng(2)
     for _ in range(300):
         p = rng.uniform(-2, 2, 2)
-        g = model.grad_h(p)
-        if np.linalg.norm(g) < 1e-2:
+        x, y = p
+        g = x + x ** 3
+        if math.hypot(g, y) < 1e-2:
             continue
-        u1 = np.array([g[1], -g[0]])
-        u2 = g / (g @ g)
-        v = ff.a1[0](p) * u1 + ff.a2[0](p) * u2
-        want = np.array([0.0, 1.1 * p[0]])
-        assert np.allclose(v, want, rtol=1e-8, atol=1e-10)
+        a1, a2 = -1.1 * x * g / (g * g + y * y), 1.1 * x * y
+        u1, u2 = (np.array(u) for u in sys_.frame(x, y))
+        assert np.allclose(a1 * u1 + a2 * u2,
+                           sys_.fields(0.0).diffusion[0](x, y),
+                           rtol=1e-8, atol=1e-10)
 
 
 def test_duffing_critical_point_isolated():
-    model = make_duffing(1.0).hamiltonian()
+    grad_h = make_duffing(1.0).fields(0.0).grad_h
     # grad H = (x + x^3, y) vanishes only at the origin over the reals
-    assert np.array_equal(model.grad_h(np.zeros(2)), np.zeros(2))
+    assert grad_h(0.0, 0.0) == (0.0, 0.0)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-3, 3, (1000, 2))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-3]
-    norms = [np.linalg.norm(model.grad_h(p)) for p in pts]
+    norms = [math.hypot(*grad_h(*p)) for p in pts]
     assert min(norms) > 0.0
 
 
