@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyap.frame import (angle_jump_flow, compute_Irho_generic, compute_R0,
                           polar_fields, sigma0, wz_corrections)
@@ -111,6 +113,17 @@ def test_decompose_reference_values_and_roundtrip():
     for v, w in (((1.0, 1.0), (-0.5, 2.0)), ((0.0, -2.0), (1.0, 0.0)),
                  ((0.0, 0.0), (0.0, 0.0))):
         assert frame_coordinates(DUF.frame, 1.0, 0.0, *v) == pytest.approx(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(px=st.floats(-2, 2), py=st.floats(-2, 2),
+       vx=st.floats(-5, 5), vy=st.floats(-5, 5))
+def test_roundtrip_random(px, py, vx, vy):
+    if math.hypot(*GRAD_H(px, py)) < 0.3:
+        return
+    w = frame_coordinates(DUF.frame, px, py, vx, vy)
+    u1, u2 = (np.array(u) for u in DUF.frame(px, py))
+    assert np.allclose(w[0] * u1 + w[1] * u2, [vx, vy], rtol=1e-12, atol=1e-12)
 
 
 def test_frame_coefficients_match_duffing_closed_forms():
@@ -273,6 +286,27 @@ def test_irho_generic_matches_closed_form():
         generic = compute_Irho_generic(NIL.frame, NIL.fields(0.1).jump,
                                        measure, x, th, 0.1)
         assert generic == pytest.approx(closed, rel=1e-10, abs=1e-15)
+
+
+def test_generic_evaluator_matches_bundle_for_duffing():
+    """The frame every Hamiltonian has, U1 = J grad H and
+    U2 = grad H / |grad H|^2, built from grad H alone, is Duffing's frame, and
+    the linearization read in it is ``coeffs``."""
+    def generic_frame(x1, x2):
+        g1, g2 = GRAD_H(x1, x2)
+        n = g1 * g1 + g2 * g2
+        return (g2, -g1), (g1 / n, g2 / n)
+
+    fields = DUF.fields(0.0)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        p = random_point(rng, min_grad=0.5)
+        assert np.allclose(generic_frame(*p), DUF.frame(*p),
+                           rtol=1e-14, atol=1e-15)
+        drift, mats = frame_oracle(generic_frame, fields, *p)
+        ref = DUF.coeffs(p)
+        assert drift[0, 1] == pytest.approx(ref.shear, rel=1e-12, abs=1e-12)
+        assert np.allclose(mats, ref.mats, rtol=1e-12, atol=1e-12)
 
 
 def test_generic_evaluator_derivative_actions():
