@@ -6,12 +6,12 @@ from .errors import (AllTrajectoriesExited, ConfigError, DegenerateNullspace,
                      InvalidMeasure, InvalidParameter, LevyapError,
                      NonPositiveEstimate, QuadratureFailure)
 from .estimators import (EstimatorConfig, LyapunovEstimate, OccupationMeasure,
-                         SweepResult, compute_Irho, gather_occupation,
-                         lyapunov_direct, lyapunov_khasminskii,
-                         lyapunov_theorem33, scaling_sweep)
+                         SweepResult, compute_Irho, lyapunov_direct,
+                         lyapunov_khasminskii, lyapunov_theorem33,
+                         scaling_sweep)
 from .fpcircle import (CircleDensity, CircleGrid, GeneratorMatrix,
                        build_generator, lyapunov_quadrature, solve_stationary)
-from .frame import FrameCoefficients, compute_R0, sigma0
+from .frame import FrameCoefficients
 from .marcus import (StepperConfig, TrajectoryState, VectorFieldSet, integrate,
                      step)
 from .noise import JumpMeasureSpec, NoiseModel, jump_moment, trajectory_streams

@@ -34,11 +34,11 @@ def _lane_blocks(noise: NoiseModel, dt: float, n_steps: int, seed: int,
         sums = None
         for j, (rb, rj) in enumerate(streams):
             blk = sample_block(noise, dt, m, rb, rj)
-            gauss[:, j] = blk.gauss[:, 0]
+            gauss[:, j] = blk.gauss
             if blk.jump_marks.size:
                 if sums is None:
                     sums = np.zeros((m, len(streams)))
-                sums[:, j] = blk.step_mark_sums()[:, 0]
+                sums[:, j] = blk.step_mark_sums()
             del blk
         yield done, gauss, sums
         # hold no table of this block while the next one is drawn

@@ -243,15 +243,18 @@ def _check_methods(methods: list, system) -> None:
             raise ConfigError("the fpcircle method needs the nilpotent system")
         if method == "theorem33" and not system.constant_shear:
             raise ConfigError("the theorem33 method needs the nilpotent system: "
-                              "the position-dependent formula needs position "
-                              "bins that no estimator records")
+                              "the leading-order formula is evaluated for "
+                              "constant shear only")
 
 
-def _check_fp_floor(cfg: dict, noise) -> None:
-    """Refuse, before any work starts, jumps with noise.floor_delta = 0 for
-    the plain circle generator: its nonlocal term models the measure on
-    [floor_delta, cutoff) and ignores both Gaussian substitutes, so a
-    substitute does not truncate it."""
+def _check_fp(cfg: dict, noise) -> None:
+    """Refuse, before any work starts, an unknown fp.variant, and jumps with
+    noise.floor_delta = 0 for the plain circle generator: its nonlocal term
+    models the measure on [floor_delta, cutoff) and ignores both Gaussian
+    substitutes, so a substitute does not truncate it."""
+    if cfg["fp.variant"] not in ("plain", "pw"):
+        raise ConfigError(f"unknown fp.variant {cfg['fp.variant']!r}; "
+                          "choose plain or pw")
     m = noise.measure
     if cfg["fp.variant"] == "plain" and m is not None and m.has_jumps \
             and m.floor_delta <= 0.0:
@@ -299,7 +302,7 @@ def cmd_lyapunov(cfg: dict) -> int:
     methods = [m.strip() for m in cfg["run.method"].split(",") if m.strip()]
     _check_methods(methods, system)
     if "fpcircle" in methods:
-        _check_fp_floor(cfg, noise)
+        _check_fp(cfg, noise)
     t0 = time.monotonic()
     estimates = [_run_method(m, system, noise, est_cfg, cfg) for m in methods]
     runtime = time.monotonic() - t0
@@ -432,7 +435,7 @@ def cmd_fp_solve(cfg: dict) -> int:
     system, noise = _build_model(cfg)
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")
-    _check_fp_floor(cfg, noise)
+    _check_fp(cfg, noise)
     dens, lam = _fp_solve(cfg, noise)
     grid = dens.grid
     explicit = explicit_adjoint_residual(dens, cfg["system.a"],

@@ -8,7 +8,8 @@ Three routes are provided:
                            rescaled angle process (martingale parts are not
                            accumulated -- their time average vanishes);
 * ``lyapunov_theorem33``   leading-order formula: eps^(2/3) times the
-                           occupation average of the growth-rate integrand.
+                           occupation average of the growth-rate integrand
+                           (constant-shear systems only).
 
 plus ``scaling_sweep`` fitting the log-log slope across a list of epsilons.
 
@@ -97,15 +98,11 @@ class LyapunovEstimate:
 
 @dataclass
 class OccupationMeasure:
-    """Normalized histogram over the angle grid, optionally times x bins.
-
-    theta-only: weights has shape (B,).  With ``x_centers`` of shape (nx, 2),
-    weights has shape (nx, B) and the measure lives on the product grid.
-    """
+    """Normalized histogram over the angle grid: weights has the shape
+    (B,) of theta_centers."""
 
     theta_centers: np.ndarray
     weights: np.ndarray
-    x_centers: Optional[np.ndarray] = None
 
     def __post_init__(self):
         total = float(np.sum(self.weights))
@@ -307,7 +304,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
         m = min(cfg.block_steps, n - step_no)
         block = sample_block(noise, dt, m, *streams)
         gauss = block.gauss.tolist()
-        events = list(zip(block.jump_components.tolist(), block.jump_marks.tolist()))
+        marks = block.jump_marks.tolist()
         for i, (jlo, jhi) in enumerate(block.step_slices()):
             co = system.coeffs_with_actions(x)
             wz1, wz2 = fr.wz_corrections(co, theta, epsilon, beta)
@@ -338,12 +335,10 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                 break
             theta = theta + dt * drift_th
             s1, _ = fr.polar_fields(coeffs_fn((p1, p2)), theta, epsilon, beta)
-            theta = theta + float(s1 @ block.gauss[i])
-            for k, z in events[jlo:jhi]:
-                w = [0.0] * fields.d
-                w[k] = epsilon * z
-                p1, p2, theta, _ = fr.angle_jump_flow(frame, jump, w, p1, p2,
-                                                      theta, epsilon, beta)
+            theta = theta + s1 * gauss[i]
+            for z in marks[jlo:jhi]:
+                p1, p2, theta, _ = fr.angle_jump_flow(frame, jump, epsilon * z,
+                                                      p1, p2, theta, epsilon, beta)
             x = (p1, p2)
             step_no += 1
     if n_acc == 0:
@@ -360,8 +355,7 @@ def _khas_generic_worker(payload, indices):
 
 
 def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
-                         cfg: EstimatorConfig,
-                         force_generic: bool = False) -> LyapunovEstimate:
+                         cfg: EstimatorConfig) -> LyapunovEstimate:
     """Ergodic average of the log-radius drift of the rescaled pair process.
 
     Accumulates the shear drift term, the Wong-Zakai correction of the
@@ -370,8 +364,7 @@ def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
     not accumulated.
     """
     epsilon = check_epsilon(epsilon)
-    use_lanes = system.constant_shear and not force_generic
-    worker = _khas_lane_worker if use_lanes else _khas_generic_worker
+    worker = _khas_lane_worker if system.constant_shear else _khas_generic_worker
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
                         cfg.workers)
     est = _aggregate(rows, "khasminskii", epsilon, cfg)
@@ -389,7 +382,7 @@ def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
 def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
                  epsilon: float, beta: float = 2.0 / 3.0,
                  noise: Optional[NoiseModel] = None) -> float:
-    """int [ zeta2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz).
+    """int [ zeta2(z)(x, theta) - z sigma2(x, theta) ] nu(dz).
 
     The marks run from the sampling floor of ``noise`` (the measure's floor
     without it) to the cutoff: a Gaussian substitute for the band below the
@@ -443,61 +436,39 @@ def shear_sigma0_profile(system, noise: NoiseModel, epsilon: float,
     return shear_part, noise_part + jump_total
 
 
+def _check_constant_shear(system) -> None:
+    """Refuse a system whose shear rate depends on the position: the
+    leading-order formula is evaluated here for constant shear only."""
+    if not system.constant_shear:
+        raise InvalidParameter(
+            f"the leading-order formula needs a constant-shear system, "
+            f"not {system.name!r}")
+
+
 def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
                        occupation: OccupationMeasure,
-                       beta: float = 2.0 / 3.0, **quad_kw) -> float:
+                       beta: float = 2.0 / 3.0) -> float:
     """Leading-order formula: the occupation average of the growth-rate
     integrand, the shear block scaled by eps^beta and the noise block by
     eps^(2-2beta).  At the standard beta = 2/3 this is eps^(2/3) times the
-    average of the combined integrand."""
+    average of the combined integrand.  Constant-shear systems only."""
     epsilon = check_epsilon(epsilon)
-    th = occupation.theta_centers
-    e_sh = epsilon ** beta
-    e_nz = epsilon ** (2.0 - 2.0 * beta)
-    if system.constant_shear:
-        shear_part, noise_part = shear_sigma0_profile(system, noise, epsilon,
-                                                      th, beta=beta, **quad_kw)
-        w = occupation.weights
-        if w.ndim == 2:
-            w = w.sum(axis=0)
-        return float(w @ (e_sh * shear_part + e_nz * noise_part))
-    if occupation.x_centers is None:
-        raise InvalidParameter(
-            "position-dependent systems need an occupation measure with x bins")
-    coeffs_fn = system.coeffs
-    jump = system.fields(epsilon).jump
-    rate = noise.gaussian_rate
-    total = 0.0
-    for ix, xc in enumerate(occupation.x_centers):
-        for it, t in enumerate(th):
-            wgt = occupation.weights[ix, it]
-            if wgt > 0.0:
-                xc_ = np.asarray(xc, float)
-                full = fr.sigma0(coeffs_fn, system.frame, jump, noise.measure,
-                                 xc_, float(t), epsilon, beta=beta, rate=rate,
-                                 lo=noise.sampling_floor, **quad_kw)
-                shear_part = coeffs_fn(xc_).shear * math.sin(t) * math.cos(t)
-                total += wgt * (e_sh * shear_part + e_nz * (full - shear_part))
-    return float(total)
-
-
-def gather_occupation(system, noise: NoiseModel, epsilon: float,
-                      cfg: EstimatorConfig) -> OccupationMeasure:
-    """Angle histogram of a burned-in run of the rescaled pair process."""
-    est = lyapunov_khasminskii(system, noise, epsilon, cfg)
-    bins = cfg.theta_bins
-    centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
-    return OccupationMeasure(centers, est.extras["occupation"])
+    _check_constant_shear(system)
+    shear_part, noise_part = shear_sigma0_profile(
+        system, noise, epsilon, occupation.theta_centers, beta=beta)
+    return float(occupation.weights @ (epsilon ** beta * shear_part
+                                       + epsilon ** (2.0 - 2.0 * beta) * noise_part))
 
 
 def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
                                 cfg: EstimatorConfig) -> LyapunovEstimate:
     """Theorem-route estimate with replicate spread from per-replicate
-    occupation histograms."""
+    occupation histograms of the angle lanes; constant-shear systems only,
+    refused before any replicate runs."""
     epsilon = check_epsilon(epsilon)
-    worker = _khas_lane_worker if system.constant_shear else _khas_generic_worker
-    rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
-                        cfg.workers)
+    _check_constant_shear(system)
+    rows = _run_chunked(_khas_lane_worker, (system, noise, epsilon, cfg),
+                        cfg.replicates, cfg.workers)
     bins = cfg.theta_bins
     centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
     rows = [(lyapunov_theorem33(system, noise, epsilon,

@@ -6,7 +6,7 @@ system gives its frame as ``frame(x1, x2)`` (the shear system, already in
 shear form, uses the canonical basis) and its linearization data in it
 (``FrameCoefficients``) in closed form.  Written in this frame, the
 linearization of the perturbed flow is a shear (nilpotent) linear system
-driven by the noise through a family of 2x2 matrices.  This module computes
+driven by the noise through a 2x2 matrix.  This module computes
 
 * the polar-coordinate noise fields of the rescaled system (rescaled by
   T = diag(eps^beta, 1), which regularizes the singular perturbation) and
@@ -14,22 +14,17 @@ driven by the noise through a family of 2x2 matrices.  This module computes
 * the Marcus jump of the pair (x, theta) and of the log-radius in closed
   form: the plane tangent goes through the fields' closed-form jump and is
   read back in the rescaled frame at the landing point, and
-* the jump quadratures built on it (the compensator integral of the
-  log-radius equation and the jump term of the leading-order growth-rate
-  integrand, next to its drift shear and Gaussian quadratic-variation
-  terms).
+* the compensator integral of the log-radius equation, a quadrature of
+  that jump over the marks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Optional
 
 from .noise import JumpMeasureSpec, jump_nodes
-from .quadrature import check_converged, gauss_legendre
 
 
 @dataclass
@@ -37,38 +32,37 @@ class FrameCoefficients:
     """Linearization data at a point, written in a frame.
 
     shear is the off-diagonal drift rate (the [[0, shear], [0, 0]] block);
-    mats[k] is the 2x2 noise matrix of component k with entries
-    [[b, c], [d, e]].  dmats[k], when present, holds the directional
-    derivative of mats[k] along V_k (needed for Wong-Zakai terms).  The
-    entry properties have shape (d,).
+    mats is the 2x2 noise matrix ((b, c), (d, e)) of floats.  dmats, when
+    present, holds its directional derivative along the noise field V in
+    the same layout (needed for Wong-Zakai terms).
     """
 
     shear: float
-    mats: np.ndarray
-    dmats: Optional[np.ndarray] = None
+    mats: tuple
+    dmats: Optional[tuple] = None
 
     @property
-    def b(self) -> np.ndarray:
-        return self.mats[..., 0, 0]
+    def b(self) -> float:
+        return self.mats[0][0]
 
     @property
-    def c(self) -> np.ndarray:
-        return self.mats[..., 0, 1]
+    def c(self) -> float:
+        return self.mats[0][1]
 
     @property
-    def d(self) -> np.ndarray:
-        return self.mats[..., 1, 0]
+    def d(self) -> float:
+        return self.mats[1][0]
 
     @property
-    def e(self) -> np.ndarray:
-        return self.mats[..., 1, 1]
+    def e(self) -> float:
+        return self.mats[1][1]
 
 
 def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
-                 beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Polar noise fields (sigma1_k, sigma2_k) at angle theta: the angle and
-    log-radius components of the rescaled noise matrices, at the scales
-    eps^(1-beta), eps and eps^(1+beta), each of shape (d,).
+                 beta: float) -> tuple[float, float]:
+    """Polar noise fields (sigma1, sigma2) at angle theta: the angle and
+    log-radius components of the rescaled noise matrix, at the scales
+    eps^(1-beta), eps and eps^(1+beta).
     """
     s = math.sin(theta)
     c = math.cos(theta)
@@ -82,11 +76,11 @@ def polar_fields(coeffs: FrameCoefficients, theta, epsilon: float,
 
 def wz_corrections(coeffs: FrameCoefficients, theta: float, epsilon: float,
                    beta: float) -> tuple[float, float]:
-    """Wong-Zakai corrections (sum_k sigma~1_k, sum_k sigma~2_k) from
+    """Wong-Zakai corrections (sigma~1, sigma~2) from
     sigma~^i = eps D_x sigma^i V + D_theta sigma^i sigma^1.
 
-    The x-derivative along V_k is ``polar_fields`` of the derivative
-    matrices ``coeffs.dmats``; the theta-derivative is taken in closed form.
+    The x-derivative along V is ``polar_fields`` of the derivative matrix
+    ``coeffs.dmats``; the theta-derivative is taken in closed form.
     """
     s = math.sin(theta)
     c = math.cos(theta)
@@ -99,16 +93,14 @@ def wz_corrections(coeffs: FrameCoefficients, theta: float, epsilon: float,
                             theta, epsilon, beta)
     dth1 = -e1 * d * sin2t - e2 * (b - e) * cos2t - e3 * cc * sin2t
     dth2 = e1 * d * cos2t + e2 * (e - b) * sin2t + e3 * cc * cos2t
-    wz1 = epsilon * dx1 + dth1 * sigma1
-    wz2 = epsilon * dx2 + dth2 * sigma1
-    return float(np.sum(wz1)), float(np.sum(wz2))
+    return epsilon * dx1 + dth1 * sigma1, epsilon * dx2 + dth2 * sigma1
 
 
-def angle_jump_flow(frame: Callable, jump: Callable, w: Sequence[float],
+def angle_jump_flow(frame: Callable, jump: Callable, w: float,
                     x1: float, x2: float, theta: float, epsilon: float,
                     beta: float):
-    """Marcus jump of the pair (x, theta) for the scaled mark vector
-    w = eps z, in closed form: returns (x1', x2', theta', rho increment).
+    """Marcus jump of the pair (x, theta) for the scaled mark w = eps z, in
+    closed form: returns (x1', x2', theta', rho increment).
 
     ``jump`` is the fields' closed-form Marcus jump (``VectorFieldSet.jump``)
     and ``frame(x1, x2) -> (U1, U2)`` the frame the coefficients are written
@@ -134,84 +126,14 @@ def angle_jump_flow(frame: Callable, jump: Callable, w: Sequence[float],
             math.log(math.hypot(p, q)))
 
 
-def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable,
-               measure: JumpMeasureSpec, x: np.ndarray, theta: float,
-               epsilon: float, beta: float = 2.0 / 3.0, inner_nodes: int = 8,
-               z_panel_nodes: int = 16, check: bool = False,
-               lo: Optional[float] = None) -> float:
-    """Jump term of the leading-order growth-rate integrand.
-
-    For each mark z the inner double integral over the flow time collapses
-    by Fubini to a single (1 - b)-weighted integral of
-
-        (sum_k z_k d_k(xi(b z)))^2 cos(2 z1(b z)) cos^2(z1(b z)),
-
-    evaluated on Gauss-Legendre nodes b; the outer integral runs over the
-    symmetrized jump measure from ``lo`` (default: the measure's floor) to
-    the cutoff.  The flow along z V stopped at time b is the time-one flow
-    along b z V, so the state at b is the closed-form jump of mark b z
-    (``angle_jump_flow``).
-    """
-    if not measure.has_jumps:
-        return 0.0
-    x1, x2 = float(x[0]), float(x[1])
-    pad = [0.0] * (measure.dimension - 1)
-
-    def value(inner_n, panel_n):
-        bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
-        flow_w = (bw * (1.0 - bq)).tolist()
-        zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
-        total = 0.0
-        for z, wt in zip(zq.tolist(), wq.tolist()):
-            for zs in (z, -z):
-                val = 0.0
-                for b, fw in zip(bq.tolist(), flow_w):
-                    y1, y2, th, _ = angle_jump_flow(
-                        frame, jump, [epsilon * b * zs] + pad, x1, x2, theta,
-                        epsilon, beta)
-                    zd = zs * float(coeffs_fn((y1, y2)).d[0])
-                    ct = math.cos(th)
-                    val += fw * zd * zd * math.cos(2.0 * th) * ct * ct
-                if quadratic:
-                    val /= z * z
-                total += wt * val
-        return total
-
-    out = value(inner_nodes, z_panel_nodes)
-    if check:
-        check_converged(out, value(2 * inner_nodes, 2 * z_panel_nodes))
-    return out
-
-
-def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable,
-           measure: Optional[JumpMeasureSpec], x: np.ndarray, theta: float,
-           epsilon: float, beta: float = 2.0 / 3.0, rate: float = 1.0,
-           **quad_kw) -> float:
-    """Leading-order growth-rate integrand at (x, theta).
-
-    Drift shear term + Gaussian quadratic-variation term (at variance
-    ``rate`` per unit time and component) + the separated jump term
-    ``compute_R0``.  A ``lo`` in ``quad_kw`` starts the jump marks there;
-    the band below it then belongs in ``rate``.
-    """
-    co = coeffs_fn(x)
-    s, c = math.sin(theta), math.cos(theta)
-    base = (co.shear * s * c
-            + rate * float(np.sum(co.d ** 2)) * (0.5 * c * c - s * s * c * c))
-    if measure is None or not measure.has_jumps:
-        return base
-    return base + compute_R0(coeffs_fn, frame, jump, measure, x, theta,
-                             epsilon, beta=beta, **quad_kw)
-
-
 def compute_Irho_generic(frame: Callable, jump: Callable,
-                         measure: JumpMeasureSpec, x: np.ndarray, theta: float,
+                         measure: JumpMeasureSpec, x, theta: float,
                          epsilon: float, beta: float = 2.0 / 3.0,
-                         z_panel_nodes: int = 16, check: bool = False,
+                         z_panel_nodes: int = 16,
                          lo: Optional[float] = None) -> float:
     """Compensator integral of the log-radius equation,
 
-        int [ z2(z)(x, theta) - sum_k z_k sigma2_k(x, theta) ] nu(dz),
+        int [ z2(z)(x, theta) - z sigma2(x, theta) ] nu(dz),
 
     over the marks lo <= |z| < cutoff (lo defaults to the measure's floor;
     pass the sampling floor when a Gaussian substitute covers the band
@@ -222,23 +144,15 @@ def compute_Irho_generic(frame: Callable, jump: Callable,
     if not measure.has_jumps:
         return 0.0
     x1, x2 = float(x[0]), float(x[1])
-    pad = [0.0] * (measure.dimension - 1)
-
-    def value(panel_n):
-        zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
-        total = 0.0
-        for z, wt in zip(zq.tolist(), wq.tolist()):
-            pair = (angle_jump_flow(frame, jump, [epsilon * z] + pad, x1, x2,
-                                    theta, epsilon, beta)[3]
-                    + angle_jump_flow(frame, jump, [-epsilon * z] + pad, x1, x2,
-                                      theta, epsilon, beta)[3])
-            if quadratic:
-                pair /= z * z
-            total += wt * pair
-        return total
-
-    out = value(z_panel_nodes)
-    if check:
-        check_converged(out, value(2 * z_panel_nodes))
-    return out
+    zq, wq, quadratic = jump_nodes(measure, lo, z_panel_nodes)
+    total = 0.0
+    for z, wt in zip(zq.tolist(), wq.tolist()):
+        pair = (angle_jump_flow(frame, jump, epsilon * z, x1, x2, theta,
+                                epsilon, beta)[3]
+                + angle_jump_flow(frame, jump, -epsilon * z, x1, x2, theta,
+                                  epsilon, beta)[3])
+        if quadratic:
+            pair /= z * z
+        total += wt * pair
+    return total
 

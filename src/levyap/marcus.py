@@ -7,12 +7,13 @@ A step advances the state in four sub-moves:
      continuous noise and for the net jump-compensator drift;
   3. Euler-Maruyama Gaussian increment;
   4. jumps of the step applied in time order through the closed-form
-     Marcus jump map of the fields (``VectorFieldSet.jump``).
+     Marcus jump map of the field (``VectorFieldSet.jump``).
 
-For a symmetric jump measure the compensator of the raw jump events cancels
-the bracket drift of the Ito form exactly, leaving only the first-moment
-term -eps * sum_k V_k(x) * int z nu(dz), which is identically zero.  The
-integrator therefore applies no jump-related drift.
+The noise drives the state along one field V.  For a symmetric jump measure
+the compensator of the raw jump events cancels the bracket drift of the Ito
+form exactly, leaving only the first-moment term -eps * V(x) * int z nu(dz),
+which is identically zero.  The integrator therefore applies no
+jump-related drift.
 
 An optional tangent vector is transported alongside by the linearized
 counterparts of each sub-move.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,15 +56,14 @@ class VectorFieldSet:
 
     drift               (x1, x2) -> (f1, f2), the unperturbed Hamiltonian field
     drift_tangent       (x1, x2, v1, v2) -> Df(x) v, for tangent transport
-    diffusion           d callbacks (x1, x2) -> V_k(x)
-    diffusion_tangents  d callbacks (x1, x2, v1, v2) -> DV_k(x) v
+    diffusion           (x1, x2) -> V(x), the noise field
+    diffusion_tangent   (x1, x2, v1, v2) -> DV(x) v
     jump                (w, x1, x2, v1, v2) -> (x1', x2', v1', v2'), the
-                        closed-form Marcus jump of the scaled mark vector
-                        w = eps z (a sequence of d floats): x' is the flow
-                        along sum_k w_k V_k at time one, v' its Jacobian at
-                        x applied to v.  Without a tangent v1 and v2 are
-                        None and stay None.  The callback holds no copy of
-                        eps.
+                        closed-form Marcus jump of the scaled mark
+                        w = eps z (a float): x' is the flow along w V at
+                        time one, v' its Jacobian at x applied to v.
+                        Without a tangent v1 and v2 are None and stay None.
+                        The callback holds no copy of eps.
     epsilon             perturbation scale in [0, 1)
     grad_h              (x1, x2) -> (g1, g2), the gradient of H, used for
                         exit detection (optional; disables the
@@ -72,18 +72,14 @@ class VectorFieldSet:
 
     drift: Callable
     drift_tangent: Callable
-    diffusion: Sequence[Callable]
-    diffusion_tangents: Sequence[Callable]
+    diffusion: Callable
+    diffusion_tangent: Callable
     jump: Callable
     epsilon: float
     grad_h: Optional[Callable] = None
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-
-    @property
-    def d(self) -> int:
-        return len(self.diffusion)
 
 
 @dataclass
@@ -131,34 +127,31 @@ def _exit_flag(fields: VectorFieldSet, cfg: StepperConfig, x1, x2) -> Optional[s
 
 
 def _tangent_correction(fields: VectorFieldSet, x1, x2, v1, v2):
-    """sum_k (DV_k DV_k + D(DV_k)[V_k]) v, the bracket of the Stratonovich
-    correction of the tangent, with the second-derivative part by a
-    directional finite difference of DV_k v."""
-    o1 = o2 = 0.0
-    for V, DV in zip(fields.diffusion, fields.diffusion_tangents):
-        u1, u2 = DV(x1, x2, *DV(x1, x2, v1, v2))
-        o1 += u1
-        o2 += u2
-        e1, e2 = V(x1, x2)
-        nv = math.hypot(e1, e2)
-        if nv > 0.0:
-            h = 1e-6 * (1.0 + math.hypot(x1, x2)) / nv
-            p1, p2 = DV(x1 + h * e1, x2 + h * e2, v1, v2)
-            m1, m2 = DV(x1 - h * e1, x2 - h * e2, v1, v2)
-            o1 += (p1 - m1) / (2.0 * h)
-            o2 += (p2 - m2) / (2.0 * h)
+    """(DV DV + D(DV)[V]) v, the bracket of the Stratonovich correction of
+    the tangent, with the second-derivative part by a directional finite
+    difference of DV v."""
+    DV = fields.diffusion_tangent
+    o1, o2 = DV(x1, x2, *DV(x1, x2, v1, v2))
+    e1, e2 = fields.diffusion(x1, x2)
+    nv = math.hypot(e1, e2)
+    if nv > 0.0:
+        h = 1e-6 * (1.0 + math.hypot(x1, x2)) / nv
+        p1, p2 = DV(x1 + h * e1, x2 + h * e2, v1, v2)
+        m1, m2 = DV(x1 - h * e1, x2 - h * e2, v1, v2)
+        o1 += (p1 - m1) / (2.0 * h)
+        o2 += (p2 - m2) / (2.0 * h)
     return o1, o2
 
 
 def step(fields: VectorFieldSet, rate: float, cfg: StepperConfig,
-         t, x1, x2, v1, v2, db, jumps=()):
+         t, x1, x2, v1, v2, dw, jumps=()):
     """Advance (t, x, v) by one step of size cfg.dt; returns the new
     (t, x1, x2, v1, v2).  v1 = v2 = None carries no tangent.
 
-    ``rate`` is the Gaussian variance rate of the noise model, ``db`` the
-    step's d Gaussian increments and ``jumps`` its (component, mark) events
-    in time order.  Raises ExitDetected with the state after the step when
-    that state exits.
+    ``rate`` is the Gaussian variance rate of the noise model, ``dw`` the
+    step's Gaussian increment and ``jumps`` its marks in time order.
+    Raises ExitDetected with the state after the step when that state
+    exits.
     """
     dt = cfg.dt
     eps = fields.epsilon
@@ -186,46 +179,33 @@ def step(fields: VectorFieldSet, rate: float, cfg: StepperConfig,
     x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
 
     if eps > 0.0:
-        diffusion, tangents = fields.diffusion, fields.diffusion_tangents
+        V, DV = fields.diffusion, fields.diffusion_tangent
         # (ii) Ito correction of the Stratonovich continuous part.  The net
-        # jump-compensator drift is -eps * sum_k V_k(x) * int z nu(dz) = 0
-        # for the symmetric measures supported here.
+        # jump-compensator drift is -eps * V(x) * int z nu(dz) = 0 for the
+        # symmetric measures supported here.
         if rate > 0.0:
             c = 0.5 * eps * eps * rate * dt
-            e1 = e2 = 0.0
-            for V, DV in zip(diffusion, tangents):
-                u1, u2 = DV(x1, x2, *V(x1, x2))
-                e1 += u1
-                e2 += u2
-            x1 += c * e1
-            x2 += c * e2
+            u1, u2 = DV(x1, x2, *V(x1, x2))
+            x1 += c * u1
+            x2 += c * u2
             if v1 is not None:
                 u1, u2 = _tangent_correction(fields, x1, x2, v1, v2)
                 v1 += c * u1
                 v2 += c * u2
 
         # (iii) Gaussian part, Euler-Maruyama
-        if any(db):
-            e1 = e2 = u1 = u2 = 0.0
-            for V, DV, dw in zip(diffusion, tangents, db):
-                m1, m2 = V(x1, x2)
-                e1 += m1 * dw
-                e2 += m2 * dw
-                if v1 is not None:
-                    m1, m2 = DV(x1, x2, v1, v2)
-                    u1 += m1 * dw
-                    u2 += m2 * dw
-            x1 += eps * e1
-            x2 += eps * e2
+        if dw:
+            m1, m2 = V(x1, x2)
             if v1 is not None:
-                v1 += eps * u1
-                v2 += eps * u2
+                u1, u2 = DV(x1, x2, v1, v2)
+                v1 += eps * (u1 * dw)
+                v2 += eps * (u2 * dw)
+            x1 += eps * (m1 * dw)
+            x2 += eps * (m2 * dw)
 
         # (iv) jumps, in time order
-        for k, z in jumps:
-            w = [0.0] * len(diffusion)
-            w[k] = eps * z
-            x1, x2, v1, v2 = fields.jump(w, x1, x2, v1, v2)
+        for z in jumps:
+            x1, x2, v1, v2 = fields.jump(eps * z, x1, x2, v1, v2)
 
     t += dt
     flag = _exit_flag(fields, cfg, x1, x2)
@@ -277,12 +257,11 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
     while done < n_total:
         m = min(cfg.block_steps, n_total - done)
         block = sample_block(noise, cfg.dt, m, rng_b, rng_j)
-        events = list(zip(block.jump_components.tolist(), block.jump_marks.tolist()))
-        gauss = zip(*block.gauss.T.tolist())    # per step, the d increments
-        for db, (jlo, jhi) in zip(gauss, block.step_slices()):
+        marks = block.jump_marks.tolist()
+        for dw, (jlo, jhi) in zip(block.gauss.tolist(), block.step_slices()):
             try:
                 t, x1, x2, v1, v2 = step(fields, rate, cfg, t, x1, x2, v1, v2,
-                                         db, events[jlo:jhi])
+                                         dw, marks[jlo:jhi])
             except ExitDetected as exc:
                 if raise_on_exit:
                     raise

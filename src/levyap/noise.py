@@ -2,9 +2,9 @@
 power-law jumps, and closed-form moments of the jump measure.
 
 The jump measure is symmetric alpha-stable restricted to magnitudes in
-[floor_delta, cutoff_c):  nu(dz) = c_alpha |z|^(-1-alpha) dz.  Components of
-a d-dimensional driver are independent, each carrying the one-dimensional
-measure.
+[floor_delta, cutoff_c):  nu(dz) = c_alpha |z|^(-1-alpha) dz.  The driver
+has one component: both example systems are driven along a single noise
+field.
 
 Reproducibility contract
 ------------------------
@@ -44,14 +44,12 @@ class JumpMeasureSpec:
     c_alpha     intensity constant >= 0 (0 means no jump part)
     cutoff_c    large-jump truncation radius > 0
     floor_delta small-jump floor in [0, cutoff_c); sampling requires > 0
-    dimension   number of independent driving components
     """
 
     alpha: float
     c_alpha: float
     cutoff_c: float
     floor_delta: float = 0.0
-    dimension: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -62,15 +60,13 @@ class JumpMeasureSpec:
             raise InvalidParameter("cutoff_c must be positive")
         if not 0.0 <= self.floor_delta < self.cutoff_c:
             raise InvalidParameter("floor_delta must lie in [0, cutoff_c)")
-        if self.dimension < 1:
-            raise InvalidParameter("dimension must be >= 1")
 
     @property
     def has_jumps(self) -> bool:
         return self.c_alpha > 0.0
 
     def intensity(self, lo: Optional[float] = None, hi: Optional[float] = None) -> float:
-        """Total mass nu({lo <= |z| < hi}) of one component."""
+        """Total mass nu({lo <= |z| < hi})."""
         lo = self.floor_delta if lo is None else lo
         hi = self.cutoff_c if hi is None else hi
         if not self.has_jumps or hi <= lo:
@@ -126,10 +122,6 @@ class NoiseModel:
                 f"ar_threshold must be nonnegative, got {self.ar_threshold}")
 
     @property
-    def dimension(self) -> int:
-        return self.measure.dimension if self.measure is not None else 1
-
-    @property
     def sampling_floor(self) -> float:
         m = self.measure
         if m is None or not m.has_jumps:
@@ -138,7 +130,7 @@ class NoiseModel:
 
     @property
     def gaussian_rate(self) -> float:
-        """Variance per unit time of the continuous part of each component."""
+        """Variance per unit time of the continuous part."""
         rate = 1.0 if self.brownian else 0.0
         m = self.measure
         if m is not None and m.has_jumps:
@@ -151,7 +143,7 @@ class NoiseModel:
 
     @property
     def jump_rate(self) -> float:
-        """Poisson rate (per unit time, per component) of sampled jump events."""
+        """Poisson rate (per unit time) of sampled jump events."""
         m = self.measure
         if m is None or not m.has_jumps or self.sampling_floor >= m.cutoff_c:
             return 0.0
@@ -180,7 +172,7 @@ def _invcdf_magnitudes(measure: JumpMeasureSpec, lo: float, u: np.ndarray) -> np
 class BlockIncrements:
     """Pre-sampled noise for a run of consecutive steps.
 
-    gauss has shape (n_steps, dim) and is already scaled to the model's
+    gauss has shape (n_steps,) and is already scaled to the model's
     continuous variance rate.  Jump events are sorted by (step, offset).
     """
 
@@ -189,7 +181,6 @@ class BlockIncrements:
     gauss: np.ndarray
     jump_steps: np.ndarray
     jump_offsets: np.ndarray
-    jump_components: np.ndarray
     jump_marks: np.ndarray
 
     def step_slices(self):
@@ -199,14 +190,11 @@ class BlockIncrements:
         return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
     def step_mark_sums(self) -> np.ndarray:
-        """Per-step sum of marks of each component, shape (n_steps, dim),
-        added in event order."""
-        dim = self.gauss.shape[1]
+        """Per-step sum of the marks, shape (n_steps,), added in event order."""
         if not len(self.jump_marks):
-            return np.zeros((self.n_steps, dim))
-        cells = self.jump_steps * dim + self.jump_components
-        return np.bincount(cells, weights=self.jump_marks,
-                           minlength=self.n_steps * dim).reshape(self.n_steps, dim)
+            return np.zeros(self.n_steps)
+        return np.bincount(self.jump_steps, weights=self.jump_marks,
+                           minlength=self.n_steps)
 
 
 def sample_block(noise: NoiseModel, dt: float, n_steps: int,
@@ -215,52 +203,36 @@ def sample_block(noise: NoiseModel, dt: float, n_steps: int,
     """Draw all increments for ``n_steps`` consecutive steps.
 
     Draw order (fixed; part of the reproducibility contract):
-      1. Gaussian table (n_steps, dim) from the brownian stream, std
+      1. Gaussian table (n_steps,) from the brownian stream, std
          sqrt(gaussian_rate * dt) per entry;
-      2. per component: Poisson counts per step, then offsets, magnitudes
-         and signs for all events of the block in bulk from the jump stream.
+      2. Poisson counts per step, then offsets, magnitudes and signs for
+         all events of the block in bulk from the jump stream.
 
     dt = 0 gives zero increments and no events without consuming the streams.
     """
     if dt < 0.0:
         raise InvalidParameter("dt must be nonnegative")
-    dim = noise.dimension
     rate = noise.gaussian_rate
     if rate > 0.0 and dt > 0.0:
-        gauss = rng_brownian.normal(0.0, math.sqrt(rate * dt), (n_steps, dim))
+        gauss = rng_brownian.normal(0.0, math.sqrt(rate * dt), n_steps)
     else:
-        gauss = np.zeros((n_steps, dim))
-    steps, offs, comps, marks = [], [], [], []
+        gauss = np.zeros(n_steps)
     jrate = noise.jump_rate
+    counts = None
     if jrate > 0.0 and dt > 0.0:
-        m = noise.measure
-        lo = noise.sampling_floor
-        per_comp = jrate  # intensity of one component over [lo, c)
-        for k in range(dim):
-            counts = rng_jumps.poisson(per_comp * dt, n_steps)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            t = dt * rng_jumps.random(total)
-            mag = _invcdf_magnitudes(m, lo, rng_jumps.random(total))
-            sgn = np.where(rng_jumps.random(total) < 0.5, -1.0, 1.0)
-            steps.append(np.repeat(np.arange(n_steps), counts))
-            offs.append(t)
-            comps.append(np.full(total, k, dtype=np.int64))
-            marks.append(sgn * mag)
-    if steps:
-        steps = np.concatenate(steps)
-        offs = np.concatenate(offs)
-        comps = np.concatenate(comps)
-        marks = np.concatenate(marks)
-        order = np.lexsort((offs, steps))
-        steps, offs, comps, marks = steps[order], offs[order], comps[order], marks[order]
-    else:
-        steps = np.empty(0, dtype=np.int64)
-        offs = np.empty(0)
-        comps = np.empty(0, dtype=np.int64)
-        marks = np.empty(0)
-    return BlockIncrements(dt, n_steps, gauss, steps, offs, comps, marks)
+        counts = rng_jumps.poisson(jrate * dt, n_steps)
+    total = 0 if counts is None else int(counts.sum())
+    if total == 0:
+        return BlockIncrements(dt, n_steps, gauss, np.empty(0, dtype=np.int64),
+                               np.empty(0), np.empty(0))
+    offs = dt * rng_jumps.random(total)
+    mag = _invcdf_magnitudes(noise.measure, noise.sampling_floor,
+                             rng_jumps.random(total))
+    marks = np.where(rng_jumps.random(total) < 0.5, -1.0, 1.0) * mag
+    steps = np.repeat(np.arange(n_steps), counts)
+    order = np.lexsort((offs, steps))
+    return BlockIncrements(dt, n_steps, gauss, steps[order], offs[order],
+                           marks[order])
 
 
 @lru_cache(maxsize=256)

@@ -73,11 +73,3 @@ def nu_nodes_regularized(alpha: float, c_alpha: float, hi: float, n: int = 64,
     u, w = gauss_legendre(n, lo ** p, hi ** p)
     z = u ** (1.0 / p)
     return z, w * c_alpha / p
-
-
-def check_converged(value: float, refined: float, rtol: float = 1e-4) -> None:
-    """Raise QuadratureFailure if doubling the nodes moved the result too much."""
-    scale = max(abs(value), abs(refined), 1e-300)
-    if abs(value - refined) > rtol * scale and abs(value - refined) > 1e-14:
-        raise QuadratureFailure(
-            f"quadrature not converged: {value:.6e} vs refined {refined:.6e}")

@@ -96,7 +96,7 @@ def rho_jump_profile(theta, amp, nodes) -> np.ndarray:
 
 def shear_noise(sigma: float) -> dict:
     """The noise field V(u) = (0, sigma u1) of both example systems, as the
-    ``VectorFieldSet`` keywords diffusion, diffusion_tangents and jump.
+    ``VectorFieldSet`` keywords diffusion, diffusion_tangent and jump.
 
     For the scaled mark w = eps z the Marcus flow of w V is the shear
     u2 += sigma w u1; the shear is linear, so its Jacobian moves the
@@ -104,13 +104,13 @@ def shear_noise(sigma: float) -> dict:
     """
 
     def jump(w, u1, u2, v1, v2):
-        s = sigma * w[0]
+        s = sigma * w
         if v1 is None:
             return u1, u2 + s * u1, None, None
         return u1, u2 + s * u1, v1, v2 + s * v1
 
-    return {"diffusion": [lambda u1, u2: (0.0, sigma * u1)],
-            "diffusion_tangents": [lambda u1, u2, v1, v2: (0.0, sigma * v1)],
+    return {"diffusion": lambda u1, u2: (0.0, sigma * u1),
+            "diffusion_tangent": lambda u1, u2, v1, v2: (0.0, sigma * v1),
             "jump": jump}
 
 
@@ -138,8 +138,8 @@ class NilpotentSystem:
             raise InvalidParameter("a and sigma must be positive")
         object.__setattr__(self, "_coeffs", FrameCoefficients(
             shear=self.a,
-            mats=np.array([[[0.0, 0.0], [self.sigma, 0.0]]]),
-            dmats=np.zeros((1, 2, 2)),
+            mats=((0.0, 0.0), (self.sigma, 0.0)),
+            dmats=((0.0, 0.0), (0.0, 0.0)),
         ))
 
     @property
@@ -199,7 +199,7 @@ class DuffingSystem:
             **shear_noise(self.sigma),
         )
 
-    def _closed_entries(self, x, y) -> np.ndarray:
+    def _closed_entries(self, x, y):
         s = self.sigma
         x3 = x * x * x
         g = x + x3
@@ -207,7 +207,7 @@ class DuffingSystem:
         b = -s * x * y * (x * x + 2.0) / n
         c = -s * x3 * g / (n * n)
         d = -s * x * g + s * y * y
-        return np.array([[b, c], [d, -b]])
+        return (b, c), (d, -b)
 
     def coeffs(self, p, with_actions: bool = False) -> FrameCoefficients:
         """Frame data at the point p, written in ``frame``."""
@@ -215,7 +215,7 @@ class DuffingSystem:
         g = x + x * x * x
         n = g * g + y * y
         shear = 3.0 * x * x * (g * g - y * y) / (n * n)
-        mats = self._closed_entries(x, y)[None]
+        mats = self._closed_entries(x, y)
         dmats = None
         if with_actions:
             nv = abs(self.sigma * x)
@@ -223,10 +223,13 @@ class DuffingSystem:
                 # central difference along the noise field V = (0, sigma x)
                 h = 1e-6 * (1.0 + math.hypot(x, y)) / nv
                 dv = h * (self.sigma * x)
-                dmats = ((self._closed_entries(x, y + dv)
-                          - self._closed_entries(x, y - dv)) / (2.0 * h))[None]
+                (b1, c1), (d1, e1) = self._closed_entries(x, y + dv)
+                (b0, c0), (d0, e0) = self._closed_entries(x, y - dv)
+                h2 = 2.0 * h
+                dmats = (((b1 - b0) / h2, (c1 - c0) / h2),
+                         ((d1 - d0) / h2, (e1 - e0) / h2))
             else:
-                dmats = np.zeros((1, 2, 2))
+                dmats = ((0.0, 0.0), (0.0, 0.0))
         return FrameCoefficients(shear, mats, dmats)
 
     def coeffs_with_actions(self, p) -> FrameCoefficients:

@@ -12,6 +12,9 @@
   ``frame.angle_jump_flow``.
 * ``frame_oracle``: a system's linearization read in its ``frame``, rebuilt
   from its ``fields``, the oracle of the closed-form ``coeffs``.
+* ``sigma0`` and ``compute_R0``: the leading-order growth-rate integrand at
+  a point, with its jump term by flow quadrature on the closed-form angle
+  jump, the oracle of ``estimators.shear_sigma0_profile``.
 * ``shear_exponent``: the exact top exponent of the Brownian shear system.
 """
 
@@ -19,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from levyap.errors import ExitDetected, LevyapError
-from levyap.frame import polar_fields
+from levyap.frame import angle_jump_flow, polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
-from levyap.noise import sample_block, trajectory_streams
+from levyap.noise import jump_nodes, sample_block, trajectory_streams
+from levyap.quadrature import gauss_legendre
 
 
 class FlowEscape(LevyapError):
@@ -74,12 +78,12 @@ def frame_coordinates(frame, x1: float, x2: float, v1: float, v2: float):
 
 
 def frame_oracle(frame, fields, x1: float, x2: float):
-    """(drift matrix, noise matrices) of the linearization read in ``frame``:
-    F^-1 (DX F - DF[X]) with F = [U1 U2] for X the drift and each V_k.  DX F
-    comes from the tangent callbacks, DF[X] = Im F(x + i h X) / h with
-    h = 1e-30 (complex step, exact to rounding: the callbacks are float
+    """(drift matrix, noise matrix) of the linearization read in ``frame``:
+    F^-1 (DX F - DF[X]) with F = [U1 U2] for X the drift and the noise field
+    V.  DX F comes from the tangent callbacks, DF[X] = Im F(x + i h X) / h
+    with h = 1e-30 (complex step, exact to rounding: the callbacks are float
     products).  A Hamiltonian drift gives [[0, shear], [0, 0]], the noise
-    fields ``coeffs(x).mats``."""
+    field ``coeffs(x).mats``."""
     F = np.array(frame(x1, x2)).T
 
     def in_frame(field, tangent):
@@ -89,8 +93,69 @@ def frame_oracle(frame, fields, x1: float, x2: float):
         return np.linalg.solve(F, DXF - DFX)
 
     return (in_frame(fields.drift, fields.drift_tangent),
-            np.array([in_frame(V, DV) for V, DV in
-                      zip(fields.diffusion, fields.diffusion_tangents)]))
+            in_frame(fields.diffusion, fields.diffusion_tangent))
+
+
+# ---------------------------------------------------------------------------
+# leading-order growth-rate integrand at a point
+# ---------------------------------------------------------------------------
+
+def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
+               x, theta: float, epsilon: float, beta: float = 2.0 / 3.0,
+               inner_nodes: int = 8, z_panel_nodes: int = 16,
+               lo: Optional[float] = None) -> float:
+    """Jump term of the leading-order growth-rate integrand.
+
+    For each mark z the inner double integral over the flow time collapses
+    by Fubini to a single (1 - b)-weighted integral of
+
+        (z d(xi(b z)))^2 cos(2 z1(b z)) cos^2(z1(b z)),
+
+    evaluated on Gauss-Legendre nodes b; the outer integral runs over the
+    symmetrized jump measure from ``lo`` (default: the measure's floor) to
+    the cutoff.  The flow along z V stopped at time b is the time-one flow
+    along b z V, so the state at b is the closed-form jump of mark b z
+    (``angle_jump_flow``).
+    """
+    if not measure.has_jumps:
+        return 0.0
+    x1, x2 = float(x[0]), float(x[1])
+    bq, bw = gauss_legendre(inner_nodes, 0.0, 1.0)
+    flow_w = (bw * (1.0 - bq)).tolist()
+    zq, wq, quadratic = jump_nodes(measure, lo, z_panel_nodes)
+    total = 0.0
+    for z, wt in zip(zq.tolist(), wq.tolist()):
+        for zs in (z, -z):
+            val = 0.0
+            for b, fw in zip(bq.tolist(), flow_w):
+                y1, y2, th, _ = angle_jump_flow(frame, jump, epsilon * b * zs,
+                                                x1, x2, theta, epsilon, beta)
+                zd = zs * coeffs_fn((y1, y2)).d
+                ct = math.cos(th)
+                val += fw * zd * zd * math.cos(2.0 * th) * ct * ct
+            if quadratic:
+                val /= z * z
+            total += wt * val
+    return total
+
+
+def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
+           x, theta: float, epsilon: float, beta: float = 2.0 / 3.0,
+           rate: float = 1.0, **quad_kw) -> float:
+    """Leading-order growth-rate integrand at (x, theta).
+
+    Drift shear term + Gaussian quadratic-variation term (at variance
+    ``rate`` per unit time) + the separated jump term ``compute_R0``.  A
+    ``lo`` in ``quad_kw`` starts the jump marks there; the band below it
+    then belongs in ``rate``.
+    """
+    co = coeffs_fn(x)
+    s, c = math.sin(theta), math.cos(theta)
+    base = co.shear * s * c + rate * (co.d * co.d) * (0.5 * c * c - s * s * c * c)
+    if measure is None or not measure.has_jumps:
+        return base
+    return base + compute_R0(coeffs_fn, frame, jump, measure, x, theta,
+                             epsilon, beta=beta, **quad_kw)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +169,8 @@ class ArrayFields:
 
     drift: Callable
     drift_jacobian: Callable
-    diffusion: Sequence[Callable]
-    diffusion_jacobians: Sequence[Callable]
+    diffusion: Callable
+    diffusion_jacobian: Callable
     epsilon: float
     jump: Callable
     grad_h: Optional[Callable] = None
@@ -116,14 +181,14 @@ def array_fields(system, epsilon: float) -> ArrayFields:
     s = system.sigma
 
     def jump(w, u, v):
-        k = s * w[0]
+        k = s * w
         u = np.array([u[0], u[1] + k * u[0]])
         if v is not None:
             v = np.array([v[0], v[1] + k * v[0]])
         return u, v
 
-    noise = dict(diffusion=[lambda p: np.array([0.0, s * p[0]])],
-                 diffusion_jacobians=[lambda p: np.array([[0.0, 0.0], [s, 0.0]])],
+    noise = dict(diffusion=lambda p: np.array([0.0, s * p[0]]),
+                 diffusion_jacobian=lambda p: np.array([[0.0, 0.0], [s, 0.0]]),
                  epsilon=epsilon, jump=jump)
     if system.name == "nilpotent":
         a = system.a
@@ -157,21 +222,20 @@ def _check_exit(fields: ArrayFields, state: TrajectoryState,
 
 def _tangent_correction(fields: ArrayFields, x, v, rate: float, dt: float):
     eps = fields.epsilon
-    out = np.zeros(2)
-    for vk, dvk in zip(fields.diffusion, fields.diffusion_jacobians):
-        J = dvk(x)
-        out += J @ (J @ v)
-        vkx = vk(x)
-        nv = np.linalg.norm(vkx)
-        if nv > 0.0:
-            h = 1e-6 * (1.0 + np.linalg.norm(x)) / nv
-            out += ((dvk(x + h * vkx) - dvk(x - h * vkx)) / (2.0 * h)) @ v
+    dv = fields.diffusion_jacobian
+    J = dv(x)
+    out = J @ (J @ v)
+    vx = fields.diffusion(x)
+    nv = np.linalg.norm(vx)
+    if nv > 0.0:
+        h = 1e-6 * (1.0 + np.linalg.norm(x)) / nv
+        out = out + ((dv(x + h * vx) - dv(x - h * vx)) / (2.0 * h)) @ v
     return 0.5 * eps * eps * rate * dt * out
 
 
 def array_step(fields: ArrayFields, rate: float, cfg: StepperConfig,
-               state: TrajectoryState, db, jumps=()) -> TrajectoryState:
-    """One step with ``db`` and ``jumps`` as ``marcus.step`` takes them;
+               state: TrajectoryState, dw, jumps=()) -> TrajectoryState:
+    """One step with ``dw`` and ``jumps`` as ``marcus.step`` takes them;
     raises ExitDetected on exit."""
     eps = fields.epsilon
     dt = cfg.dt
@@ -188,26 +252,17 @@ def array_step(fields: ArrayFields, rate: float, cfg: StepperConfig,
         x, v = y[:2], y[2:]
     if eps > 0.0:
         if rate > 0.0:
-            corr = np.zeros(2)
-            for vk, dvk in zip(fields.diffusion, fields.diffusion_jacobians):
-                corr += dvk(x) @ vk(x)
+            corr = fields.diffusion_jacobian(x) @ fields.diffusion(x)
             x = x + 0.5 * eps * eps * rate * dt * corr
             if v is not None:
                 v = v + _tangent_correction(fields, x, v, rate, dt)
-        if np.any(db):
-            inc = np.zeros(2)
-            vinc = np.zeros(2)
-            for k, vk in enumerate(fields.diffusion):
-                inc += vk(x) * db[k]
-                if v is not None:
-                    vinc += (fields.diffusion_jacobians[k](x) @ v) * db[k]
-            x = x + eps * inc
+        if dw:
+            inc = fields.diffusion(x) * dw
             if v is not None:
-                v = v + eps * vinc
-        for comp, mark in jumps:
-            z = np.zeros(len(fields.diffusion))
-            z[comp] = mark
-            x, v = fields.jump(eps * z, x, v)
+                v = v + eps * ((fields.diffusion_jacobian(x) @ v) * dw)
+            x = x + eps * inc
+        for mark in jumps:
+            x, v = fields.jump(eps * mark, x, v)
     out = TrajectoryState(state.t + dt, x, v)
     out.exit_flag = _check_exit(fields, out, cfg)
     if out.exit_flag is not None:
@@ -242,11 +297,10 @@ def array_integrate(fields: ArrayFields, noise, x0, horizon: float,
     while done < n_total:
         m = min(cfg.block_steps, n_total - done)
         block = sample_block(noise, cfg.dt, m, rng_b, rng_j)
-        events = list(zip(block.jump_components, block.jump_marks))
         for i, (jlo, jhi) in enumerate(block.step_slices()):
             try:
                 state = array_step(fields, rate, cfg, state, block.gauss[i],
-                                   events[jlo:jhi])
+                                   block.jump_marks[jlo:jhi])
             except ExitDetected as exc:
                 summary.final = exc.state
                 summary.exited = True
@@ -311,27 +365,23 @@ def array_direct_one(system, noise, epsilon: float, cfg, index: int):
 # ---------------------------------------------------------------------------
 
 def _flow_rhs(fields, w):
-    """y -> (sum_k w_k V_k(x), sum_k w_k DV_k(x) J) on y = (x, J.ravel())."""
+    """y -> (w V(x), w DV(x) J) on y = (x, J.ravel())."""
+    V, DV = fields.diffusion, fields.diffusion_tangent
 
     def f(y):
         x, J = y[:2], y[2:].reshape(2, 2)
-        dx = np.zeros(2)
-        dJ = np.zeros((2, 2))
-        for wk, vk, dvk in zip(w, fields.diffusion, fields.diffusion_tangents):
-            if wk != 0.0:
-                dx += wk * np.array(vk(*x))
-                dJ += wk * np.array([dvk(*x, *J[:, 0]), dvk(*x, *J[:, 1])]).T
-        return np.concatenate([dx, dJ.ravel()])
+        dJ = np.array([DV(*x, *J[:, 0]), DV(*x, *J[:, 1])]).T
+        return w * np.concatenate([V(*x), dJ.ravel()])
 
     return f
 
 
 def jump_flow(fields, w, x, substeps: int = 8):
-    """(x', J): the flow along sum_k w_k V_k at time one from x, and its
-    Jacobian at x, by RK4 on the variational system."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
+    """(x', J): the flow along w V at time one from x, and its Jacobian at
+    x, by RK4 on the variational system."""
+    w = float(w)
     y = np.concatenate([np.asarray(x, dtype=float), np.eye(2).ravel()])
-    if np.any(w):
+    if w:
         f = _flow_rhs(fields, w)
         for _ in range(substeps):
             y = _rk4(f, y, 1.0 / substeps)
@@ -341,13 +391,13 @@ def jump_flow(fields, w, x, substeps: int = 8):
 
 
 def marcus_jump_map(fields, z, x, substeps: int = 8) -> np.ndarray:
-    """Value at time one of the flow along eps * sum_k z_k V_k from x."""
-    return jump_flow(fields, fields.epsilon * np.atleast_1d(z), x, substeps)[0]
+    """Value at time one of the flow along eps z V from x."""
+    return jump_flow(fields, fields.epsilon * z, x, substeps)[0]
 
 
 def marcus_jump_jacobian(fields, z, x, substeps: int = 8) -> np.ndarray:
     """Derivative of the jump map at x, by the variational equation."""
-    return jump_flow(fields, fields.epsilon * np.atleast_1d(z), x, substeps)[1]
+    return jump_flow(fields, fields.epsilon * z, x, substeps)[1]
 
 
 def rk4_jump(fields, substeps: int = 8):
@@ -367,21 +417,21 @@ def rk4_jump(fields, substeps: int = 8):
 def rk4_angle_jump(system, z, x, theta: float, eps: float, beta: float,
                    substeps: int = 8, b_points=None):
     """Joint Marcus flow of (x, theta, log-radius increment) for the mark
-    vector z, by RK4.
+    z, by RK4.
 
-    Integrates d(xi, z1, z2)/dtau = (eps sum z_k V_k, sum z_k sigma1_k,
-    sum z_k sigma2_k) from (x, theta, 0) to tau = 1, with V_k the diffusion
-    fields of ``system`` and sigma the polar fields of its ``coeffs``.
+    Integrates d(xi, z1, z2)/dtau = (eps z V, z sigma1, z sigma2) from
+    (x, theta, 0) to tau = 1, with V the diffusion field of ``system`` and
+    sigma the polar fields of its ``coeffs``.
     Returns the state (x1, x2, theta, rho) at tau = 1, or with ``b_points``
     (sorted, in [0, 1]) the pair (states at those times, final state).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    diffusion = system.fields(eps).diffusion
+    z = float(z)
+    V = system.fields(eps).diffusion
 
     def rhs(y):
         s1, s2 = polar_fields(system.coeffs(y[:2]), y[2], eps, beta)
-        vx = np.array([V(y[0], y[1]) for V in diffusion])
-        return np.concatenate([eps * (z @ vx), [z @ s1, z @ s2]])
+        v1, v2 = V(y[0], y[1])
+        return np.array([eps * z * v1, eps * z * v2, z * s1, z * s2])
 
     def advance(y, gap):
         nsub = max(1, int(math.ceil(substeps * gap)))

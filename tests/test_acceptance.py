@@ -145,9 +145,9 @@ def test_acceptance_4_marcus_flow_properties():
         th = rng.uniform(0, 2 * math.pi)
         z = rng.uniform(-1, 1)
         want = (exact_theta_jump(th, amp * z), exact_rho_jump(th, amp * z))
-        y = rk4_angle_jump(NIL, [z], x0, th, eps, beta, substeps=32)
+        y = rk4_angle_jump(NIL, z, x0, th, eps, beta, substeps=32)
         worst = max(worst, abs(y[2] - want[0]), abs(y[3] - want[1]))
-        y = angle_jump_flow(NIL.frame, jump, [eps * z], x0[0], x0[1], th, eps, beta)
+        y = angle_jump_flow(NIL.frame, jump, eps * z, x0[0], x0[1], th, eps, beta)
         worst_jump = max(worst_jump, abs(y[2] - want[0]), abs(y[3] - want[1]))
     assert worst < 1e-8, f"flow vs closed form worst {worst:.2e}"
     assert worst_jump < 1e-13, f"closed-form jump vs shear formulas {worst_jump:.2e}"
@@ -175,7 +175,7 @@ def test_acceptance_5_frame_algebra():
         u1, u2 = (np.array(u) for u in DUF.frame(*p))
         assert np.allclose(w[0] * u1 + w[1] * u2, v, rtol=1e-12, atol=1e-12)
         drift, mats = frame_oracle(DUF.frame, fields, *p)
-        (b, c), (d, e) = mats[0]
+        (b, c), (d, e) = mats
         x, y = p
         n = (x + x ** 3) ** 2 + y * y
         assert drift[0, 1] == pytest.approx(
@@ -185,8 +185,8 @@ def test_acceptance_5_frame_algebra():
         assert d == pytest.approx(-x * (x + x ** 3) + y * y, rel=1e-8, abs=1e-8)
         assert b + e == pytest.approx(0.0, abs=1e-8)
     nil_co = NIL.coeffs()
-    assert (nil_co.shear, nil_co.d[0]) == (1.0, 1.0)
-    assert nil_co.b[0] == nil_co.c[0] == nil_co.e[0] == 0.0
+    assert (nil_co.shear, nil_co.d) == (1.0, 1.0)
+    assert nil_co.b == nil_co.c == nil_co.e == 0.0
     _report(5, "frame round trip 1e-12; shear-system constants (a, sigma, 0, 0, 0); "
                "nilpotent drift and closed-form noise-matrix entries reproduced "
                "from the integrated fields at 1000 points")

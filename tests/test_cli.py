@@ -303,7 +303,10 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--ar-threshold", "-1"],
                                   ["fp-solve", "--floor-delta", "0", "--ar-threshold", "0.1"],
                                   ["lyapunov", "--method", "fpcircle", "--floor-delta", "0",
-                                   "--ar-threshold", "0.1"]])
+                                   "--ar-threshold", "0.1"],
+                                  ["fp-solve", "--variant", "foo", "--grid-n", "64"],
+                                  ["lyapunov", "--method", "fpcircle", "--variant", "foo",
+                                   "--grid-n", "64"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",

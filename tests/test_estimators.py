@@ -9,15 +9,17 @@ from levyap._lanes import shear_direct_lanes
 from levyap.errors import (AllTrajectoriesExited, InvalidParameter,
                            NonPositiveEstimate)
 from levyap.estimators import (EstimatorConfig, LyapunovEstimate,
-                               OccupationMeasure, compute_Irho,
-                               gather_occupation, lyapunov_direct,
+                               OccupationMeasure, _khas_generic_worker,
+                               compute_Irho, lyapunov_direct,
                                lyapunov_khasminskii, lyapunov_theorem33,
-                               lyapunov_theorem33_estimate, scaling_sweep)
+                               lyapunov_theorem33_estimate,
+                               shear_sigma0_profile, scaling_sweep)
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              solve_stationary)
 from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment
 from levyap.systems import NilpotentSystem, make_duffing, make_nilpotent
+from oracles import sigma0
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -68,8 +70,9 @@ def test_generic_khasminskii_matches_lanes_on_constant_coefficients():
     cfg = EstimatorConfig(dt=1e-3, horizon=20.0, replicates=2, seed=3,
                           drift_stride=20)
     fast = lyapunov_khasminskii(NIL, noise, 0.1, cfg)
-    slow = lyapunov_khasminskii(NIL, noise, 0.1, cfg, force_generic=True)
-    assert slow.value == pytest.approx(fast.value, rel=1e-12)
+    slow = _khas_generic_worker((NIL, noise, 0.1, cfg), range(cfg.replicates))
+    assert np.mean([r[0] for r in slow]) == pytest.approx(fast.value, rel=1e-12)
+    assert not any(r[2] for r in slow)
 
 
 @dataclass(frozen=True)
@@ -144,15 +147,15 @@ def test_khasminskii_zero_drift_is_exactly_zero():
             return VectorFieldSet(
                 drift=lambda x1, x2: (x2, -x1),
                 drift_tangent=lambda x1, x2, v1, v2: (v2, -v1),
-                diffusion=[lambda x1, x2: (0.0, 0.0)],
-                diffusion_tangents=[lambda x1, x2, v1, v2: (0.0, 0.0)],
+                diffusion=lambda x1, x2: (0.0, 0.0),
+                diffusion_tangent=lambda x1, x2, v1, v2: (0.0, 0.0),
                 jump=lambda w, x1, x2, v1, v2: (x1, x2, v1, v2),
                 epsilon=epsilon,
                 grad_h=lambda x1, x2: (x1, x2))
 
         def coeffs(self, p):
-            return fr.FrameCoefficients(0.0, np.zeros((1, 2, 2)),
-                                        np.zeros((1, 2, 2)))
+            zero = ((0.0, 0.0), (0.0, 0.0))
+            return fr.FrameCoefficients(0.0, zero, zero)
 
         coeffs_with_actions = coeffs
 
@@ -246,15 +249,20 @@ def test_generic_irho_starts_at_sampling_floor():
     NoiseModel(measure=None, brownian=False),
 ], ids=["gaussian-band", "band-only", "no-noise"])
 def test_generic_theorem33_matches_closed_form(noise):
-    """The position-dependent branch (sigma0 with R0 from the sampling
-    floor) and the constant-shear profile count the Gaussian part at the
-    same rate and the jump marks over the same band."""
+    """The vectorized constant-shear profile and the pointwise sigma0 oracle
+    (its jump term by flow quadrature from the sampling floor) count the
+    Gaussian part at the same rate and the jump marks over the same band:
+    the occupation averages agree, and so does every angle."""
     th = (np.arange(8) + 0.5) * 2.0 * math.pi / 8
     w = np.linspace(1.0, 2.0, 8)
-    closed = lyapunov_theorem33(NIL, noise, 0.1, OccupationMeasure(th, w))
-    occ = OccupationMeasure(th, w[None, :], x_centers=np.array([[1.0, 0.5]]))
-    got = lyapunov_theorem33(GenericShear(1.0, 1.0), noise, 0.1, occ)
-    assert got == pytest.approx(closed, rel=1e-12, abs=1e-15)
+    shear_part, noise_part = shear_sigma0_profile(NIL, noise, 0.1, th)
+    jump = NIL.fields(0.1).jump
+    oracle = np.array([
+        sigma0(NIL.coeffs, NIL.frame, jump, noise.measure, (1.0, 0.5), t, 0.1,
+               rate=noise.gaussian_rate, lo=noise.sampling_floor) for t in th])
+    profile = shear_part + noise_part
+    assert w @ profile == pytest.approx(w @ oracle, rel=1e-12, abs=1e-15)
+    assert np.allclose(profile, oracle, rtol=1e-12, atol=1e-15)
 
 
 def test_theorem33_single_bin():
@@ -362,6 +370,23 @@ def test_estimators_refuse_epsilon_outside_unit_interval(eps, monkeypatch):
             run()
 
 
+def test_theorem33_refuses_position_dependent_shear_before_work(monkeypatch):
+    """Duffing's shear depends on the position: both theorem-3.3 entry
+    points refuse it before any replicate runs."""
+    import levyap.estimators as est_mod
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("replicates ran before the constant-shear check")
+
+    monkeypatch.setattr(est_mod, "_run_chunked", no_work)
+    cfg = EstimatorConfig(horizon=0.2, replicates=2)
+    with pytest.raises(InvalidParameter, match="constant-shear"):
+        lyapunov_theorem33_estimate(DUF, JUMPS, 0.1, cfg)
+    occ = OccupationMeasure(np.array([0.5]), np.array([1.0]))
+    with pytest.raises(InvalidParameter, match="constant-shear"):
+        lyapunov_theorem33(DUF, JUMPS, 0.1, occ)
+
+
 @pytest.mark.parametrize("field, value", [("dt", 0.0), ("dt", -1e-3),
                                           ("dt", math.nan), ("horizon", 0.0),
                                           ("horizon", -1.0),
@@ -419,8 +444,10 @@ def test_desk_scale_sweep_slope_brownian():
 
 
 def test_gather_occupation_normalized(khas_jump_run):
-    _, cfg = khas_jump_run
-    occ = gather_occupation(NIL, JUMPS, 0.1, cfg)
+    k, cfg = khas_jump_run
+    bins = cfg.theta_bins
+    centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
+    occ = OccupationMeasure(centers, k.extras["occupation"])
     assert occ.weights.sum() == pytest.approx(1.0)
     assert occ.weights.min() >= 0.0
     assert len(occ.theta_centers) == cfg.theta_bins

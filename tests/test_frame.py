@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyap.frame import (angle_jump_flow, compute_Irho_generic, compute_R0,
-                          polar_fields, sigma0, wz_corrections)
+from levyap.frame import (angle_jump_flow, compute_Irho_generic, polar_fields,
+                          wz_corrections)
 from levyap.marcus import VectorFieldSet
 from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
                           nu_quadrature_quadratic)
 from levyap.quadrature import gauss_legendre
 from levyap.systems import make_duffing, make_nilpotent, shear_noise
-from oracles import frame_coordinates, frame_oracle, rk4_angle_jump
+from oracles import (compute_R0, frame_coordinates, frame_oracle,
+                     rk4_angle_jump, sigma0)
 
 DUF = make_duffing(1.0)
 NIL = make_nilpotent(1.0, 1.0)
@@ -143,8 +144,8 @@ def test_frame_coefficients_match_duffing_closed_forms():
 
 def test_frame_coefficients_zero_fields():
     zero = dataclasses.replace(DUF.fields(0.0),
-                               diffusion=[lambda x, y: (0.0, 0.0)],
-                               diffusion_tangents=[lambda x, y, v1, v2: (0.0, 0.0)])
+                               diffusion=lambda x, y: (0.0, 0.0),
+                               diffusion_tangent=lambda x, y, v1, v2: (0.0, 0.0))
     assert np.allclose(frame_oracle(DUF.frame, zero, 1.0, 0.3)[1], 0.0, atol=1e-12)
 
 
@@ -152,11 +153,11 @@ def test_graded_terms_axis_reductions():
     co = DUF.coeffs(np.array([1.0, 0.4]))
     eps, beta = 0.2, 2.0 / 3.0
     s1, s2 = polar_fields(co, 0.0, eps, beta)
-    assert s1[0] == pytest.approx(eps ** (1 - beta) * co.d[0], rel=1e-12)
-    assert s2[0] == pytest.approx(eps * co.b[0], rel=1e-12)
+    assert s1 == pytest.approx(eps ** (1 - beta) * co.d, rel=1e-12)
+    assert s2 == pytest.approx(eps * co.b, rel=1e-12)
     s1, s2 = polar_fields(co, math.pi / 2.0, eps, beta)
-    assert s1[0] == pytest.approx(-eps ** (1 + beta) * co.c[0], abs=1e-12)
-    assert s2[0] == pytest.approx(eps * co.e[0], abs=1e-12)
+    assert s1 == pytest.approx(-eps ** (1 + beta) * co.c, abs=1e-12)
+    assert s2 == pytest.approx(eps * co.e, abs=1e-12)
 
 
 def test_graded_sums_match_matrix_route():
@@ -170,13 +171,13 @@ def test_graded_sums_match_matrix_route():
             co = DUF.coeffs(p)
             sigma1, sigma2 = polar_fields(co, th, eps, beta)
             eb = eps ** beta
-            m = np.array([[co.b[0], eb * co.c[0]],
-                          [co.d[0] / eb, co.e[0]]])
+            m = np.array([[co.b, eb * co.c],
+                          [co.d / eb, co.e]])
             s, c = math.sin(th), math.cos(th)
             s1 = eps * (m[1, 0] * c * c + (m[1, 1] - m[0, 0]) * s * c - m[0, 1] * s * s)
             s2 = eps * (m[0, 0] * c * c + (m[0, 1] + m[1, 0]) * s * c + m[1, 1] * s * s)
-            assert sigma1[0] == pytest.approx(s1, rel=1e-10, abs=1e-13)
-            assert sigma2[0] == pytest.approx(s2, rel=1e-10, abs=1e-13)
+            assert sigma1 == pytest.approx(s1, rel=1e-10, abs=1e-13)
+            assert sigma2 == pytest.approx(s2, rel=1e-10, abs=1e-13)
 
 
 def test_wong_zakai_terms_from_first_principles():
@@ -190,7 +191,7 @@ def test_wong_zakai_terms_from_first_principles():
         th = rng.uniform(0, 2 * math.pi)
         co = DUF.coeffs_with_actions(p)
         wz1, wz2 = wz_corrections(co, th, eps, beta)
-        v = np.array(DUF.fields(eps).diffusion[0](*p))
+        v = np.array(DUF.fields(eps).diffusion(*p))
         nv = np.linalg.norm(v)
         if nv < 1e-3:
             continue
@@ -204,8 +205,8 @@ def test_wong_zakai_terms_from_first_principles():
         dth1 = (sig(p, th + 1e-6)[0] - sig(p, th - 1e-6)[0]) / 2e-6
         dth2 = (sig(p, th + 1e-6)[1] - sig(p, th - 1e-6)[1]) / 2e-6
         s1, _ = sig(p, th)
-        want1 = eps * dx1[0] + dth1[0] * s1[0]
-        want2 = eps * dx2[0] + dth2[0] * s1[0]
+        want1 = eps * dx1 + dth1 * s1
+        want2 = eps * dx2 + dth2 * s1
         assert wz1 == pytest.approx(want1, rel=2e-4, abs=1e-8)
         assert wz2 == pytest.approx(want2, rel=2e-4, abs=1e-8)
 
@@ -220,7 +221,7 @@ def test_leading_wz_term_identity():
     for th in rng.uniform(0, 2 * math.pi, 50):
         _, wz2 = wz_corrections(co, th, eps, beta)
         s, c = math.sin(th), math.cos(th)
-        want = co.d[0] ** 2 * (0.5 * c * c - s * s * c * c)
+        want = co.d ** 2 * (0.5 * c * c - s * s * c * c)
         assert 0.5 * wz2 / eps ** (2 - 2 * beta) == pytest.approx(
             want, rel=1e-12, abs=1e-14)
 
@@ -233,7 +234,7 @@ def test_sigma0_reduces_to_gaussian_terms_without_jumps():
         got = sigma0(*callbacks(DUF, 0.1), None, p, th, 0.1)
         co = DUF.coeffs(p)
         s, c = math.sin(th), math.cos(th)
-        want = co.shear * s * c + co.d[0] ** 2 * (0.5 * c * c - s * s * c * c)
+        want = co.shear * s * c + co.d ** 2 * (0.5 * c * c - s * s * c * c)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -269,10 +270,16 @@ def test_compute_r0_zero_mass():
 
 
 def test_compute_r0_node_doubling_converges():
+    # doubling the flow and mark nodes moves the value by under 1e-4
+    # relative (or 1e-14 absolute)
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
                               floor_delta=0.05)
-    compute_R0(*callbacks(NIL, 0.1), measure, np.array([1.0, 0.5]), 0.8,
-               0.1, check=True)
+    x = np.array([1.0, 0.5])
+    base = compute_R0(*callbacks(NIL, 0.1), measure, x, 0.8, 0.1)
+    fine = compute_R0(*callbacks(NIL, 0.1), measure, x, 0.8, 0.1,
+                      inner_nodes=16, z_panel_nodes=32)
+    gap = abs(base - fine)
+    assert gap <= 1e-4 * max(abs(base), abs(fine)) or gap <= 1e-14
 
 
 def test_irho_generic_matches_closed_form():
@@ -316,7 +323,7 @@ def test_generic_evaluator_derivative_actions():
     h = 1e-6
     for _ in range(200):
         p = random_point(rng, min_grad=0.5)
-        v = np.array(fields.diffusion[0](*p))
+        v = np.array(fields.diffusion(*p))
         want = (frame_oracle(DUF.frame, fields, *(p + h * v))[1]
                 - frame_oracle(DUF.frame, fields, *(p - h * v))[1]) / (2.0 * h)
         assert np.allclose(want, DUF.coeffs_with_actions(p).dmats,
@@ -359,8 +366,8 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
     worst = {}
     for n in (8, 32, 128):
         worst[n] = max(
-            np.max(np.abs(rk4_angle_jump(system, [z], x, th, eps, beta, substeps=n)
-                          - angle_jump_flow(system.frame, jump, [eps * z], x[0], x[1],
+            np.max(np.abs(rk4_angle_jump(system, z, x, th, eps, beta, substeps=n)
+                          - angle_jump_flow(system.frame, jump, eps * z, x[0], x[1],
                                             th, eps, beta)))
             for x, th, z in cases)
     assert worst[128] <= 1e-9
@@ -368,10 +375,10 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
     assert worst[8] / worst[32] > 150 and worst[32] / worst[128] > 150, worst
     bq = [0.1, 0.45, 0.8]
     for x, th, z in cases:
-        states, _ = rk4_angle_jump(system, [z], x, th, eps, beta, substeps=128,
+        states, _ = rk4_angle_jump(system, z, x, th, eps, beta, substeps=128,
                                    b_points=bq)
         for b, st in zip(bq, states):
-            want = angle_jump_flow(system.frame, jump, [eps * b * z], x[0], x[1],
+            want = angle_jump_flow(system.frame, jump, eps * b * z, x[0], x[1],
                                    th, eps, beta)
             assert np.max(np.abs(st - want)) <= 1e-9
 
@@ -398,9 +405,9 @@ def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
         pair = 0.0
         for sgn in (1.0, -1.0):
             z = sgn * zi
-            y = angle_jump_flow(system.frame, jump, [eps * z], x[0], x[1],
+            y = angle_jump_flow(system.frame, jump, eps * z, x[0], x[1],
                                 theta, eps, beta)
-            pair += y[3] - z * s2[0]
+            pair += y[3] - z * s2
         if quadratic:
             pair /= zi * zi
         total += wi * pair
@@ -417,9 +424,9 @@ def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
         for z in (zi, -zi):
             g = np.empty(len(bq))
             for j, b in enumerate(bq):
-                y1, y2, th, _ = angle_jump_flow(system.frame, jump, [eps * b * z],
+                y1, y2, th, _ = angle_jump_flow(system.frame, jump, eps * b * z,
                                                 x[0], x[1], theta, eps, beta)
-                zd = z * system.coeffs(np.array([y1, y2])).d[0]
+                zd = z * system.coeffs(np.array([y1, y2])).d
                 g[j] = zd * zd * math.cos(2.0 * th) * math.cos(th) ** 2
             val = float(np.sum(bw * (1.0 - bq) * g))
             if quadratic:
@@ -445,7 +452,8 @@ def _quadrature_points():
 @pytest.mark.parametrize("lo", [None, 0.2])
 @pytest.mark.parametrize("measure", QUAD_MEASURES)
 def test_batched_jump_quadratures_match_per_node_loop(measure, lo):
-    """compute_Irho_generic and compute_R0 against the per-node loops."""
+    """compute_Irho_generic and the compute_R0 oracle against the per-node
+    loops."""
     for system, x, th in _quadrature_points():
         got = compute_Irho_generic(system.frame, system.fields(0.1).jump,
                                    measure, x, th, 0.1, z_panel_nodes=8, lo=lo)

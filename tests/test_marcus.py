@@ -73,7 +73,7 @@ def bracket_drift(fields, measure, x, nodes=32):
     Gauss-Legendre in |z|, both signs, one RK4 jump flow per node."""
     zq, wq = gauss_legendre(nodes, measure.floor_delta, measure.cutoff_c)
     dens = measure.c_alpha * zq ** (-1.0 - measure.alpha)
-    vx = np.array(fields.diffusion[0](*x))
+    vx = np.array(fields.diffusion(*x))
     out = np.zeros(2)
     for zi, wi, di in zip(zq, wq, dens):
         for z in (zi, -zi):
@@ -94,8 +94,8 @@ def test_step_single_jump_reproduces_jump_map():
     # a step with one jump is the drift move followed by the jump map
     fields = NIL.fields(0.2)
     cfg = StepperConfig(dt=1e-3)
-    drifted = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, [0.0])
-    jumped = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, [0.0], [(0, 0.8)])
+    drifted = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, 0.0)
+    jumped = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, 0.0, [0.8])
     assert np.allclose(jumped[1:3], marcus_jump_map(fields, 0.8, drifted[1:3]),
                        rtol=1e-14)
 
@@ -115,12 +115,12 @@ def test_closed_form_jumps_match_rk4_route(system):
         x = rng.normal(size=2) + np.array([1.0, 0.0])
         v = rng.normal(size=2)
         marks = rng.choice([-1.0, 1.0], n_jumps) * rng.uniform(0.05, 1.0, n_jumps)
-        db = [float(rng.normal(0.0, 0.03))]
-        jumps = [(0, float(z)) for z in marks]
-        a = step(exact, rate, cfg, 0.0, *x, *v, db, jumps)
-        b = step(flowed, rate, cfg, 0.0, *x, *v, db, jumps)
+        dw = float(rng.normal(0.0, 0.03))
+        jumps = marks.tolist()
+        a = step(exact, rate, cfg, 0.0, *x, *v, dw, jumps)
+        b = step(flowed, rate, cfg, 0.0, *x, *v, dw, jumps)
         assert np.allclose(a[1:], b[1:], rtol=1e-12, atol=1e-12)
-        c = step(exact, rate, cfg, 0.0, *x, None, None, db, jumps)
+        c = step(exact, rate, cfg, 0.0, *x, None, None, dw, jumps)
         assert c[3:] == (None, None) and c[1:3] == a[1:3]
 
 
@@ -142,7 +142,7 @@ def test_step_energy_conservation_drift_only():
     state = (0.0, 1.0, 0.0, None, None)
     h0 = duffing_energy(*state[1:3])
     for _ in range(1000):
-        state = step(fields, 1.0, cfg, *state, [0.0])
+        state = step(fields, 1.0, cfg, *state, 0.0)
     assert abs(duffing_energy(*state[1:3]) - h0) <= 1e-8
 
 
@@ -212,33 +212,6 @@ def test_integrate_deterministic():
     assert runs[0].n_jumps == runs[1].n_jumps > 0
 
 
-def test_jumps_applied_in_offset_order():
-    # two non-commuting shears: component 0 shears x2, component 1 shears x1
-    fields = VectorFieldSet(
-        drift=lambda x1, x2: (0.0, 0.0),
-        drift_tangent=lambda x1, x2, v1, v2: (0.0, 0.0),
-        diffusion=[lambda x1, x2: (0.0, x1), lambda x1, x2: (x2, 0.0)],
-        diffusion_tangents=[lambda x1, x2, v1, v2: (0.0, v1),
-                            lambda x1, x2, v1, v2: (v2, 0.0)],
-        jump=None,
-        epsilon=0.5,
-    )
-    fields.jump = rk4_jump(fields)
-    cfg = StepperConfig(dt=1e-3)
-    x = np.array([1.0, 1.0])
-
-    def run(order):
-        jumps = list(zip(order, [0.8, -0.6]))
-        return step(fields, 1.0, cfg, 0.0, *x, None, None, [0.0, 0.0], jumps)[1:3]
-
-    first = run([0, 1])
-    swapped = run([1, 0])
-    manual = marcus_jump_map(fields, [0.0, -0.6],
-                             marcus_jump_map(fields, [0.8, 0.0], x))
-    assert np.allclose(first, manual, rtol=1e-12)
-    assert not np.allclose(first, swapped)
-
-
 def test_chain_rule_u_vs_polar_pathwise():
     """Simulating the plane system and mapping to polar coordinates agrees
     pathwise with simulating the angle/log-radius equations on the same
@@ -257,7 +230,7 @@ def test_chain_rule_u_vs_polar_pathwise():
         u = summary.final.x
         # independent polar simulation consuming the same increment tables
         block = sample_block(noise, dt, n, *trajectory_streams(2024, idx))
-        sums = block.step_mark_sums()[:, 0]
+        sums = block.step_mark_sums()
         th = math.atan2(0.5, 1.0)
         rho = 0.5 * math.log(1.0 + 0.25)
         for i in range(n):
@@ -266,7 +239,7 @@ def test_chain_rule_u_vs_polar_pathwise():
             rho += dt * (a * st * ct
                          + eps ** 2 * sig ** 2 * (0.5 * ct * ct - st * st * ct * ct))
             st, ct = math.sin(th), math.cos(th)
-            db = eps * sig * block.gauss[i, 0]
+            db = eps * sig * block.gauss[i]
             th += ct * ct * db
             rho += st * ct * db
             if sums[i]:
@@ -316,33 +289,32 @@ def test_duffing_restart_path_matches_numpy_oracle():
 
 
 def test_step_matches_numpy_oracle_on_nonlinear_noise():
-    """Two noise fields with position-dependent Jacobians, so that the Ito
+    """A noise field with a position-dependent Jacobian, so that the Ito
     correction, both parts of the tangent correction (the finite
     difference included) and the Gaussian tangent term are all nonzero."""
     fields = VectorFieldSet(
         drift=lambda x1, x2: (x2, -x1 - x1 * x1 * x1),
         drift_tangent=lambda x1, x2, v1, v2: (v2, (-1.0 - 3.0 * x1 * x1) * v1),
-        diffusion=[lambda x1, x2: (0.3 * x2 * x2, x1 * x2),
-                   lambda x1, x2: (x1 * x1, 0.0)],
-        diffusion_tangents=[lambda x1, x2, v1, v2: (0.6 * x2 * v2, x2 * v1 + x1 * v2),
-                            lambda x1, x2, v1, v2: (2.0 * x1 * v1, 0.0)],
+        diffusion=lambda x1, x2: (0.3 * x2 * x2, x1 * x2),
+        diffusion_tangent=lambda x1, x2, v1, v2: (0.6 * x2 * v2, x2 * v1 + x1 * v2),
         jump=None,
         epsilon=0.4,
     )
     arrays = ArrayFields(
         drift=lambda p: np.array([p[1], -p[0] - p[0] ** 3]),
         drift_jacobian=lambda p: np.array([[0.0, 1.0], [-1.0 - 3.0 * p[0] ** 2, 0.0]]),
-        diffusion=[lambda p: np.array([0.3 * p[1] ** 2, p[0] * p[1]]),
-                   lambda p: np.array([p[0] ** 2, 0.0])],
-        diffusion_jacobians=[lambda p: np.array([[0.0, 0.6 * p[1]], [p[1], p[0]]]),
-                             lambda p: np.array([[2.0 * p[0], 0.0], [0.0, 0.0]])],
+        diffusion=lambda p: np.array([0.3 * p[1] ** 2, p[0] * p[1]]),
+        diffusion_jacobian=lambda p: np.array([[0.0, 0.6 * p[1]], [p[1], p[0]]]),
         epsilon=0.4, jump=None)
     cfg = StepperConfig(dt=1e-2)
     rng = np.random.default_rng(12)
     for _ in range(20):
         x, v = rng.normal(size=2), rng.normal(size=2)
-        db = rng.normal(0.0, 0.1, 2)
-        got = step(fields, 1.3, cfg, 0.0, *x, *v, db.tolist())
-        want = array_step(arrays, 1.3, cfg, TrajectoryState(0.0, x, v), db)
+        dw = float(rng.normal(0.0, 0.1))
+        got = step(fields, 1.3, cfg, 0.0, *x, *v, dw)
+        want = array_step(arrays, 1.3, cfg, TrajectoryState(0.0, x, v), dw)
         assert np.allclose(got[1:3], want.x, rtol=1e-12, atol=0.0)
-        assert np.allclose(got[3:], want.v, rtol=1e-12, atol=0.0)
+        # the finite difference rounds differently in the two steppers, by
+        # an amount that scales with |v|, not with each component
+        assert np.abs(np.subtract(got[3:], want.v)).max() <= \
+            1e-12 * np.linalg.norm(want.v)

@@ -11,9 +11,9 @@ from levyap.noise import (BlockIncrements, JumpMeasureSpec, NoiseModel,
                           jump_moment, sample_block, trajectory_streams)
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.1)
-# a driver of 4 independent components without a jump part
-NO_JUMPS_4D = NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=0.0,
-                                                 cutoff_c=1.0, dimension=4))
+# a jump measure without a jump part
+NO_JUMPS = NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=0.0,
+                                              cutoff_c=1.0))
 
 
 def rngs(seed):
@@ -23,15 +23,15 @@ def rngs(seed):
 def test_brownian_zero_dt_is_zero():
     rb, rj = rngs(0)
     block = sample_block(NoiseModel(measure=MEASURE), 0.0, 3, rb, rj)
-    assert np.array_equal(block.gauss, np.zeros((3, 1)))
+    assert np.array_equal(block.gauss, np.zeros(3))
     # dt = 0 consumes neither stream
     assert rb.random() == np.random.default_rng(0).random()
     assert rj.random() == np.random.default_rng(1000).random()
 
 
 def test_brownian_variance():
-    block = sample_block(NO_JUMPS_4D, 1.0, 250_000, *rngs(1))
-    assert block.gauss.shape == (250_000, 4)
+    block = sample_block(NO_JUMPS, 1.0, 1_000_000, *rngs(1))
+    assert block.gauss.shape == (1_000_000,)
     assert abs(block.gauss.var() - 1.0) < 0.01
 
 
@@ -44,7 +44,7 @@ def test_brownian_mean_small_dt():
 def test_jumps_zero_dt_empty():
     block = sample_block(NoiseModel(measure=MEASURE), 0.0, 5, *rngs(0))
     assert (len(block.jump_steps) == len(block.jump_offsets)
-            == len(block.jump_components) == len(block.jump_marks) == 0)
+            == len(block.jump_marks) == 0)
 
 
 def test_jump_count_mean_matches_intensity():
@@ -209,8 +209,8 @@ def test_step_slices_edge_blocks():
              np.array([1])]                          # one event
     for steps in cases:
         n = len(steps)
-        block = BlockIncrements(0.1, 4, np.zeros((4, 1)), steps, np.zeros(n),
-                                np.zeros(n, dtype=np.int64), np.ones(n))
+        block = BlockIncrements(0.1, 4, np.zeros(4), steps, np.zeros(n),
+                                np.ones(n))
         got = list(block.step_slices())
         assert got == _scanned_step_slices(block)
         assert len(got) == 4 and got[-1][1] == n
@@ -218,13 +218,39 @@ def test_step_slices_edge_blocks():
 
 
 def test_step_mark_sums_add_in_event_order():
+    # about 13 events per step, so the order of the additions shows
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
-                              floor_delta=0.01, dimension=3)
+                              floor_delta=0.01)
     block = sample_block(NoiseModel(measure=measure), 0.01, 500,
                          *trajectory_streams(3, 1))
-    want = np.zeros((500, 3))
-    np.add.at(want, (block.jump_steps, block.jump_components), block.jump_marks)
+    assert np.bincount(block.jump_steps).min() >= 2
+    want = np.zeros(500)
+    np.add.at(want, block.jump_steps, block.jump_marks)
     assert np.array_equal(block.step_mark_sums(), want)
     empty = sample_block(NoiseModel(measure=None), 0.01, 4, *rngs(0))
     sums = empty.step_mark_sums()
-    assert sums.dtype == float and np.array_equal(sums, np.zeros((4, 1)))
+    assert sums.dtype == float and np.array_equal(sums, np.zeros(4))
+
+
+def test_block_follows_documented_draw_order():
+    """The Gaussian table, then the Poisson counts, offsets, magnitudes and
+    signs, each in bulk, sorted by (step, offset)."""
+    m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.01)
+    noise = NoiseModel(measure=m, ar_threshold=0.05)
+    dt, n = 0.01, 300
+    block = sample_block(noise, dt, n, *trajectory_streams(8, 2))
+    rb, rj = trajectory_streams(8, 2)
+    assert np.array_equal(block.gauss,
+                          rb.normal(0.0, math.sqrt(noise.gaussian_rate * dt), n))
+    counts = rj.poisson(noise.jump_rate * dt, n)
+    total = int(counts.sum())
+    offs = dt * rj.random(total)
+    lo_p, hi_p = 0.05 ** -1.5, 1.0
+    mag = (lo_p - rj.random(total) * (lo_p - hi_p)) ** (-1.0 / 1.5)
+    marks = np.where(rj.random(total) < 0.5, -1.0, 1.0) * mag
+    steps = np.repeat(np.arange(n), counts)
+    order = np.lexsort((offs, steps))
+    assert total > 100 and np.count_nonzero(counts > 1) > 10
+    assert np.array_equal(block.jump_steps, steps[order])
+    assert np.array_equal(block.jump_offsets, offs[order])
+    assert np.array_equal(block.jump_marks, marks[order])

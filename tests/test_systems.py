@@ -21,15 +21,15 @@ def test_nilpotent_constant_coefficients():
     sys_ = make_nilpotent(1.3, 0.8)
     co = sys_.coeffs(np.array([2.0, -1.0]))
     assert co.shear == 1.3
-    assert co.d[0] == 0.8
-    assert co.b[0] == co.c[0] == co.e[0] == 0.0
+    assert co.d == 0.8
+    assert co.b == co.c == co.e == 0.0
 
 
 def test_duffing_noise_matrix_values():
     sig = 1.7
     sys_ = make_duffing(sig)
     co = sys_.coeffs(np.array([1.0, 0.0]))
-    assert co.d[0] == pytest.approx(-2.0 * sig, rel=1e-12)
+    assert co.d == pytest.approx(-2.0 * sig, rel=1e-12)
     assert co.shear == pytest.approx(0.75, rel=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_duffing_offdiagonal_antisymmetry():
         if math.hypot(*sys_.fields(0.0).grad_h(*p)) < 1e-3:
             continue
         co = sys_.coeffs(p)
-        assert co.b[0] + co.e[0] == pytest.approx(0.0, abs=1e-12)
+        assert co.b + co.e == pytest.approx(0.0, abs=1e-12)
 
 
 def test_duffing_field_reconstruction():
@@ -58,7 +58,7 @@ def test_duffing_field_reconstruction():
         a1, a2 = -1.1 * x * g / (g * g + y * y), 1.1 * x * y
         u1, u2 = (np.array(u) for u in sys_.frame(x, y))
         assert np.allclose(a1 * u1 + a2 * u2,
-                           sys_.fields(0.0).diffusion[0](x, y),
+                           sys_.fields(0.0).diffusion(x, y),
                            rtol=1e-8, atol=1e-10)
 
 
@@ -130,7 +130,7 @@ def test_exact_jumps_match_generic_flow():
     for _ in range(1000):
         th = rng.uniform(0.0, 2.0 * math.pi)
         z = rng.uniform(-1.0, 1.0)
-        _, _, th2, rho = angle_jump_flow(sys_.frame, jump, [eps * z], 1.0, 0.5,
+        _, _, th2, rho = angle_jump_flow(sys_.frame, jump, eps * z, 1.0, 0.5,
                                          th, eps, beta)
         worst_t = max(worst_t, abs(th2 - exact_theta_jump(th, amp * z)))
         worst_r = max(worst_r, abs(rho - exact_rho_jump(th, amp * z)))
