@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidMeasure, InvalidParameter, LevyapError
+from .errors import (ConfigError, InvalidGrid, InvalidMeasure, InvalidParameter,
+                     LevyapError)
 from .estimators import (EstimatorConfig, LyapunovEstimate,
                          check_sweep_epsilons, lyapunov_direct,
                          lyapunov_khasminskii, lyapunov_theorem33_estimate,
@@ -186,10 +187,13 @@ def _x0(cfg: dict):
     """The initial point of run.x0, or None for the system default."""
     if not cfg["run.x0"]:
         return None
-    parts = cfg["run.x0"].split(",")
-    if len(parts) != 2:
-        raise ConfigError("run.x0 must be 'x,y'")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        x0 = tuple(float(p) for p in cfg["run.x0"].split(","))
+    except ValueError:
+        x0 = ()
+    if len(x0) != 2 or not all(math.isfinite(c) for c in x0):
+        raise ConfigError(f"run.x0 must be two finite numbers 'x,y', got {cfg['run.x0']!r}")
+    return x0
 
 
 def _check_run_epsilon(cfg: dict) -> None:
@@ -200,9 +204,17 @@ def _check_run_epsilon(cfg: dict) -> None:
         raise ConfigError(f"run.epsilon: {exc}") from exc
 
 
+def _check_beta(cfg: dict) -> None:
+    """Refuse run.beta outside [0, 1]: inside it no scale eps^beta,
+    eps^(1-beta) or eps^(2-2beta) grows as eps -> 0."""
+    if not 0.0 <= cfg["run.beta"] <= 1.0:
+        raise ConfigError(f"run.beta must lie in [0, 1], got {cfg['run.beta']}")
+
+
 def build_runtime(cfg: dict):
     """(system, noise, estimator config) from a resolved flat config; a
     value the estimator config refuses is a ConfigError."""
+    _check_beta(cfg)
     system, noise = _build_model(cfg)
     try:
         est = EstimatorConfig(dt=cfg["run.dt"], horizon=cfg["run.horizon"],
@@ -248,10 +260,14 @@ def _check_methods(methods: list, system) -> None:
 
 
 def _check_fp(cfg: dict, noise) -> None:
-    """Refuse, before any work starts, an unknown fp.variant, and jumps with
-    noise.floor_delta = 0 for the plain circle generator: its nonlocal term
-    models the measure on [floor_delta, cutoff) and ignores both Gaussian
-    substitutes, so a substitute does not truncate it."""
+    """Refuse, before any work starts, a bad fp.grid_n or fp.variant, and
+    jumps with noise.floor_delta = 0 for the plain circle generator: its
+    nonlocal term models the measure on [floor_delta, cutoff) and ignores both
+    Gaussian substitutes, so a substitute does not truncate it."""
+    try:
+        CircleGrid(cfg["fp.grid_n"])
+    except InvalidGrid as exc:
+        raise ConfigError(f"fp.grid_n: {exc}") from exc
     if cfg["fp.variant"] not in ("plain", "pw"):
         raise ConfigError(f"unknown fp.variant {cfg['fp.variant']!r}; "
                           "choose plain or pw")
@@ -385,6 +401,8 @@ def cmd_simulate(cfg: dict) -> int:
     system, noise = _build_model(cfg)
     if not cfg["output.path"]:
         raise ConfigError("simulate needs output.path")
+    if not 0.0 <= cfg["run.horizon"] < math.inf:
+        raise ConfigError(f"run.horizon must be finite and >= 0, got {cfg['run.horizon']}")
     fields = system.fields(cfg["run.epsilon"])
     try:
         scfg = StepperConfig(dt=cfg["run.dt"], tol_crit=system.tol_crit)
@@ -432,6 +450,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_fp_solve(cfg: dict) -> int:
+    _check_beta(cfg)
     system, noise = _build_model(cfg)
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")

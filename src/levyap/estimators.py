@@ -34,9 +34,8 @@ from ._lanes import shear_angle_lanes, shear_direct_lanes
 from .errors import (AllTrajectoriesExited, EmptyMeasure, ExitDetected,
                      InvalidParameter, NonPositiveEstimate)
 from .marcus import StepperConfig, check_epsilon, integrate, step
-from .noise import (JumpMeasureSpec, NoiseModel, jump_nodes, nu_quadrature,
-                    sample_block, trajectory_streams)
-from .quadrature import gauss_legendre
+from .noise import (JumpMeasureSpec, NoiseModel, jump_nodes, sample_block,
+                    trajectory_streams)
 from .systems import rho_jump_profile
 
 
@@ -281,7 +280,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     scfg = StepperConfig(dt=cfg.dt, tol_crit=system.tol_crit,
                          block_steps=cfg.block_steps)
     coeffs_fn = system.coeffs
-    frame, jump = system.frame, fields.jump
+    frame, sigma = system.frame, system.sigma
     rate = noise.gaussian_rate
     dt = cfg.dt
     n = int(round(cfg.horizon / dt))
@@ -321,7 +320,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
             drift_th = (-e_sh * co.shear * math.sin(theta) ** 2
                         + 0.5 * rate * wz1)
             try:
-                _, p1, p2, _, _ = step(fields, rate, scfg, 0.0, float(x[0]),
+                _, p1, p2, _, _ = step(fields, scfg, 0.0, float(x[0]),
                                        float(x[1]), None, None, gauss[i])
             except ExitDetected:
                 restarts += 1
@@ -337,7 +336,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
             s1, _ = fr.polar_fields(coeffs_fn((p1, p2)), theta, epsilon, beta)
             theta = theta + s1 * gauss[i]
             for z in marks[jlo:jhi]:
-                p1, p2, theta, _ = fr.angle_jump_flow(frame, jump, epsilon * z,
+                p1, p2, theta, _ = fr.angle_jump_flow(frame, sigma, epsilon * z,
                                                       p1, p2, theta, epsilon, beta)
             x = (p1, p2)
             step_no += 1
@@ -397,8 +396,8 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
     if system.constant_shear:
         amp = epsilon ** (1.0 - beta) * system.sigma
         return float(rho_jump_profile(theta, amp, jump_nodes(measure, lo)))
-    return fr.compute_Irho_generic(system.frame, system.fields(epsilon).jump,
-                                   measure, x, theta, epsilon, beta=beta, lo=lo)
+    return fr.compute_Irho_generic(system.frame, system.sigma, measure, x,
+                                   theta, epsilon, beta=beta, lo=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -406,34 +405,26 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
 # ---------------------------------------------------------------------------
 
 def shear_sigma0_profile(system, noise: NoiseModel, epsilon: float,
-                         theta_grid: np.ndarray, beta: float = 2.0 / 3.0,
-                         inner_nodes: int = 8, z_panel_nodes: int = 16):
-    """Growth-rate integrand on an angle grid for a constant-shear system,
-    split into the shear block and the noise block (they enter the
-    leading-order formula at eps^beta and eps^(2-2beta) respectively),
-    fully vectorized (grid x z-nodes x flow-nodes)."""
+                         theta_grid: np.ndarray, beta: float = 2.0 / 3.0):
+    """Scaled growth-rate integrand on an angle grid, constant shear only:
+    the shear block at eps^beta, the Gaussian block at eps^(2-2beta) and the
+    jump compensator ``rho_jump_profile`` at amplitude eps^(1-beta) sigma
+    (zero at eps = 0).  Along the shear d^2 rho / ds^2 = cos 2zeta cos^2 zeta,
+    so by Taylor's theorem with integral remainder the compensator is
+    eps^(2-2beta) times the (1 - b)-weighted flow integral of the jump term."""
     th = np.asarray(theta_grid, dtype=float)
     a, sig = system.a, system.sigma
     rate = noise.gaussian_rate
     shear_part = a * np.sin(th) * np.cos(th)
     noise_part = rate * sig ** 2 * (
         0.5 * np.cos(th) ** 2 - np.sin(th) ** 2 * np.cos(th) ** 2)
+    profile = (epsilon ** beta * shear_part
+               + epsilon ** (2.0 - 2.0 * beta) * noise_part)
     measure = noise.measure
-    if measure is None or not measure.has_jumps or noise.sampling_floor >= measure.cutoff_c:
-        return shear_part, noise_part
-    z, w = nu_quadrature(measure, lo=noise.sampling_floor, per_panel=z_panel_nodes)
-    bq, bw = gauss_legendre(inner_nodes, 0.0, 1.0)
-    amp = epsilon ** (1.0 - beta) * sig
-    # zeta1 flow of the shear in closed form, both mark signs
-    jump_total = np.zeros_like(th)
-    for sgn in (1.0, -1.0):
-        s = sgn * amp * z[None, :, None] * bq[None, None, :]   # (1, nz, nb)
-        zeta = np.arctan2(np.sin(th)[:, None, None] + s * np.cos(th)[:, None, None],
-                          np.cos(th)[:, None, None])
-        g = np.cos(2.0 * zeta) * np.cos(zeta) ** 2              # (nth, nz, nb)
-        inner = g @ (bw * (1.0 - bq))                           # (nth, nz)
-        jump_total += sig ** 2 * (inner * (z * z)) @ w
-    return shear_part, noise_part + jump_total
+    if measure is None or not measure.has_jumps:
+        return profile
+    return profile + rho_jump_profile(th, epsilon ** (1.0 - beta) * sig,
+                                      jump_nodes(measure, noise.sampling_floor))
 
 
 def _check_constant_shear(system) -> None:
@@ -448,16 +439,14 @@ def _check_constant_shear(system) -> None:
 def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
                        occupation: OccupationMeasure,
                        beta: float = 2.0 / 3.0) -> float:
-    """Leading-order formula: the occupation average of the growth-rate
-    integrand, the shear block scaled by eps^beta and the noise block by
-    eps^(2-2beta).  At the standard beta = 2/3 this is eps^(2/3) times the
-    average of the combined integrand.  Constant-shear systems only."""
+    """Leading-order formula: the occupation average of the scaled
+    growth-rate integrand (``shear_sigma0_profile``).  At the standard
+    beta = 2/3 this is eps^(2/3) times the average of the unscaled
+    integrand.  Constant-shear systems only."""
     epsilon = check_epsilon(epsilon)
     _check_constant_shear(system)
-    shear_part, noise_part = shear_sigma0_profile(
-        system, noise, epsilon, occupation.theta_centers, beta=beta)
-    return float(occupation.weights @ (epsilon ** beta * shear_part
-                                       + epsilon ** (2.0 - 2.0 * beta) * noise_part))
+    return float(occupation.weights @ shear_sigma0_profile(
+        system, noise, epsilon, occupation.theta_centers, beta=beta))
 
 
 def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,

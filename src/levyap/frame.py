@@ -12,8 +12,9 @@ driven by the noise through a 2x2 matrix.  This module computes
   T = diag(eps^beta, 1), which regularizes the singular perturbation) and
   the Wong-Zakai corrections assembled from first principles, and
 * the Marcus jump of the pair (x, theta) and of the log-radius in closed
-  form: the plane tangent goes through the fields' closed-form jump and is
-  read back in the rescaled frame at the landing point, and
+  form: the plane tangent goes through the shear along the noise field
+  V(x) = (0, sigma x1) and is read back in the rescaled frame at the
+  landing point, and
 * the compensator integral of the log-radius equation, a quadrature of
   that jump over the marks.
 """
@@ -96,37 +97,39 @@ def wz_corrections(coeffs: FrameCoefficients, theta: float, epsilon: float,
     return epsilon * dx1 + dth1 * sigma1, epsilon * dx2 + dth2 * sigma1
 
 
-def angle_jump_flow(frame: Callable, jump: Callable, w: float,
+def angle_jump_flow(frame: Callable, sigma: float, w: float,
                     x1: float, x2: float, theta: float, epsilon: float,
                     beta: float):
     """Marcus jump of the pair (x, theta) for the scaled mark w = eps z, in
     closed form: returns (x1', x2', theta', rho increment).
 
-    ``jump`` is the fields' closed-form Marcus jump (``VectorFieldSet.jump``)
-    and ``frame(x1, x2) -> (U1, U2)`` the frame the coefficients are written
+    The jump along V(x) = (0, sigma x1) is the shear x2 += sigma w x1, and
+    ``frame(x1, x2) -> (U1, U2)`` the frame the coefficients are written
     in, with det[U1 U2] = 1 (true of every frame (J grad H, grad H / |grad H|^2)).
     The rescaled tangent (cos theta, sin theta) has frame coordinates
-    (eps^-beta cos theta, sin theta).  Its plane tangent is pushed through the
-    jump with the point, read back in the frame at the landing point and
-    rescaled by diag(eps^beta, 1).  One atan2 gives the turn in (-pi, pi),
-    exact while a jump turns the rescaled tangent by less than half a turn
-    (the shear of the example systems never does).  This is the time-one
-    flow of (x, theta, log-radius) along the noise field; ``polar_fields``
-    are its rates at time zero.
+    (eps^-beta cos theta, sin theta).  Its plane tangent is sheared with the
+    point, read back in the frame at the landing point and rescaled by
+    diag(eps^beta, 1).  One atan2 gives the turn in (-pi, pi), exact while
+    a jump turns the rescaled tangent by less than half a turn (the shear
+    of the example systems never does).  This is the time-one flow of
+    (x, theta, log-radius) along the noise field; ``polar_fields`` are its
+    rates at time zero.
     """
     e_b = epsilon ** beta
     c, s = math.cos(theta), math.sin(theta)
     (a1, a2), (b1, b2) = frame(x1, x2)
     w1 = c / e_b
-    y1, y2, v1, v2 = jump(w, x1, x2, w1 * a1 + s * b1, w1 * a2 + s * b2)
-    (a1, a2), (b1, b2) = frame(y1, y2)
+    v1, v2 = w1 * a1 + s * b1, w1 * a2 + s * b2
+    k = sigma * w
+    y2, v2 = x2 + k * x1, v2 + k * v1
+    (a1, a2), (b1, b2) = frame(x1, y2)
     p = e_b * (v1 * b2 - v2 * b1)
     q = a1 * v2 - a2 * v1
-    return (y1, y2, theta + math.atan2(c * q - s * p, c * p + s * q),
+    return (x1, y2, theta + math.atan2(c * q - s * p, c * p + s * q),
             math.log(math.hypot(p, q)))
 
 
-def compute_Irho_generic(frame: Callable, jump: Callable,
+def compute_Irho_generic(frame: Callable, sigma: float,
                          measure: JumpMeasureSpec, x, theta: float,
                          epsilon: float, beta: float = 2.0 / 3.0,
                          z_panel_nodes: int = 16,
@@ -147,9 +150,9 @@ def compute_Irho_generic(frame: Callable, jump: Callable,
     zq, wq, quadratic = jump_nodes(measure, lo, z_panel_nodes)
     total = 0.0
     for z, wt in zip(zq.tolist(), wq.tolist()):
-        pair = (angle_jump_flow(frame, jump, epsilon * z, x1, x2, theta,
+        pair = (angle_jump_flow(frame, sigma, epsilon * z, x1, x2, theta,
                                 epsilon, beta)[3]
-                + angle_jump_flow(frame, jump, -epsilon * z, x1, x2, theta,
+                + angle_jump_flow(frame, sigma, -epsilon * z, x1, x2, theta,
                                   epsilon, beta)[3])
         if quadratic:
             pair /= z * z

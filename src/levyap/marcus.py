@@ -1,24 +1,21 @@
 """Marcus-canonical jump-SDE integrator.
 
-A step advances the state in four sub-moves:
+Both example systems are driven along one noise field, the shear
+V(x) = (0, sigma x1).  DV is constant and nilpotent, so DV V = 0 and
+DV DV = 0: the Ito and Stratonovich forms coincide, the tangent needs no
+correction, and an Euler step along V is its exact Marcus flow.  A step
+advances the state in three sub-moves:
 
   1. deterministic drift, integrated with classical RK4;
-  2. Euler increments for the Stratonovich-to-Ito correction of the
-     continuous noise and for the net jump-compensator drift;
-  3. Euler-Maruyama Gaussian increment;
-  4. jumps of the step applied in time order through the closed-form
-     Marcus jump map of the field (``VectorFieldSet.jump``).
+  2. the Gaussian increment along V;
+  3. the step's jumps in time order, each the shear x2 += sigma eps z x1.
 
-The noise drives the state along one field V.  For a symmetric jump measure
-the compensator of the raw jump events cancels the bracket drift of the Ito
-form exactly, leaving only the first-moment term -eps * V(x) * int z nu(dz),
-which is identically zero.  The integrator therefore applies no
-jump-related drift.
+The tangent, if carried, moves by the linearized sub-moves (the same
+shears).  For a symmetric jump measure the compensator of the raw jumps
+cancels the bracket drift of the Ito form, leaving -eps V(x) int z nu(dz)
+= 0, so no jump-related drift is applied.
 
-An optional tangent vector is transported alongside by the linearized
-counterparts of each sub-move.
-
-The state is planar, so the field callbacks take and return plain float
+The state is planar, so the drift callbacks take and return plain float
 components and a step runs on Python floats only.  A step is a few dozen
 float operations; a numpy array per sub-move would cost several times
 more than that arithmetic, so nothing in the per-step path touches numpy:
@@ -49,21 +46,14 @@ def check_epsilon(epsilon) -> float:
 
 @dataclass
 class VectorFieldSet:
-    """Drift and perturbation fields of the planar state equation.
+    """Drift and noise field of the planar state equation.
 
-    Every callback takes and returns plain float components, not arrays
-    (see the module docstring for why):
+    The callbacks take and return plain float components, not arrays (see
+    the module docstring for why):
 
     drift               (x1, x2) -> (f1, f2), the unperturbed Hamiltonian field
     drift_tangent       (x1, x2, v1, v2) -> Df(x) v, for tangent transport
-    diffusion           (x1, x2) -> V(x), the noise field
-    diffusion_tangent   (x1, x2, v1, v2) -> DV(x) v
-    jump                (w, x1, x2, v1, v2) -> (x1', x2', v1', v2'), the
-                        closed-form Marcus jump of the scaled mark
-                        w = eps z (a float): x' is the flow along w V at
-                        time one, v' its Jacobian at x applied to v.
-                        Without a tangent v1 and v2 are None and stay None.
-                        The callback holds no copy of eps.
+    sigma               strength of the noise field V(x) = (0, sigma x1)
     epsilon             perturbation scale in [0, 1)
     grad_h              (x1, x2) -> (g1, g2), the gradient of H, used for
                         exit detection (optional; disables the
@@ -72,9 +62,7 @@ class VectorFieldSet:
 
     drift: Callable
     drift_tangent: Callable
-    diffusion: Callable
-    diffusion_tangent: Callable
-    jump: Callable
+    sigma: float
     epsilon: float
     grad_h: Optional[Callable] = None
 
@@ -126,30 +114,13 @@ def _exit_flag(fields: VectorFieldSet, cfg: StepperConfig, x1, x2) -> Optional[s
     return None
 
 
-def _tangent_correction(fields: VectorFieldSet, x1, x2, v1, v2):
-    """(DV DV + D(DV)[V]) v, the bracket of the Stratonovich correction of
-    the tangent, with the second-derivative part by a directional finite
-    difference of DV v."""
-    DV = fields.diffusion_tangent
-    o1, o2 = DV(x1, x2, *DV(x1, x2, v1, v2))
-    e1, e2 = fields.diffusion(x1, x2)
-    nv = math.hypot(e1, e2)
-    if nv > 0.0:
-        h = 1e-6 * (1.0 + math.hypot(x1, x2)) / nv
-        p1, p2 = DV(x1 + h * e1, x2 + h * e2, v1, v2)
-        m1, m2 = DV(x1 - h * e1, x2 - h * e2, v1, v2)
-        o1 += (p1 - m1) / (2.0 * h)
-        o2 += (p2 - m2) / (2.0 * h)
-    return o1, o2
-
-
-def step(fields: VectorFieldSet, rate: float, cfg: StepperConfig,
+def step(fields: VectorFieldSet, cfg: StepperConfig,
          t, x1, x2, v1, v2, dw, jumps=()):
     """Advance (t, x, v) by one step of size cfg.dt; returns the new
     (t, x1, x2, v1, v2).  v1 = v2 = None carries no tangent.
 
-    ``rate`` is the Gaussian variance rate of the noise model, ``dw`` the
-    step's Gaussian increment and ``jumps`` its marks in time order.
+    ``dw`` is the step's Gaussian increment and ``jumps`` its marks in
+    time order.
     Raises ExitDetected with the state after the step when that state
     exits.
     """
@@ -179,33 +150,19 @@ def step(fields: VectorFieldSet, rate: float, cfg: StepperConfig,
     x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
 
     if eps > 0.0:
-        V, DV = fields.diffusion, fields.diffusion_tangent
-        # (ii) Ito correction of the Stratonovich continuous part.  The net
-        # jump-compensator drift is -eps * V(x) * int z nu(dz) = 0 for the
-        # symmetric measures supported here.
-        if rate > 0.0:
-            c = 0.5 * eps * eps * rate * dt
-            u1, u2 = DV(x1, x2, *V(x1, x2))
-            x1 += c * u1
-            x2 += c * u2
-            if v1 is not None:
-                u1, u2 = _tangent_correction(fields, x1, x2, v1, v2)
-                v1 += c * u1
-                v2 += c * u2
-
-        # (iii) Gaussian part, Euler-Maruyama
+        sig = fields.sigma
+        # (ii) Gaussian part along V = (0, sigma x1)
         if dw:
-            m1, m2 = V(x1, x2)
             if v1 is not None:
-                u1, u2 = DV(x1, x2, v1, v2)
-                v1 += eps * (u1 * dw)
-                v2 += eps * (u2 * dw)
-            x1 += eps * (m1 * dw)
-            x2 += eps * (m2 * dw)
+                v2 += eps * ((sig * v1) * dw)
+            x2 += eps * ((sig * x1) * dw)
 
-        # (iv) jumps, in time order
+        # (iii) jumps in time order, each the time-one flow of eps z V
         for z in jumps:
-            x1, x2, v1, v2 = fields.jump(eps * z, x1, x2, v1, v2)
+            s = sig * (eps * z)
+            x2 = x2 + s * x1
+            if v1 is not None:
+                v2 = v2 + s * v1
 
     t += dt
     flag = _exit_flag(fields, cfg, x1, x2)
@@ -246,7 +203,6 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
             raise ExitDetected(state)
         return TrajectorySummary(state, 0, 0, exited=True)
 
-    rate = noise.gaussian_rate
     n_total = int(round(horizon / cfg.dt))
     n_steps = n_jumps = 0
     log_growth = growth_time = 0.0
@@ -260,8 +216,8 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
         marks = block.jump_marks.tolist()
         for dw, (jlo, jhi) in zip(block.gauss.tolist(), block.step_slices()):
             try:
-                t, x1, x2, v1, v2 = step(fields, rate, cfg, t, x1, x2, v1, v2,
-                                         dw, marks[jlo:jhi])
+                t, x1, x2, v1, v2 = step(fields, cfg, t, x1, x2, v1, v2, dw,
+                                         marks[jlo:jhi])
             except ExitDetected as exc:
                 if raise_on_exit:
                     raise

@@ -1,13 +1,13 @@
 """Ready-made example systems.
 
 Both bundles expose the callbacks the integrator, the frame machinery and
-the estimators need: the raw vector fields with their closed-form Marcus
-jump (float-component callbacks, powers written as products), the
-critical-point tolerance ``tol_crit`` of the exit check, the frame
-``frame(x1, x2) -> (U1, U2)`` and the frame-coefficient evaluator
-``coeffs`` written in it, and (for the shear system) closed-form jump maps
-on the circle with the compensator integral of the log-radius jump
-(``rho_jump_profile``).
+the estimators need: the drift (float-component callbacks, powers written
+as products) and the strength sigma of the shared noise field
+V(x) = (0, sigma x1), the critical-point tolerance ``tol_crit`` of the
+exit check, the frame ``frame(x1, x2) -> (U1, U2)`` and the
+frame-coefficient evaluator ``coeffs`` written in it, and (for the shear
+system) closed-form jump maps on the circle with the compensator integral
+of the log-radius jump (``rho_jump_profile``).
 """
 
 from __future__ import annotations
@@ -94,26 +94,6 @@ def rho_jump_profile(theta, amp, nodes) -> np.ndarray:
     return (vals * w).sum(axis=-1)
 
 
-def shear_noise(sigma: float) -> dict:
-    """The noise field V(u) = (0, sigma u1) of both example systems, as the
-    ``VectorFieldSet`` keywords diffusion, diffusion_tangent and jump.
-
-    For the scaled mark w = eps z the Marcus flow of w V is the shear
-    u2 += sigma w u1; the shear is linear, so its Jacobian moves the
-    tangent the same way.
-    """
-
-    def jump(w, u1, u2, v1, v2):
-        s = sigma * w
-        if v1 is None:
-            return u1, u2 + s * u1, None, None
-        return u1, u2 + s * u1, v1, v2 + s * v1
-
-    return {"diffusion": lambda u1, u2: (0.0, sigma * u1),
-            "diffusion_tangent": lambda u1, u2, v1, v2: (0.0, sigma * v1),
-            "jump": jump}
-
-
 @dataclass(frozen=True)
 class NilpotentSystem:
     """Linear shear system: drift [[0, a], [0, 0]], noise [[0, 0], [s, 0]].
@@ -151,8 +131,8 @@ class NilpotentSystem:
         return VectorFieldSet(
             drift=lambda u1, u2: (a * u2, 0.0),
             drift_tangent=lambda u1, u2, v1, v2: (a * v2, 0.0),
+            sigma=self.sigma,
             epsilon=epsilon,
-            **shear_noise(self.sigma),
         )
 
     def coeffs(self, x=None) -> FrameCoefficients:
@@ -194,9 +174,9 @@ class DuffingSystem:
         return VectorFieldSet(
             drift=lambda x, y: (y, -x - x * x * x),
             drift_tangent=lambda x, y, v1, v2: (v2, (-1.0 - 3.0 * x * x) * v1),
+            sigma=self.sigma,
             epsilon=epsilon,
             grad_h=lambda x, y: (x + x * x * x, y),
-            **shear_noise(self.sigma),
         )
 
     def _closed_entries(self, x, y):

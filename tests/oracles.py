@@ -2,16 +2,23 @@
 
 * ``array_step``, ``array_integrate`` and ``array_direct_one``: the Marcus
   stepper on numpy arrays, with array-valued fields of both example systems
-  (``array_fields``).  The package steps Python floats through component
-  callbacks; this is the same scheme with other arithmetic, so the two agree
-  pathwise to rounding on the same noise.
+  (``array_fields``).  It keeps the general Ito correction, the tangent
+  correction with its finite-difference second derivative and the Jacobian
+  Gaussian tangent term, which the package drops: on the shear noise field
+  they add exact zeros.  The package steps Python floats with the shear
+  written inline; this is the same scheme with other arithmetic, so the two
+  agree pathwise to rounding on the same noise.
+* ``noise_field``: the noise field V(x) = (0, sigma x1) of both example
+  systems and its tangent map, as component callbacks.
 * ``marcus_jump_map``, ``marcus_jump_jacobian`` and ``rk4_jump``: the Marcus
-  jump flow ODE solved by RK4, the oracle of the systems' closed-form jumps.
+  jump flow ODE along V solved by RK4, the oracle of the stepper's
+  closed-form shear jumps.
 * ``rk4_angle_jump``: the joint Marcus flow of (x, theta, log-radius) solved
   by RK4 on the polar noise fields, the oracle of the closed-form
   ``frame.angle_jump_flow``.
 * ``frame_oracle``: a system's linearization read in its ``frame``, rebuilt
-  from its ``fields``, the oracle of the closed-form ``coeffs``.
+  from its ``fields`` (the drift callbacks and V), the oracle of the
+  closed-form ``coeffs``.
 * ``sigma0`` and ``compute_R0``: the leading-order growth-rate integrand at
   a point, with its jump term by flow quadrature on the closed-form angle
   jump, the oracle of ``estimators.shear_sigma0_profile``.
@@ -71,6 +78,13 @@ def duffing_energy(x1: float, x2: float) -> float:
     return 0.5 * x1 * x1 + 0.25 * x1 ** 4 + 0.5 * x2 * x2
 
 
+def noise_field(sigma: float):
+    """(V, DV): V(x1, x2) = (0, sigma x1), the noise field of both example
+    systems, and DV(x1, x2, v1, v2) = (0, sigma v1), its tangent map."""
+    return ((lambda x1, x2: (0.0, sigma * x1)),
+            (lambda x1, x2, v1, v2: (0.0, sigma * v1)))
+
+
 def frame_coordinates(frame, x1: float, x2: float, v1: float, v2: float):
     """(w1, w2) with v = w1 U1 + w2 U2 when det[U1 U2] = 1 (angle_jump_flow)."""
     (a1, a2), (b1, b2) = frame(x1, x2)
@@ -80,7 +94,7 @@ def frame_coordinates(frame, x1: float, x2: float, v1: float, v2: float):
 def frame_oracle(frame, fields, x1: float, x2: float):
     """(drift matrix, noise matrix) of the linearization read in ``frame``:
     F^-1 (DX F - DF[X]) with F = [U1 U2] for X the drift and the noise field
-    V.  DX F comes from the tangent callbacks, DF[X] = Im F(x + i h X) / h
+    V = (0, fields.sigma x1).  DX F comes from the tangent callbacks, DF[X] = Im F(x + i h X) / h
     with h = 1e-30 (complex step, exact to rounding: the callbacks are float
     products).  A Hamiltonian drift gives [[0, shear], [0, 0]], the noise
     field ``coeffs(x).mats``."""
@@ -93,14 +107,14 @@ def frame_oracle(frame, fields, x1: float, x2: float):
         return np.linalg.solve(F, DXF - DFX)
 
     return (in_frame(fields.drift, fields.drift_tangent),
-            in_frame(fields.diffusion, fields.diffusion_tangent))
+            in_frame(*noise_field(fields.sigma)))
 
 
 # ---------------------------------------------------------------------------
 # leading-order growth-rate integrand at a point
 # ---------------------------------------------------------------------------
 
-def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
+def compute_R0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
                x, theta: float, epsilon: float, beta: float = 2.0 / 3.0,
                inner_nodes: int = 8, z_panel_nodes: int = 16,
                lo: Optional[float] = None) -> float:
@@ -114,8 +128,8 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
     evaluated on Gauss-Legendre nodes b; the outer integral runs over the
     symmetrized jump measure from ``lo`` (default: the measure's floor) to
     the cutoff.  The flow along z V stopped at time b is the time-one flow
-    along b z V, so the state at b is the closed-form jump of mark b z
-    (``angle_jump_flow``).
+    along b z V, V = (0, sigma x1), so the state at b is the closed-form
+    jump of mark b z (``angle_jump_flow``).
     """
     if not measure.has_jumps:
         return 0.0
@@ -128,7 +142,7 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
         for zs in (z, -z):
             val = 0.0
             for b, fw in zip(bq.tolist(), flow_w):
-                y1, y2, th, _ = angle_jump_flow(frame, jump, epsilon * b * zs,
+                y1, y2, th, _ = angle_jump_flow(frame, sigma, epsilon * b * zs,
                                                 x1, x2, theta, epsilon, beta)
                 zd = zs * coeffs_fn((y1, y2)).d
                 ct = math.cos(th)
@@ -139,7 +153,7 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
     return total
 
 
-def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
+def sigma0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
            x, theta: float, epsilon: float, beta: float = 2.0 / 3.0,
            rate: float = 1.0, **quad_kw) -> float:
     """Leading-order growth-rate integrand at (x, theta).
@@ -154,7 +168,7 @@ def sigma0(coeffs_fn: Callable, frame: Callable, jump: Callable, measure,
     base = co.shear * s * c + rate * (co.d * co.d) * (0.5 * c * c - s * s * c * c)
     if measure is None or not measure.has_jumps:
         return base
-    return base + compute_R0(coeffs_fn, frame, jump, measure, x, theta,
+    return base + compute_R0(coeffs_fn, frame, sigma, measure, x, theta,
                              epsilon, beta=beta, **quad_kw)
 
 
@@ -361,12 +375,12 @@ def array_direct_one(system, noise, epsilon: float, cfg, index: int):
 
 
 # ---------------------------------------------------------------------------
-# Marcus jump flow by RK4, on the package's component callbacks
+# Marcus jump flow along V by RK4
 # ---------------------------------------------------------------------------
 
 def _flow_rhs(fields, w):
     """y -> (w V(x), w DV(x) J) on y = (x, J.ravel())."""
-    V, DV = fields.diffusion, fields.diffusion_tangent
+    V, DV = noise_field(fields.sigma)
 
     def f(y):
         x, J = y[:2], y[2:].reshape(2, 2)
@@ -401,15 +415,13 @@ def marcus_jump_jacobian(fields, z, x, substeps: int = 8) -> np.ndarray:
 
 
 def rk4_jump(fields, substeps: int = 8):
-    """A ``VectorFieldSet.jump`` callback that solves the flow of ``fields``
-    (their diffusion values and tangents) by RK4 instead of in closed form."""
+    """An ``ArrayFields.jump`` callback, (w, x, v) -> (x', v'), that solves
+    the flow along V = (0, fields.sigma x1) by RK4 instead of in closed
+    form."""
 
-    def jump(w, x1, x2, v1, v2):
-        (y1, y2), J = jump_flow(fields, w, (x1, x2), substeps)
-        if v1 is None:
-            return float(y1), float(y2), None, None
-        u1, u2 = J @ np.array([v1, v2])
-        return float(y1), float(y2), float(u1), float(u2)
+    def jump(w, x, v):
+        y, J = jump_flow(fields, w, x, substeps)
+        return y, (None if v is None else J @ v)
 
     return jump
 
@@ -420,13 +432,13 @@ def rk4_angle_jump(system, z, x, theta: float, eps: float, beta: float,
     z, by RK4.
 
     Integrates d(xi, z1, z2)/dtau = (eps z V, z sigma1, z sigma2) from
-    (x, theta, 0) to tau = 1, with V the diffusion field of ``system`` and
-    sigma the polar fields of its ``coeffs``.
+    (x, theta, 0) to tau = 1, with V = (0, system.sigma x1) and sigma the
+    polar fields of its ``coeffs``.
     Returns the state (x1, x2, theta, rho) at tau = 1, or with ``b_points``
     (sorted, in [0, 1]) the pair (states at those times, final state).
     """
     z = float(z)
-    V = system.fields(eps).diffusion
+    V = noise_field(system.sigma)[0]
 
     def rhs(y):
         s1, s2 = polar_fields(system.coeffs(y[:2]), y[2], eps, beta)

@@ -19,7 +19,7 @@ from levyap.estimators import (EstimatorConfig, lyapunov_direct,
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              solve_stationary)
 from levyap.frame import angle_jump_flow
-from levyap.marcus import StepperConfig, integrate
+from levyap.marcus import StepperConfig, VectorFieldSet, integrate, step
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
                             make_nilpotent, rho_jump_profile)
@@ -123,35 +123,48 @@ def test_acceptance_3_jump_moment_identity():
 # -------------------------------------------------------------------------
 
 def test_acceptance_4_marcus_flow_properties():
+    """The stepper's jump (one step of zero drift and no Gaussian increment)
+    and the RK4 jump flow: zero-mark identity, flow reversal, the shear
+    closed form."""
     rng = np.random.default_rng(404)
     eps = 0.2
     nf = NIL.fields(eps)
     df = DUF.fields(eps)
+    jumper = VectorFieldSet(drift=lambda x1, x2: (0.0, 0.0),
+                            drift_tangent=lambda x1, x2, v1, v2: (0.0, 0.0),
+                            sigma=1.0, epsilon=eps)
+    cfg = StepperConfig(dt=1e-3)
+
+    def stepped(z, x):
+        return np.array(step(jumper, cfg, 0.0, *x, None, None, 0.0, [z])[1:3])
+
     for _ in range(200):
         x = rng.normal(size=2) + [1.2, 0.0]
         z = rng.uniform(-1, 1)
         assert np.array_equal(marcus_jump_map(nf, 0.0, x), x)
+        assert np.array_equal(stepped(0.0, x), x)
         back = marcus_jump_map(df, -z, marcus_jump_map(df, z, x))
         assert np.allclose(back, x, atol=1e-10)
-        got = marcus_jump_map(nf, z, x)
+        assert np.allclose(stepped(-z, stepped(z, x)), x, atol=1e-12)
         want = np.array([x[0], x[1] + eps * 1.0 * z * x[0]])
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert np.allclose(marcus_jump_map(nf, z, x), want, rtol=1e-12, atol=1e-13)
+        assert np.allclose(stepped(z, x), want, rtol=1e-14, atol=1e-15)
     beta = 2.0 / 3.0
     amp = eps ** (1.0 - beta)
     worst = worst_jump = 0.0
     x0 = np.array([1.0, 0.5])
-    jump = nf.jump
     for _ in range(1000):
         th = rng.uniform(0, 2 * math.pi)
         z = rng.uniform(-1, 1)
         want = (exact_theta_jump(th, amp * z), exact_rho_jump(th, amp * z))
         y = rk4_angle_jump(NIL, z, x0, th, eps, beta, substeps=32)
         worst = max(worst, abs(y[2] - want[0]), abs(y[3] - want[1]))
-        y = angle_jump_flow(NIL.frame, jump, eps * z, x0[0], x0[1], th, eps, beta)
+        y = angle_jump_flow(NIL.frame, NIL.sigma, eps * z, x0[0], x0[1], th, eps, beta)
         worst_jump = max(worst_jump, abs(y[2] - want[0]), abs(y[3] - want[1]))
     assert worst < 1e-8, f"flow vs closed form worst {worst:.2e}"
     assert worst_jump < 1e-13, f"closed-form jump vs shear formulas {worst_jump:.2e}"
-    _report(4, f"zero-mark identity, flow reversal 1e-10, shear closed form, "
+    _report(4, f"stepper and RK4 jumps: zero-mark identity, flow reversal "
+               f"1e-12 / 1e-10, shear closed form, "
                f"angle/log-radius flows vs closed forms worst {worst:.1e}, "
                f"closed-form pair jump worst {worst_jump:.1e}")
 
@@ -196,7 +209,6 @@ def test_acceptance_5_frame_algebra():
 # 6. conservation and exit
 # -------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_acceptance_6_conservation_and_exit():
     cfg = StepperConfig(dt=1e-3)
     h0 = duffing_energy(1.0, 0.0)
@@ -240,7 +252,6 @@ def test_acceptance_7_taylor_consistency():
 # 8. determinism of the command line artifacts
 # -------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_acceptance_8_cli_determinism(tmp_path, capsys):
     base = ["lyapunov", "--method", "direct,khasminskii", "--epsilon", "0.2",
             "--horizon", "30", "--replicates", "8", "--seed", "12",

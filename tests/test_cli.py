@@ -282,7 +282,9 @@ def test_lyapunov_theorem33_refused_on_duffing_before_work(monkeypatch, capsys):
                                   ["--horizon", "0.0004"],
                                   ["--horizon", "0.003", "--burn-in", "0.9"],
                                   ["--dt", "0"], ["--dt", "nan"],
-                                  ["--replicates", "0"]])
+                                  ["--replicates", "0"],
+                                  ["--method", "khasminskii", "--beta", "5"],
+                                  ["--beta", "nan"], ["--beta", "-0.1"]])
 def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
     def no_work(*_args, **_kwargs):
         raise AssertionError("an estimator ran on a refused configuration")
@@ -306,12 +308,31 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                    "--ar-threshold", "0.1"],
                                   ["fp-solve", "--variant", "foo", "--grid-n", "64"],
                                   ["lyapunov", "--method", "fpcircle", "--variant", "foo",
+                                   "--grid-n", "64"],
+                                  ["fp-solve", "--grid-n", "15"],
+                                  ["lyapunov", "--method", "fpcircle", "--grid-n", "15"],
+                                  ["lyapunov", "--x0", "a,b"],
+                                  ["lyapunov", "--system", "duffing", "--x0", "nan,0"],
+                                  ["simulate", "--x0", "1,inf"],
+                                  ["simulate", "--x0", "1,2,3"],
+                                  ["sweep", "--epsilons", "0.05,0.1,0.2,0.4",
+                                   "--beta", "1.5"],
+                                  ["fp-solve", "--variant", "pw", "--beta", "nan",
                                    "--grid-n", "64"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",
                            "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+def test_simulate_bad_horizon_usage_error(horizon, tmp_path, capsys):
+    # horizon 0 is allowed: test_simulate_zero_horizon_header_only
+    out = tmp_path / "refused"
+    assert run_cli(["simulate", "--horizon", horizon, "--output", str(out)]) == 2
+    assert "run.horizon" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

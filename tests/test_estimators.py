@@ -135,6 +135,7 @@ def test_khasminskii_zero_drift_is_exactly_zero():
     @dataclass(frozen=True)
     class StillSystem:
         name: str = "still"
+        sigma: float = 0.0
         constant_shear: bool = False
         tol_crit: float = 1e-6
 
@@ -147,9 +148,7 @@ def test_khasminskii_zero_drift_is_exactly_zero():
             return VectorFieldSet(
                 drift=lambda x1, x2: (x2, -x1),
                 drift_tangent=lambda x1, x2, v1, v2: (v2, -v1),
-                diffusion=lambda x1, x2: (0.0, 0.0),
-                diffusion_tangent=lambda x1, x2, v1, v2: (0.0, 0.0),
-                jump=lambda w, x1, x2, v1, v2: (x1, x2, v1, v2),
+                sigma=self.sigma,
                 epsilon=epsilon,
                 grad_h=lambda x1, x2: (x1, x2))
 
@@ -249,18 +248,18 @@ def test_generic_irho_starts_at_sampling_floor():
     NoiseModel(measure=None, brownian=False),
 ], ids=["gaussian-band", "band-only", "no-noise"])
 def test_generic_theorem33_matches_closed_form(noise):
-    """The vectorized constant-shear profile and the pointwise sigma0 oracle
-    (its jump term by flow quadrature from the sampling floor) count the
-    Gaussian part at the same rate and the jump marks over the same band:
-    the occupation averages agree, and so does every angle."""
+    """The vectorized constant-shear profile (its jump term the closed-form
+    compensator ``rho_jump_profile``) and eps^(2/3) times the pointwise
+    sigma0 oracle (its jump term by flow quadrature from the sampling floor)
+    count the Gaussian part at the same rate and the jump marks over the
+    same band: the occupation averages agree, and so does every angle."""
     th = (np.arange(8) + 0.5) * 2.0 * math.pi / 8
     w = np.linspace(1.0, 2.0, 8)
-    shear_part, noise_part = shear_sigma0_profile(NIL, noise, 0.1, th)
-    jump = NIL.fields(0.1).jump
-    oracle = np.array([
-        sigma0(NIL.coeffs, NIL.frame, jump, noise.measure, (1.0, 0.5), t, 0.1,
-               rate=noise.gaussian_rate, lo=noise.sampling_floor) for t in th])
-    profile = shear_part + noise_part
+    profile = shear_sigma0_profile(NIL, noise, 0.1, th)
+    oracle = 0.1 ** (2.0 / 3.0) * np.array([
+        sigma0(NIL.coeffs, NIL.frame, NIL.sigma, noise.measure, (1.0, 0.5), t,
+               0.1, rate=noise.gaussian_rate, lo=noise.sampling_floor)
+        for t in th])
     assert w @ profile == pytest.approx(w @ oracle, rel=1e-12, abs=1e-15)
     assert np.allclose(profile, oracle, rtol=1e-12, atol=1e-15)
 

@@ -12,8 +12,8 @@ from levyap.marcus import VectorFieldSet
 from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
                           nu_quadrature_quadratic)
 from levyap.quadrature import gauss_legendre
-from levyap.systems import make_duffing, make_nilpotent, shear_noise
-from oracles import (compute_R0, frame_coordinates, frame_oracle,
+from levyap.systems import make_duffing, make_nilpotent
+from oracles import (compute_R0, frame_coordinates, frame_oracle, noise_field,
                      rk4_angle_jump, sigma0)
 
 DUF = make_duffing(1.0)
@@ -22,9 +22,9 @@ GRAD_H = DUF.fields(0.0).grad_h
 
 
 def callbacks(system, eps):
-    """(coeffs, frame, jump) of a system at eps, as sigma0 and compute_R0
-    take them."""
-    return system.coeffs, system.frame, system.fields(eps).jump
+    """(coeffs, frame, sigma) of a system, as sigma0 and compute_R0 take
+    them; the jump scale eps is their own argument."""
+    return system.coeffs, system.frame, system.sigma
 
 
 def random_point(rng, min_grad=0.3):
@@ -76,7 +76,7 @@ def test_shear_rate_vanishes_for_radial_hamiltonian():
     frame = lambda x, y: ((y, -x), (x / (x * x + y * y), y / (x * x + y * y)))
     fields = VectorFieldSet(drift=lambda x, y: (y, -x), epsilon=0.0,
                             drift_tangent=lambda x, y, v1, v2: (v2, -v1),
-                            **shear_noise(1.0))
+                            sigma=1.0)
     for p in np.random.default_rng(2).uniform(0.5, 2.0, (50, 2)):
         assert np.abs(frame_oracle(frame, fields, *p)[0]).max() <= 1e-14
 
@@ -143,9 +143,7 @@ def test_frame_coefficients_match_duffing_closed_forms():
 
 
 def test_frame_coefficients_zero_fields():
-    zero = dataclasses.replace(DUF.fields(0.0),
-                               diffusion=lambda x, y: (0.0, 0.0),
-                               diffusion_tangent=lambda x, y, v1, v2: (0.0, 0.0))
+    zero = dataclasses.replace(DUF.fields(0.0), sigma=0.0)
     assert np.allclose(frame_oracle(DUF.frame, zero, 1.0, 0.3)[1], 0.0, atol=1e-12)
 
 
@@ -191,7 +189,7 @@ def test_wong_zakai_terms_from_first_principles():
         th = rng.uniform(0, 2 * math.pi)
         co = DUF.coeffs_with_actions(p)
         wz1, wz2 = wz_corrections(co, th, eps, beta)
-        v = np.array(DUF.fields(eps).diffusion(*p))
+        v = np.array(noise_field(DUF.sigma)[0](*p))
         nv = np.linalg.norm(v)
         if nv < 1e-3:
             continue
@@ -290,8 +288,7 @@ def test_irho_generic_matches_closed_form():
     rng = np.random.default_rng(11)
     for th in rng.uniform(0, 2 * math.pi, 10):
         closed = compute_Irho(NIL, measure, x, th, 0.1)
-        generic = compute_Irho_generic(NIL.frame, NIL.fields(0.1).jump,
-                                       measure, x, th, 0.1)
+        generic = compute_Irho_generic(NIL.frame, NIL.sigma, measure, x, th, 0.1)
         assert generic == pytest.approx(closed, rel=1e-10, abs=1e-15)
 
 
@@ -323,7 +320,7 @@ def test_generic_evaluator_derivative_actions():
     h = 1e-6
     for _ in range(200):
         p = random_point(rng, min_grad=0.5)
-        v = np.array(fields.diffusion(*p))
+        v = np.array(noise_field(fields.sigma)[0](*p))
         want = (frame_oracle(DUF.frame, fields, *(p + h * v))[1]
                 - frame_oracle(DUF.frame, fields, *(p - h * v))[1]) / (2.0 * h)
         assert np.allclose(want, DUF.coeffs_with_actions(p).dmats,
@@ -339,8 +336,8 @@ def test_sigma0_fallback_jump_term_agrees_at_small_eps():
     eps, beta = 1e-2, 2.0 / 3.0
     for th in (0.4, 1.1, 2.7):
         full = sigma0(*callbacks(NIL, eps), measure, x, th, eps)
-        ir = compute_Irho_generic(NIL.frame, NIL.fields(eps).jump, measure, x,
-                                  th, eps, beta=beta)
+        ir = compute_Irho_generic(NIL.frame, NIL.sigma, measure, x, th, eps,
+                                  beta=beta)
         fallback = (sigma0(*callbacks(NIL, eps), None, x, th, eps)
                     + eps ** (2.0 * beta - 2.0) * ir)
         assert fallback == pytest.approx(full, rel=0.05, abs=1e-4)
@@ -354,7 +351,7 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
     flow: RK4 converges to it at fourth order, and a flow stopped at time b
     of mark z lands where the jump of mark b z does."""
     eps, beta = 0.1, 2.0 / 3.0
-    jump = system.fields(eps).jump
+    sigma = system.sigma
     rng = np.random.default_rng(41)
     cases = []
     for _ in range(6):
@@ -367,8 +364,8 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
     for n in (8, 32, 128):
         worst[n] = max(
             np.max(np.abs(rk4_angle_jump(system, z, x, th, eps, beta, substeps=n)
-                          - angle_jump_flow(system.frame, jump, eps * z, x[0], x[1],
-                                            th, eps, beta)))
+                          - angle_jump_flow(system.frame, sigma, eps * z, x[0],
+                                            x[1], th, eps, beta)))
             for x, th, z in cases)
     assert worst[128] <= 1e-9
     # fourth order: each fourfold refinement gains 4^4 = 256
@@ -378,7 +375,7 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
         states, _ = rk4_angle_jump(system, z, x, th, eps, beta, substeps=128,
                                    b_points=bq)
         for b, st in zip(bq, states):
-            want = angle_jump_flow(system.frame, jump, eps * b * z, x[0], x[1],
+            want = angle_jump_flow(system.frame, sigma, eps * b * z, x[0], x[1],
                                    th, eps, beta)
             assert np.max(np.abs(st - want)) <= 1e-9
 
@@ -399,13 +396,13 @@ def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
                   panel_n=16, lo=None):
     zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
     _, s2 = polar_fields(system.coeffs(x), theta, eps, beta)
-    jump = system.fields(eps).jump
+    sigma = system.sigma
     total = 0.0
     for zi, wi in zip(zq, wq):
         pair = 0.0
         for sgn in (1.0, -1.0):
             z = sgn * zi
-            y = angle_jump_flow(system.frame, jump, eps * z, x[0], x[1],
+            y = angle_jump_flow(system.frame, sigma, eps * z, x[0], x[1],
                                 theta, eps, beta)
             pair += y[3] - z * s2
         if quadratic:
@@ -418,13 +415,13 @@ def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
                 panel_n=16, lo=None):
     bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
     zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
-    jump = system.fields(eps).jump
+    sigma = system.sigma
     total = 0.0
     for zi, wi in zip(zq, wq):
         for z in (zi, -zi):
             g = np.empty(len(bq))
             for j, b in enumerate(bq):
-                y1, y2, th, _ = angle_jump_flow(system.frame, jump, eps * b * z,
+                y1, y2, th, _ = angle_jump_flow(system.frame, sigma, eps * b * z,
                                                 x[0], x[1], theta, eps, beta)
                 zd = z * system.coeffs(np.array([y1, y2])).d
                 g[j] = zd * zd * math.cos(2.0 * th) * math.cos(th) ** 2
@@ -455,8 +452,8 @@ def test_batched_jump_quadratures_match_per_node_loop(measure, lo):
     """compute_Irho_generic and the compute_R0 oracle against the per-node
     loops."""
     for system, x, th in _quadrature_points():
-        got = compute_Irho_generic(system.frame, system.fields(0.1).jump,
-                                   measure, x, th, 0.1, z_panel_nodes=8, lo=lo)
+        got = compute_Irho_generic(system.frame, system.sigma, measure, x, th,
+                                   0.1, z_panel_nodes=8, lo=lo)
         want = irho_per_node(system, measure, x, th, 0.1, panel_n=8, lo=lo)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
             ("irho", system.name, th)
@@ -470,6 +467,6 @@ def test_batched_jump_quadratures_match_per_node_loop(measure, lo):
 def test_jump_quadratures_empty_above_cutoff():
     measure = QUAD_MEASURES[0]
     x = np.array([1.0, 0.5])
-    assert compute_Irho_generic(NIL.frame, NIL.fields(0.1).jump, measure, x,
-                                0.4, 0.1, lo=1.0) == 0.0
+    assert compute_Irho_generic(NIL.frame, NIL.sigma, measure, x, 0.4, 0.1,
+                                lo=1.0) == 0.0
     assert compute_R0(*callbacks(NIL, 0.1), measure, x, 0.4, 0.1, lo=1.0) == 0.0

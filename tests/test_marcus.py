@@ -6,14 +6,14 @@ import pytest
 
 from levyap.errors import ExitDetected, InvalidParameter
 from levyap.estimators import EstimatorConfig, _direct_generic_one
-from levyap.marcus import (StepperConfig, TrajectoryState, VectorFieldSet,
-                           integrate, step)
+from levyap.marcus import StepperConfig, VectorFieldSet, integrate, step
 from levyap.noise import (JumpMeasureSpec, NoiseModel, sample_block,
                           trajectory_streams)
 from levyap.quadrature import gauss_legendre
 from levyap.systems import make_duffing, make_nilpotent
-from oracles import (ArrayFields, array_direct_one, array_step, duffing_energy,
-                     marcus_jump_jacobian, marcus_jump_map, rk4_jump)
+from oracles import (array_direct_one, array_fields, array_integrate,
+                     duffing_energy, marcus_jump_jacobian, marcus_jump_map,
+                     noise_field, rk4_jump)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -21,63 +21,100 @@ MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05
 NO_JUMPS = NoiseModel(measure=None)
 
 
+CFG = StepperConfig(dt=1e-3)
+
+
+def shear_only(system, eps):
+    """The system's noise field with zero drift: a step with no Gaussian
+    increment applies only its jumps (RK4 of a zero drift adds 0.0)."""
+    return VectorFieldSet(drift=lambda x1, x2: (0.0, 0.0),
+                          drift_tangent=lambda x1, x2, v1, v2: (0.0, 0.0),
+                          sigma=system.sigma, epsilon=eps)
+
+
+def stepper_jump(fields, z, x):
+    """The stepper's Marcus jump of mark z from x."""
+    return np.array(step(fields, CFG, 0.0, *x, None, None, 0.0, [z])[1:3])
+
+
+def stepper_jacobian(fields, z, x):
+    """The stepper's tangent transport through the jump of mark z at x,
+    applied to the canonical basis: the jump's Jacobian."""
+    cols = [step(fields, CFG, 0.0, *x, *e, 0.0, [z])[3:] for e in np.eye(2)]
+    return np.array(cols).T
+
+
 def test_jump_map_zero_mark_identity():
     x = np.array([0.3, -1.2])
-    assert np.array_equal(marcus_jump_map(NIL.fields(0.2), 0.0, x), x)
+    for system in (NIL, DUF):
+        assert np.array_equal(stepper_jump(shear_only(system, 0.2), 0.0, x), x)
+        assert np.array_equal(marcus_jump_map(system.fields(0.2), 0.0, x), x)
 
 
 def test_jump_map_nilpotent_closed_form():
+    """The stepper's jump and the RK4 jump flow are the shear
+    x2 += eps sigma z x1."""
     rng = np.random.default_rng(0)
     eps, sig = 0.2, 1.0
-    fields = NIL.fields(eps)
+    fields = shear_only(NIL, eps)
     for _ in range(200):
         u = rng.normal(size=2)
         z = rng.uniform(-1, 1)
-        got = marcus_jump_map(fields, z, u)
         want = np.array([u[0], u[1] + eps * sig * z * u[0]])
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.allclose(stepper_jump(fields, z, u), want, rtol=1e-12, atol=1e-14)
+        assert np.allclose(marcus_jump_map(fields, z, u), want,
+                           rtol=1e-12, atol=1e-14)
 
 
 def test_jump_map_flow_reversal():
     rng = np.random.default_rng(1)
-    fields = DUF.fields(0.3)
+    fields = shear_only(DUF, 0.3)
     for _ in range(100):
         x = rng.normal(size=2) + np.array([1.5, 0.0])
         z = rng.uniform(-1, 1)
+        back = stepper_jump(fields, -z, stepper_jump(fields, z, x))
+        assert np.allclose(back, x, atol=1e-10)
         back = marcus_jump_map(fields, -z, marcus_jump_map(fields, z, x))
         assert np.allclose(back, x, atol=1e-10)
 
 
 def test_jump_jacobian_zero_mark():
-    assert np.array_equal(marcus_jump_jacobian(NIL.fields(0.2), 0.0, np.ones(2)),
-                          np.eye(2))
+    fields = shear_only(NIL, 0.2)
+    assert np.array_equal(stepper_jacobian(fields, 0.0, np.ones(2)), np.eye(2))
+    assert np.array_equal(marcus_jump_jacobian(fields, 0.0, np.ones(2)), np.eye(2))
 
 
 def test_jump_jacobian_nilpotent():
     eps = 0.15
-    J = marcus_jump_jacobian(NIL.fields(eps), 0.7, np.array([2.0, -1.0]))
-    assert np.allclose(J, [[1.0, 0.0], [eps * 0.7, 1.0]], rtol=1e-12, atol=1e-14)
+    fields = shear_only(NIL, eps)
+    x = np.array([2.0, -1.0])
+    want = [[1.0, 0.0], [eps * 0.7, 1.0]]
+    assert np.allclose(stepper_jacobian(fields, 0.7, x), want,
+                       rtol=1e-12, atol=1e-14)
+    assert np.allclose(marcus_jump_jacobian(fields, 0.7, x), want,
+                       rtol=1e-12, atol=1e-14)
 
 
 def test_jump_jacobian_unit_determinant():
     rng = np.random.default_rng(2)
-    fields = DUF.fields(0.4)
+    fields = shear_only(DUF, 0.4)
     for _ in range(50):
         x = rng.normal(size=2)
-        J = marcus_jump_jacobian(fields, rng.uniform(-1, 1), x)
-        assert abs(np.linalg.det(J) - 1.0) < 1e-8
+        z = rng.uniform(-1, 1)
+        assert abs(np.linalg.det(stepper_jacobian(fields, z, x)) - 1.0) < 1e-12
+        assert abs(np.linalg.det(marcus_jump_jacobian(fields, z, x)) - 1.0) < 1e-8
 
 
 def bracket_drift(fields, measure, x, nodes=32):
     """int [xi(z)(x) - x - eps z V(x)] nu(dz) over floor <= |z| < cutoff:
-    Gauss-Legendre in |z|, both signs, one RK4 jump flow per node."""
+    Gauss-Legendre in |z|, both signs, one stepper jump per node."""
     zq, wq = gauss_legendre(nodes, measure.floor_delta, measure.cutoff_c)
     dens = measure.c_alpha * zq ** (-1.0 - measure.alpha)
-    vx = np.array(fields.diffusion(*x))
+    vx = np.array(noise_field(fields.sigma)[0](*x))
     out = np.zeros(2)
     for zi, wi, di in zip(zq, wq, dens):
         for z in (zi, -zi):
-            out += wi * di * (marcus_jump_map(fields, z, x) - x
+            out += wi * di * (stepper_jump(fields, z, x) - x
                               - fields.epsilon * z * vx)
     return out
 
@@ -86,51 +123,54 @@ def test_compensator_vanishes_for_linear_fields():
     # the stepper adds no jump drift: for the linear noise field of both
     # systems the Marcus jump equals its Ito form, node by node
     for system in (NIL, DUF):
-        drift = bracket_drift(system.fields(0.3), MEASURE, np.array([1.1, -0.4]))
+        drift = bracket_drift(shear_only(system, 0.3), MEASURE, np.array([1.1, -0.4]))
         assert np.linalg.norm(drift) < 1e-12
 
 
 def test_step_single_jump_reproduces_jump_map():
     # a step with one jump is the drift move followed by the jump map
     fields = NIL.fields(0.2)
-    cfg = StepperConfig(dt=1e-3)
-    drifted = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, 0.0)
-    jumped = step(fields, 1.0, cfg, 0.0, 1.0, 0.5, None, None, 0.0, [0.8])
+    drifted = step(fields, CFG, 0.0, 1.0, 0.5, None, None, 0.0)
+    jumped = step(fields, CFG, 0.0, 1.0, 0.5, None, None, 0.0, [0.8])
     assert np.allclose(jumped[1:3], marcus_jump_map(fields, 0.8, drifted[1:3]),
                        rtol=1e-14)
 
 
 @pytest.mark.parametrize("system", [NIL, DUF], ids=["nilpotent", "duffing"])
 def test_closed_form_jumps_match_rk4_route(system):
-    """The system's closed-form jump and the RK4 flow route agree on state
-    and tangent, one or several jumps.  The jump scale follows
-    ``fields.epsilon``, also after a replace."""
+    """A step's closed-form jumps and the RK4 jump flow applied after a
+    jump-free step agree on state and tangent, one or several jumps.  The
+    jump scale follows ``fields.epsilon``, also after a replace."""
     exact = dataclasses.replace(system.fields(0.7), epsilon=0.3)
     fields = system.fields(0.3)
-    flowed = dataclasses.replace(fields, jump=rk4_jump(fields))
-    rate = NoiseModel(measure=MEASURE).gaussian_rate
-    cfg = StepperConfig(dt=1e-3)
+    flow = rk4_jump(fields)
     rng = np.random.default_rng(9)
     for n_jumps in (1, 2, 3, 7):
         x = rng.normal(size=2) + np.array([1.0, 0.0])
         v = rng.normal(size=2)
         marks = rng.choice([-1.0, 1.0], n_jumps) * rng.uniform(0.05, 1.0, n_jumps)
         dw = float(rng.normal(0.0, 0.03))
-        jumps = marks.tolist()
-        a = step(exact, rate, cfg, 0.0, *x, *v, dw, jumps)
-        b = step(flowed, rate, cfg, 0.0, *x, *v, dw, jumps)
-        assert np.allclose(a[1:], b[1:], rtol=1e-12, atol=1e-12)
-        c = step(exact, rate, cfg, 0.0, *x, None, None, dw, jumps)
+        a = step(exact, CFG, 0.0, *x, *v, dw, marks.tolist())
+        _, y1, y2, u1, u2 = step(fields, CFG, 0.0, *x, *v, dw)
+        y, u = np.array([y1, y2]), np.array([u1, u2])
+        for z in marks:
+            y, u = flow(0.3 * z, y, u)
+        assert np.allclose(a[1:], np.concatenate([y, u]), rtol=1e-12, atol=1e-12)
+        c = step(exact, CFG, 0.0, *x, None, None, dw, marks.tolist())
         assert c[3:] == (None, None) and c[1:3] == a[1:3]
 
 
 def test_integrate_closed_form_jumps_match_rk4_route():
+    """The float stepper with its closed-form jumps against the numpy
+    stepper with the RK4 jump flow, on the same noise."""
     noise = NoiseModel(measure=MEASURE)
     cfg = StepperConfig(dt=1e-3)
     exact = DUF.fields(0.2)
-    flowed = dataclasses.replace(exact, jump=rk4_jump(exact))
-    runs = [integrate(f, noise, [1.0, 0.0], 0.5, cfg, (5, 1), v0=[1.0, 0.5],
-                      renorm_interval=10) for f in (exact, flowed)]
+    flowed = dataclasses.replace(array_fields(DUF, 0.2), jump=rk4_jump(exact))
+    runs = [integrate(exact, noise, [1.0, 0.0], 0.5, cfg, (5, 1), v0=[1.0, 0.5],
+                      renorm_interval=10),
+            array_integrate(flowed, noise, [1.0, 0.0], 0.5, cfg, (5, 1),
+                            v0=[1.0, 0.5], renorm_interval=10)]
     assert runs[0].n_jumps == runs[1].n_jumps > 0
     assert runs[0].log_growth == pytest.approx(runs[1].log_growth, rel=1e-11)
     assert np.allclose(runs[0].final.x, runs[1].final.x, rtol=1e-11, atol=1e-12)
@@ -142,7 +182,7 @@ def test_step_energy_conservation_drift_only():
     state = (0.0, 1.0, 0.0, None, None)
     h0 = duffing_energy(*state[1:3])
     for _ in range(1000):
-        state = step(fields, 1.0, cfg, *state, 0.0)
+        state = step(fields, cfg, *state, 0.0)
     assert abs(duffing_energy(*state[1:3]) - h0) <= 1e-8
 
 
@@ -286,35 +326,3 @@ def test_duffing_restart_path_matches_numpy_oracle():
     want = array_direct_one(DUF, noise, 0.1, cfg, 0)
     assert got[1:] == want[1:] == (6, True)
     assert math.isnan(got[0]) and math.isnan(want[0])
-
-
-def test_step_matches_numpy_oracle_on_nonlinear_noise():
-    """A noise field with a position-dependent Jacobian, so that the Ito
-    correction, both parts of the tangent correction (the finite
-    difference included) and the Gaussian tangent term are all nonzero."""
-    fields = VectorFieldSet(
-        drift=lambda x1, x2: (x2, -x1 - x1 * x1 * x1),
-        drift_tangent=lambda x1, x2, v1, v2: (v2, (-1.0 - 3.0 * x1 * x1) * v1),
-        diffusion=lambda x1, x2: (0.3 * x2 * x2, x1 * x2),
-        diffusion_tangent=lambda x1, x2, v1, v2: (0.6 * x2 * v2, x2 * v1 + x1 * v2),
-        jump=None,
-        epsilon=0.4,
-    )
-    arrays = ArrayFields(
-        drift=lambda p: np.array([p[1], -p[0] - p[0] ** 3]),
-        drift_jacobian=lambda p: np.array([[0.0, 1.0], [-1.0 - 3.0 * p[0] ** 2, 0.0]]),
-        diffusion=lambda p: np.array([0.3 * p[1] ** 2, p[0] * p[1]]),
-        diffusion_jacobian=lambda p: np.array([[0.0, 0.6 * p[1]], [p[1], p[0]]]),
-        epsilon=0.4, jump=None)
-    cfg = StepperConfig(dt=1e-2)
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        x, v = rng.normal(size=2), rng.normal(size=2)
-        dw = float(rng.normal(0.0, 0.1))
-        got = step(fields, 1.3, cfg, 0.0, *x, *v, dw)
-        want = array_step(arrays, 1.3, cfg, TrajectoryState(0.0, x, v), dw)
-        assert np.allclose(got[1:3], want.x, rtol=1e-12, atol=0.0)
-        # the finite difference rounds differently in the two steppers, by
-        # an amount that scales with |v|, not with each component
-        assert np.abs(np.subtract(got[3:], want.v)).max() <= \
-            1e-12 * np.linalg.norm(want.v)

@@ -8,6 +8,7 @@ from levyap.frame import angle_jump_flow
 from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
                             make_nilpotent, rho_jump_even_sum, rho_jump_sc,
                             theta_jump_sc)
+from oracles import noise_field
 
 
 def test_invalid_parameters():
@@ -58,7 +59,7 @@ def test_duffing_field_reconstruction():
         a1, a2 = -1.1 * x * g / (g * g + y * y), 1.1 * x * y
         u1, u2 = (np.array(u) for u in sys_.frame(x, y))
         assert np.allclose(a1 * u1 + a2 * u2,
-                           sys_.fields(0.0).diffusion(x, y),
+                           noise_field(sys_.sigma)[0](x, y),
                            rtol=1e-8, atol=1e-10)
 
 
@@ -120,18 +121,17 @@ def test_even_sum_matches_pair():
 def test_exact_jumps_match_generic_flow():
     """Closed-form angle/log-radius jump maps of the shear against the
     generic closed-form jump of the pair (the plane tangent through the
-    fields' jump, read back in the rescaled frame)."""
+    shear along V, read back in the rescaled frame)."""
     sys_ = make_nilpotent(1.0, 1.0)
     eps, beta = 0.1, 2.0 / 3.0
     amp = eps ** (1.0 - beta) * sys_.sigma
-    jump = sys_.fields(eps).jump
     rng = np.random.default_rng(5)
     worst_t = worst_r = 0.0
     for _ in range(1000):
         th = rng.uniform(0.0, 2.0 * math.pi)
         z = rng.uniform(-1.0, 1.0)
-        _, _, th2, rho = angle_jump_flow(sys_.frame, jump, eps * z, 1.0, 0.5,
-                                         th, eps, beta)
+        _, _, th2, rho = angle_jump_flow(sys_.frame, sys_.sigma, eps * z, 1.0,
+                                         0.5, th, eps, beta)
         worst_t = max(worst_t, abs(th2 - exact_theta_jump(th, amp * z)))
         worst_r = max(worst_r, abs(rho - exact_rho_jump(th, amp * z)))
     assert worst_t < 1e-13
