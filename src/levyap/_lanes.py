@@ -19,6 +19,8 @@ import numpy as np
 from .noise import NoiseModel, jump_nodes, sample_block, trajectory_streams
 from .systems import rho_jump_profile, rho_jump_sc, theta_jump_sc
 
+# steps per segment of the direct kernel (one transfer product each)
+_SEGMENT = 64
 # steps per chunk of the angle kernel's history buffers
 _CHUNK = 256
 
@@ -52,50 +54,80 @@ class DirectLanesResult:
     growth_time: float
 
 
+def _advance(prods, rows, h):
+    """Run the tangent step v1 += h v2, v2 += v1 g over the noise rows g on
+    every column of the 2x2 products prods (rows first), in place."""
+    top, bot = prods
+    tmp = np.empty_like(top)
+    for g in rows:
+        np.multiply(bot, h, tmp)
+        np.add(top, tmp, top)
+        np.multiply(top, g, tmp)
+        np.add(bot, tmp, bot)
+
+
 def shear_direct_lanes(a: float, sigma: float, eps, noise: NoiseModel,
                        dt: float, horizon: float, seed: int, indices,
-                       renorm_interval: int = 10, burn_in: float = 0.1,
-                       block_steps: int = 16384,
+                       burn_in: float = 0.1, block_steps: int = 16384,
                        v0=(1.0, 0.5)) -> DirectLanesResult:
-    """Tangent-growth kernel: v' = [[0, a], [0, 0]] v dt + noise shears."""
+    """Tangent-growth kernel: v' = [[0, a], [0, 0]] v dt + noise shears.
+
+    A step, v1 += dt a v2 then v2 += v1 eps sigma (dW + summed marks), is
+    linear with determinant 1, so a run of steps is one 2x2 transfer
+    product.  Segments end at every multiple of _SEGMENT, at the burn-in
+    step and at the last step.  The products of all full segments of a
+    noise block are built at once, by stepping the identity's columns;
+    they are applied to the lane vectors in order, renormalising after
+    each and adding log r to the growth after burn-in.  A segment cut by
+    a block edge carries its partial product into the next block, so the
+    bits depend neither on ``block_steps`` (the jump noise itself does)
+    nor on which lanes share the call.
+    """
     eps = np.asarray(eps, dtype=float)
     L = len(eps)
     n = int(round(horizon / dt))
     burn_steps = int(round(burn_in * n))
-    v_a = np.full(L, float(v0[0]))
-    v_b = np.full(L, float(v0[1]))
-    growth = np.zeros(L)
-    dt_a = dt * a
+    S = _SEGMENT
+    h = dt * a
     es = eps * sigma
-    k = max(int(renorm_interval), 1)
-    start_t = 0.0 if burn_steps == 0 else None
+    v = np.outer(np.asarray(v0, dtype=float), np.ones(L))
+    growth = np.zeros(L)
+    eye = np.eye(2)[:, :, None, None]
+    carry = np.tile(eye, (1, 1, 1, L))     # product of the open segment
     for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
-        gauss *= es
         if sums is not None:
-            sums *= es
+            gauss += sums
+        gauss *= es
         m = gauss.shape[0]
-        for i in range(m):
-            v_a += dt_a * v_b
-            v_b += v_a * gauss[i]
-            if sums is not None:
-                v_b += v_a * sums[i]
-            step_no = off + i + 1
-            if step_no == burn_steps:
-                # burn-in crossed: drop the transient growth, start the clock
-                r = np.hypot(v_a, v_b)
-                v_a /= r
-                v_b /= r
-                start_t = step_no * dt
-            elif step_no % k == 0 and start_t is not None:
-                r = np.hypot(v_a, v_b)
-                growth += np.log(r)
-                v_a /= r
-                v_b /= r
-    if start_t is None:
-        start_t = burn_steps * dt
-    r = np.hypot(v_a, v_b)
-    growth += np.log(r)
-    return DirectLanesResult(growth, n * dt - start_t)
+        i = 0
+        while i < m:
+            g0 = off + i
+            stop = burn_steps if g0 < burn_steps else n
+            k = (min(off + m, stop) - g0) // S if g0 % S == 0 else 0
+            if k:
+                # k full segments from g0 on, in lockstep
+                prods = np.tile(eye, (1, 1, k, L))
+                _advance(prods, gauss[i:i + k * S].reshape(k, S, L).swapaxes(0, 1), h)
+                i += k * S
+                ends = g0 + S * np.arange(1, k + 1)
+            else:
+                # the open segment, up to its end or to the block's
+                seg_end = min((g0 // S + 1) * S, stop)
+                end = min(seg_end, off + m)
+                _advance(carry, gauss[i:end - off], h)
+                i = end - off
+                if end < seg_end:
+                    continue
+                prods, ends = carry, np.array([seg_end])
+            # apply the products (2, 2, k, L) in order, renormalising after each
+            r = np.empty((len(ends), L))
+            for j, r_j in enumerate(r):
+                w = prods[:, 0, j] * v[0] + prods[:, 1, j] * v[1]
+                np.hypot(w[0], w[1], r_j)
+                np.divide(w, r_j, v)
+            growth = _add_in_order(growth, np.log(r[ends > burn_steps]))
+            carry[...] = eye
+    return DirectLanesResult(growth, n * dt - burn_steps * dt)
 
 
 @dataclass

@@ -59,7 +59,8 @@ CONFIG_SCHEMA = {
     "run.seed": (int, 0, "64-bit master seed"),
     "run.method": (str, "direct",
                    "comma list of direct|khasminskii|theorem33|fpcircle"),
-    "run.renorm_interval": (int, 10, "steps between tangent renormalizations"),
+    "run.renorm_interval": (int, 10, "steps between tangent renormalizations "
+                            "(generic path only)"),
     "run.workers": (int, 1, "worker processes for replicate execution"),
     "run.record_stride": (int, 100, "steps between recorded trajectory rows"),
     "run.x0": (str, "", "initial point 'x,y' (empty = system default)"),
@@ -213,16 +214,21 @@ def _check_beta(cfg: dict) -> None:
 
 def build_runtime(cfg: dict):
     """(system, noise, estimator config) from a resolved flat config; a
-    value the estimator config refuses is a ConfigError."""
+    value the estimator config refuses, or a start point every replicate
+    would exit at once, is a ConfigError."""
     _check_beta(cfg)
     system, noise = _build_model(cfg)
+    x0 = _x0(cfg)
+    if x0 is not None and system.tol_crit > 0.0 and \
+            math.hypot(*system.fields(0.0).grad_h(*x0)) < system.tol_crit:
+        raise ConfigError(f"run.x0 = {cfg['run.x0']!r}: |grad H| < tol_crit = {system.tol_crit}")
     try:
         est = EstimatorConfig(dt=cfg["run.dt"], horizon=cfg["run.horizon"],
                               replicates=cfg["run.replicates"],
                               seed=cfg["run.seed"], burn_in=cfg["run.burn_in"],
                               renorm_interval=cfg["run.renorm_interval"],
                               beta=cfg["run.beta"], workers=cfg["run.workers"],
-                              x0=_x0(cfg))
+                              x0=x0)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
     return system, noise, est

@@ -186,7 +186,6 @@ def _direct_lane_rates(system, noise, eps_list, cfg, indices) -> np.ndarray:
     res = shear_direct_lanes(system.a, system.sigma, eps, noise,
                              cfg.dt, cfg.horizon, cfg.seed,
                              list(indices) * len(eps_list),
-                             renorm_interval=cfg.renorm_interval,
                              burn_in=cfg.burn_in, block_steps=block,
                              v0=cfg.v0)
     return (res.log_growth / res.growth_time).reshape(len(eps_list), -1)

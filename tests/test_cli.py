@@ -313,6 +313,7 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--method", "fpcircle", "--grid-n", "15"],
                                   ["lyapunov", "--x0", "a,b"],
                                   ["lyapunov", "--system", "duffing", "--x0", "nan,0"],
+                                  ["lyapunov", "--system", "duffing", "--x0", "0,0"],
                                   ["simulate", "--x0", "1,inf"],
                                   ["simulate", "--x0", "1,2,3"],
                                   ["sweep", "--epsilons", "0.05,0.1,0.2,0.4",

@@ -53,7 +53,7 @@ def test_fast_lanes_match_generic_integrator_pathwise():
     eps = 0.2
     cfg = StepperConfig(dt=1e-3)
     lanes = shear_direct_lanes(1.0, 1.0, np.full(3, eps), JUMPS, 1e-3, 2.0,
-                               seed=501, indices=range(3), renorm_interval=10,
+                               seed=501, indices=range(3),
                                burn_in=0.0)
     for idx in range(3):
         summary = integrate(NIL.fields(eps), JUMPS, [1.0, 0.5], 2.0, cfg,
@@ -175,6 +175,20 @@ def test_renormalization_interval_invariance():
     b = lyapunov_direct(NIL, JUMPS, 0.2, cfg20)
     # the log-growth telescope is exact; only rounding differs
     assert a.value == pytest.approx(b.value, rel=1e-9)
+    assert abs(a.value - b.value) < min(a.stderr, 1.0)
+
+
+def test_renormalization_interval_invariance_generic_path():
+    # the shear lanes renormalize once per segment and do not read the
+    # interval; the generic integrator, which Duffing runs on, does
+    cfg10 = EstimatorConfig(dt=1e-3, horizon=5.0, replicates=2, seed=5,
+                            renorm_interval=10)
+    cfg20 = EstimatorConfig(dt=1e-3, horizon=5.0, replicates=2, seed=5,
+                            renorm_interval=20)
+    a = lyapunov_direct(DUF, JUMPS, 0.2, cfg10)
+    b = lyapunov_direct(DUF, JUMPS, 0.2, cfg20)
+    assert a.restarts == b.restarts == 0
+    assert a.per_replicate == pytest.approx(b.per_replicate, rel=1e-9)
     assert abs(a.value - b.value) < min(a.stderr, 1.0)
 
 

@@ -1,8 +1,15 @@
-"""The angle lane kernel against its per-step reference loop.
+"""The lane kernels against their per-step reference loops.
 
 ``per_step_angle_lanes`` steps every quantity of every lane in one Python
-loop, as the kernel did before it was split into a sequential recurrence
-and per-chunk accumulation.  The kernel must reproduce it bit for bit.
+loop, as the angle kernel did before it was split into a sequential
+recurrence and per-chunk accumulation.  The kernel must reproduce it bit
+for bit.
+
+``per_step_direct_lanes`` steps the tangent of every lane one step at a
+time and renormalises every ``renorm_interval`` steps, as the direct
+kernel did before it built per-segment transfer products.  The two agree
+to rounding, and the kernel's bits do not depend on the block length or
+on which lanes share a call.
 """
 
 import math
@@ -10,7 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from levyap._lanes import AngleLanesResult, _lane_blocks, shear_angle_lanes
+from levyap._lanes import (_SEGMENT, AngleLanesResult, DirectLanesResult,
+                           _lane_blocks, shear_angle_lanes, shear_direct_lanes)
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_nodes
 from levyap.systems import exact_rho_jump, exact_theta_jump, rho_jump_profile
 
@@ -128,3 +136,97 @@ def test_angle_lanes_bitwise_equal_per_step_loop(case):
         g, w = getattr(got, name), getattr(want, name)
         assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
+
+
+def per_step_direct_lanes(a, sigma, eps, noise, dt, horizon, seed, indices,
+                          renorm_interval=10, burn_in=0.1, block_steps=16384,
+                          v0=(1.0, 0.5)):
+    """Reference: every lane's tangent stepped one step at a time."""
+    eps = np.asarray(eps, dtype=float)
+    L = len(eps)
+    n = int(round(horizon / dt))
+    burn_steps = int(round(burn_in * n))
+    v_a = np.full(L, float(v0[0]))
+    v_b = np.full(L, float(v0[1]))
+    growth = np.zeros(L)
+    dt_a = dt * a
+    es = eps * sigma
+    k = max(int(renorm_interval), 1)
+    start_t = 0.0 if burn_steps == 0 else None
+    for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
+        gauss *= es
+        if sums is not None:
+            sums *= es
+        m = gauss.shape[0]
+        for i in range(m):
+            v_a += dt_a * v_b
+            v_b += v_a * gauss[i]
+            if sums is not None:
+                v_b += v_a * sums[i]
+            step_no = off + i + 1
+            if step_no == burn_steps:
+                # burn-in crossed: drop the transient growth, start the clock
+                r = np.hypot(v_a, v_b)
+                v_a /= r
+                v_b /= r
+                start_t = step_no * dt
+            elif step_no % k == 0 and start_t is not None:
+                r = np.hypot(v_a, v_b)
+                growth += np.log(r)
+                v_a /= r
+                v_b /= r
+    if start_t is None:
+        start_t = burn_steps * dt
+    r = np.hypot(v_a, v_b)
+    growth += np.log(r)
+    return DirectLanesResult(growth, n * dt - start_t)
+
+
+# (noise, eps per lane, horizon, keyword arguments); dt = 1e-3 throughout.
+# 1037 and 2001 steps are multiples of neither the segment nor a block.
+DIRECT_CASES = {
+    "brownian": (BROWNIAN, [0.05, 0.1, 0.3], 2.001, {}),
+    "jumps": (JUMPS, [0.1, 0.2, 0.5], 2.001, {}),
+    "ar_threshold": (AR, [0.1] * 3, 1.037, {}),
+    "dense_jumps": (DENSE, [0.1] * 3, 0.3, {}),
+    "no_burn_in": (JUMPS, [0.1, 0.2], 1.037, {"burn_in": 0.0}),
+    "brownian_no_burn_in": (BROWNIAN, [0.2] * 2, 1.037, {"burn_in": 0.0}),
+    # blocks of 300 steps; burn-in step 0.37 * 1037 = 384 is a multiple of
+    # the segment, 0.1 * 1037 = 104 is not
+    "ragged_blocks": (JUMPS, [0.1] * 3, 1.037, {"block_steps": 300}),
+    "burn_in_on_segment": (BROWNIAN, [0.1] * 2, 1.037,
+                           {"burn_in": 0.37, "block_steps": 300}),
+    # fewer steps than one segment
+    "short": (JUMPS, [0.2] * 2, 0.05, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_CASES))
+def test_direct_lanes_match_per_step_loop(case):
+    noise, eps, horizon, kw = DIRECT_CASES[case]
+    args = (1.0, 1.0, eps, noise, 1e-3, horizon, 91, range(len(eps)))
+    got = shear_direct_lanes(*args, **kw)
+    want = per_step_direct_lanes(*args, **kw)
+    assert got.growth_time == want.growth_time
+    np.testing.assert_allclose(got.log_growth, want.log_growth, rtol=1e-12, atol=0)
+
+
+def test_direct_lanes_bits_independent_of_block_length():
+    # Brownian only: with jumps the noise itself depends on the block length
+    args = (1.0, 1.0, [0.05, 0.2, 0.7], BROWNIAN, 1e-3, 2.077, 13, range(3))
+    runs = [shear_direct_lanes(*args, block_steps=b).log_growth
+            for b in (_SEGMENT - 1, _SEGMENT, 1000, 16384)]
+    for run in runs[1:]:
+        assert run.tobytes() == runs[0].tobytes()
+
+
+@pytest.mark.parametrize("noise", [BROWNIAN, JUMPS], ids=["brownian", "jumps"])
+def test_direct_lanes_bits_independent_of_lane_subset(noise):
+    eps = np.array([0.05, 0.1, 0.2, 0.3])
+    idx = np.array([4, 7, 9, 11])
+    args = (1.0, 1.0, eps, noise, 1e-3, 1.537, 21, idx)
+    full = shear_direct_lanes(*args, block_steps=700).log_growth
+    for lanes in ([0], [3, 1], [2, 0, 1]):
+        part = shear_direct_lanes(1.0, 1.0, eps[lanes], noise, 1e-3, 1.537, 21,
+                                  idx[lanes], block_steps=700).log_growth
+        assert part.tobytes() == full[lanes].tobytes()
