@@ -29,7 +29,7 @@ from .estimators import (EstimatorConfig, LyapunovEstimate,
                          lyapunov_khasminskii, lyapunov_theorem33_estimate,
                          scaling_sweep)
 from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
-                       lyapunov_quadrature, solve_stationary)
+                       lyapunov_quadrature, pw_substitution, solve_stationary)
 from .marcus import StepperConfig, check_epsilon, integrate
 from .noise import JumpMeasureSpec, NoiseModel
 from .systems import make_duffing, make_nilpotent
@@ -284,20 +284,24 @@ def _check_fp(cfg: dict, noise) -> None:
                           "noise.floor_delta > 0 when jumps are on")
 
 
-def _fp_solve(cfg: dict, noise):
-    """(stationary density, quadrature growth rate) of the circle FP problem."""
-    gen = build_generator(cfg["system.a"], cfg["system.sigma"],
-                          cfg["run.epsilon"], noise.measure,
-                          CircleGrid(cfg["fp.grid_n"]),
-                          variant=cfg["fp.variant"],
-                          brownian=cfg["noise.brownian"])
-    dens = solve_stationary(gen)
-    lam = lyapunov_quadrature(dens, cfg["system.a"], cfg["system.sigma"],
-                              cfg["run.epsilon"], noise.measure,
-                              variant=cfg["fp.variant"],
-                              brownian=cfg["noise.brownian"],
-                              beta=cfg["run.beta"])
-    return dens, lam
+def _fp_solve(cfg: dict, noise, explicit: bool = False):
+    """(stationary density, growth rate, explicit adjoint residual or None)
+    of the circle FP problem.  fp.variant = pw solves the Brownian problem at
+    eps = 1 with sigma_pw (see pw_substitution) and scales its rate by
+    eps^(2/3); it does not read run.beta."""
+    a, sigma, eps = cfg["system.a"], cfg["system.sigma"], cfg["run.epsilon"]
+    measure, brownian, scale = noise.measure, cfg["noise.brownian"], 1.0
+    if cfg["fp.variant"] == "pw":
+        sigma, scale = pw_substitution(sigma, eps, measure, brownian)
+        eps, measure, brownian = 1.0, None, True
+    dens = solve_stationary(build_generator(a, sigma, eps, measure,
+                                            CircleGrid(cfg["fp.grid_n"]),
+                                            brownian=brownian))
+    lam = scale * lyapunov_quadrature(dens, a, sigma, eps, measure,
+                                      brownian=brownian)
+    residual = explicit_adjoint_residual(dens, a, sigma, eps, measure,
+                                         brownian=brownian) if explicit else None
+    return dens, lam, residual
 
 
 def _run_method(method: str, system, noise, est_cfg, cfg):
@@ -310,7 +314,7 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
     if method == "theorem33":
         return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"], est_cfg)
     # fpcircle, the one method left after _check_methods
-    dens, lam = _fp_solve(cfg, noise)
+    dens, lam, _ = _fp_solve(cfg, noise)
     est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
                            cfg["run.beta"], 0.0, 1, 0)
     est.extras["fp_residual"] = dens.residual
@@ -456,18 +460,14 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_fp_solve(cfg: dict) -> int:
+    _check_run_epsilon(cfg)
     _check_beta(cfg)
     system, noise = _build_model(cfg)
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")
     _check_fp(cfg, noise)
-    dens, lam = _fp_solve(cfg, noise)
+    dens, lam, explicit = _fp_solve(cfg, noise, explicit=True)
     grid = dens.grid
-    explicit = explicit_adjoint_residual(dens, cfg["system.a"],
-                                         cfg["system.sigma"],
-                                         cfg["run.epsilon"], noise.measure,
-                                         brownian=cfg["noise.brownian"]) \
-        if cfg["fp.variant"] == "plain" else None
     payload = {
         "schema": SCHEMA,
         "command": "fp-solve",

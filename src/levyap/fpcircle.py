@@ -25,7 +25,7 @@ adjoint equation on the solution as an independent validation residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,9 +60,6 @@ class CircleGrid:
 class GeneratorMatrix:
     grid: CircleGrid
     matrix: np.ndarray
-    variant: str                      # "plain" | "pw"
-    epsilon: float
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -108,29 +105,13 @@ def _local_part(grid: CircleGrid, drift: np.ndarray, diff: np.ndarray) -> np.nda
 
 def build_generator(a: float, sigma: float, epsilon: float,
                     measure: Optional[JumpMeasureSpec], grid: CircleGrid,
-                    variant: str = "plain",
-                    brownian: bool = True) -> GeneratorMatrix:
-    """Angle-process generator for the shear system.
-
-    plain: -a sin^2 d/dth + eps^2 sig^2 (-sin cos^3 d/dth + cos^4/2 d2/dth2)
-           + nonlocal jump term with the closed-form shear angle map.
-    pw:    leading rescaled generator; the jump measure enters only through
-           the factor (1 + second moment over the sampled band) multiplying
-           the diffusion block, and no nonlocal term remains.
+                    *, brownian: bool = True) -> GeneratorMatrix:
+    """Angle-process generator for the shear system:
+    -a sin^2 d/dth + eps^2 sig^2 (-sin cos^3 d/dth + cos^4/2 d2/dth2)
+    + nonlocal jump term with the closed-form shear angle map.
     """
     th = grid.nodes
     s, c = np.sin(th), np.cos(th)
-    if variant == "pw":
-        m2 = 0.0
-        if measure is not None and measure.has_jumps:
-            m2 = jump_moment(measure, 2.0, measure.floor_delta, measure.cutoff_c)
-        factor = sigma ** 2 * ((1.0 if brownian else 0.0) + m2)
-        G = _local_part(grid, -a * s * s - factor * s * c ** 3,
-                        0.5 * factor * c ** 4)
-        return GeneratorMatrix(grid, G, "pw", epsilon,
-                               {"a": a, "sigma": sigma, "m2": m2, "brownian": brownian})
-    if variant != "plain":
-        raise InvalidParameter(f"unknown generator variant {variant!r}")
     bfac = epsilon ** 2 * sigma ** 2 if brownian else 0.0
     G = _local_part(grid, -a * s * s - bfac * s * c ** 3, 0.5 * bfac * c ** 4)
     if measure is not None and measure.has_jumps:
@@ -146,8 +127,29 @@ def build_generator(a: float, sigma: float, epsilon: float,
             for k in range(4):
                 np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
             G[idx, idx] -= wq
-    return GeneratorMatrix(grid, G, "plain", epsilon,
-                           {"a": a, "sigma": sigma, "brownian": brownian})
+    return GeneratorMatrix(grid, G)
+
+
+def pw_substitution(sigma: float, epsilon: float,
+                    measure: Optional[JumpMeasureSpec],
+                    brownian: bool = True) -> tuple[float, float]:
+    """(sigma_pw, scale) that turn the plain circle problem into the
+    Pinsky-Wihstutz (PW) limit of the rescaled angle process.
+
+    Rescaled by eps^(2/3), the leading-order angle generator is the
+    Brownian shear generator at eps = 1 with the variance rate b + m2: b is
+    1 with the Brownian part and 0 without, and m2 is the jump second
+    moment over the sampled band [floor_delta, cutoff).  Jumps enter only
+    through that moment, so no nonlocal term remains, and both Gaussian
+    substitutes are ignored, as in the plain generator.  Solving the plain
+    problem at (sigma_pw = sigma sqrt(b + m2), eps = 1, no measure) and
+    multiplying its growth rate by scale = eps^(2/3) gives the PW exponent
+    lambda_1 (a eps sigma_pw)^(2/3).
+    """
+    m2 = 0.0
+    if measure is not None and measure.has_jumps:
+        m2 = jump_moment(measure, 2.0, measure.floor_delta, measure.cutoff_c)
+    return sigma * math.sqrt((1.0 if brownian else 0.0) + m2), epsilon ** (2.0 / 3.0)
 
 
 def _bordered_system(gen: GeneratorMatrix) -> np.ndarray:
@@ -212,32 +214,19 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
 
 def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
                         epsilon: float, measure: Optional[JumpMeasureSpec],
-                        variant: str = "plain", brownian: bool = True,
-                        beta: float = 2.0 / 3.0) -> float:
+                        *, brownian: bool = True) -> float:
     """Growth rate as the density-weighted angle average of the log-radius
-    drift (trapezoid rule; exact spacing on the periodic grid).
-
-    plain: a sin cos + eps^2 sig^2 (cos^2/2 - sin^2 cos^2) + jump term.
-    pw:    eps^(2 beta) * [a sin cos + sig^2 (1 + m2)(cos^2/2 - sin^2 cos^2)].
+    drift a sin cos + eps^2 sig^2 (cos^2/2 - sin^2 cos^2) + jump term
+    (trapezoid rule; exact spacing on the periodic grid).
     """
     th = density.grid.nodes
     s, c = np.sin(th), np.cos(th)
-    qv = 0.5 * c * c - s * s * c * c
-    if variant == "plain":
-        q = a * s * c + (epsilon ** 2 * sigma ** 2 * qv if brownian else 0.0)
-        if measure is not None and measure.has_jumps:
-            q = q + rho_jump_profile(th, epsilon * sigma, jump_nodes(measure))
-        return float(np.sum(q * density.values) * density.grid.h)
-    if variant == "pw":
-        m2 = 0.0
-        if measure is not None and measure.has_jumps:
-            m2 = jump_moment(measure, 2.0, measure.floor_delta, measure.cutoff_c)
-        factor = sigma ** 2 * ((1.0 if brownian else 0.0) + m2)
-        # shear and noise blocks enter at eps^beta and eps^(2-2beta); the two
-        # scales coincide at the standard beta = 2/3
-        q = epsilon ** beta * a * s * c + epsilon ** (2.0 - 2.0 * beta) * factor * qv
-        return float(np.sum(q * density.values) * density.grid.h)
-    raise InvalidParameter(f"unknown variant {variant!r}")
+    q = a * s * c
+    if brownian:
+        q = q + epsilon ** 2 * sigma ** 2 * (0.5 * c * c - s * s * c * c)
+    if measure is not None and measure.has_jumps:
+        q = q + rho_jump_profile(th, epsilon * sigma, jump_nodes(measure))
+    return float(np.sum(q * density.values) * density.grid.h)
 
 
 def explicit_adjoint_residual(density: CircleDensity, a: float, sigma: float,

@@ -67,7 +67,17 @@ def test_acceptance_1_scaling_law_with_jumps():
     cfg = EstimatorConfig(dt=1e-3, horizon=1e4, replicates=16, seed=2026)
     sweep = scaling_sweep(NIL, noise, SWEEP_EPS, cfg)
     assert 0.52 <= sweep.slope <= 0.82, f"slope {sweep.slope:.4f}"
-    _report(1, f"jump sweep slope {sweep.slope:.4f} in [0.52, 0.82]")
+    # The Pinsky-Wihstutz limit counts the Brownian part and the whole band
+    # [1e-3, 1) (the substitute matches the variance below 0.05).  The plain
+    # circle FP value with jumps exceeds it by 0.04-0.15 % over these eps
+    # (tests/test_fpcircle.py), so 0.5 % of model gap covers the limit's bias.
+    rate = 1.0 + jump_moment(measure, 2.0, 1e-3, 1.0)
+    for est in sweep.estimates:
+        pw = shear_exponent(1.0, est.epsilon, 1.0, rate=rate)
+        assert abs(est.value - pw) <= 6.0 * est.stderr + 0.005 * pw, \
+            f"eps={est.epsilon}: {est.value:.5f} vs PW limit {pw:.5f}"
+    _report(1, f"jump sweep slope {sweep.slope:.4f} in [0.52, 0.82]; every "
+               f"estimate within 6 stderr + 0.5 % of the PW limit")
 
 
 # -------------------------------------------------------------------------
@@ -84,7 +94,7 @@ def test_acceptance_2_estimator_triangle():
     k = lyapunov_khasminskii(NIL, noise, 0.1, cfg)
     dens = solve_stationary(build_generator(1.0, 1.0, 0.1, measure,
                                             CircleGrid(512)))
-    lam_fp = lyapunov_quadrature(dens, 1.0, 1.0, 0.1, measure, "plain")
+    lam_fp = lyapunov_quadrature(dens, 1.0, 1.0, 0.1, measure)
     assert dens.residual < 1e-6, f"fp residual {dens.residual:.2e}"
     pairs = [
         ("direct/khasminskii", d.value - k.value, math.hypot(d.stderr, k.stderr)),

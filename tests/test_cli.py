@@ -238,6 +238,18 @@ def test_fp_solve_artifacts(tmp_path, capsys):
     assert mu.sum() * 2 * math.pi / 128 == pytest.approx(1.0, rel=1e-9)
 
 
+def test_fp_solve_pw_ignores_beta(capsys):
+    """fp.variant = pw is the PW limit at the standard rescaling; run.beta
+    does not enter it, and its explicit adjoint residual is reported."""
+    results = []
+    for beta in ([], ["--beta", "0.5"]):
+        assert run_cli(["fp-solve", "--variant", "pw", "--floor-delta", "0.05",
+                        "--grid-n", "128"] + beta) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0]["lambda"] == results[1]["lambda"]
+    assert results[0]["explicit_adjoint_residual"] is not None
+
+
 def test_lyapunov_theorem33_method(tmp_path, capsys):
     out = tmp_path / "thm"
     rc = run_cli(["lyapunov", "--method", "theorem33", "--epsilon", "0.1",
@@ -319,6 +331,10 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["sweep", "--epsilons", "0.05,0.1,0.2,0.4",
                                    "--beta", "1.5"],
                                   ["fp-solve", "--variant", "pw", "--beta", "nan",
+                                   "--grid-n", "64"],
+                                  ["fp-solve", "--epsilon", "-0.1", "--grid-n", "64"],
+                                  ["fp-solve", "--epsilon", "nan", "--grid-n", "64"],
+                                  ["fp-solve", "--variant", "pw", "--epsilon", "inf",
                                    "--grid-n", "64"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"

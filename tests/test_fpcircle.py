@@ -8,7 +8,8 @@ from levyap.errors import DegenerateNullspace, InvalidGrid, InvalidParameter
 from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
                              GeneratorMatrix, _bordered_system, _local_part,
                              build_generator, explicit_adjoint_residual,
-                             lyapunov_quadrature, solve_stationary)
+                             lyapunov_quadrature, pw_substitution,
+                             solve_stationary)
 from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
 from levyap.systems import rho_jump_profile
 from oracles import shear_exponent
@@ -32,6 +33,14 @@ def svd_lstsq_density(gen):
     return mu, sv[-2] / sv[0]
 
 
+def pw_lambda(eps, measure, grid):
+    """The fp.variant = pw route: the Brownian problem at eps = 1 with
+    sigma_pw, its growth rate scaled by eps^(2/3)."""
+    sigma_pw, scale = pw_substitution(1.0, eps, measure)
+    dens = solve_stationary(build_generator(1.0, sigma_pw, 1.0, None, grid))
+    return scale * lyapunov_quadrature(dens, 1.0, sigma_pw, 1.0, None)
+
+
 def condition_1(gen):
     K = _bordered_system(gen)
     return np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1)
@@ -42,7 +51,7 @@ def sin2_generator(diffusion, n=256):
     the circle nearly splits into two invariant arcs."""
     grid = CircleGrid(n)
     G = _local_part(grid, np.sin(2.0 * grid.nodes), np.full(n, diffusion))
-    return GeneratorMatrix(grid, G, "plain", 0.0)
+    return GeneratorMatrix(grid, G)
 
 
 def test_grid_validation():
@@ -54,9 +63,8 @@ def test_grid_validation():
     assert g.h == pytest.approx(2 * math.pi / 64)
 
 
-@pytest.mark.parametrize("variant", ["plain", "pw"])
-def test_generator_kills_constants(variant):
-    gen = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(128), variant)
+def test_generator_kills_constants():
+    gen = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(128))
     assert np.abs(gen.matrix @ np.ones(128)).max() < 1e-8
 
 
@@ -80,7 +88,7 @@ def test_generator_drift_only_derivative():
 def test_pure_rotation_has_uniform_density():
     grid = CircleGrid(128)
     G = _local_part(grid, np.full(128, 0.7), np.zeros(128))
-    gen = GeneratorMatrix(grid, G, "plain", 0.0)
+    gen = GeneratorMatrix(grid, G)
     dens = solve_stationary(gen)
     assert np.abs(dens.values - 1.0 / (2 * math.pi)).max() < 1e-10
     assert dens.mass == pytest.approx(1.0, rel=1e-12)
@@ -140,7 +148,7 @@ def test_richardson_value_matches_exact_brownian_exponent():
 
 def test_degenerate_nullspace_detected():
     grid = CircleGrid(64)
-    gen = GeneratorMatrix(grid, np.zeros((64, 64)), "plain", 0.0)
+    gen = GeneratorMatrix(grid, np.zeros((64, 64)))
     with pytest.raises(DegenerateNullspace):
         solve_stationary(gen)
 
@@ -191,15 +199,10 @@ def test_condition_of_fp_grid_far_below_limit(measure):
 def test_parity_border_only_for_the_parity_artifact():
     grid = CircleGrid(64)
     rotation = GeneratorMatrix(grid, _local_part(grid, np.full(64, 0.7),
-                                                 np.zeros(64)), "plain", 0.0)
+                                                 np.zeros(64)))
     assert _bordered_system(rotation).shape == (66, 66)
     shear = build_generator(1.0, 1.0, 0.1, None, grid)
     assert _bordered_system(shear).shape == (65, 65)
-
-
-def test_unknown_variant_rejected():
-    with pytest.raises(InvalidParameter):
-        build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(64), "spectral")
 
 
 def test_nonlocal_generator_needs_floor():
@@ -211,7 +214,7 @@ def test_nonlocal_generator_needs_floor():
 def test_lyapunov_quadrature_odd_term_drops_for_uniform_density():
     grid = CircleGrid(256)
     dens = solve_stationary(GeneratorMatrix(
-        grid, _local_part(grid, np.full(256, 1.0), np.zeros(256)), "plain", 0.0))
+        grid, _local_part(grid, np.full(256, 1.0), np.zeros(256))))
     lam = lyapunov_quadrature(dens, 2.3, 0.0, 0.1, None, brownian=False)
     assert abs(lam) < 1e-12
 
@@ -258,10 +261,40 @@ def test_lambda_consistency_between_variants(eps):
     plain density once the diffusion scale eps^2 falls below h^2)."""
     grid = CircleGrid(256)
     plain = solve_stationary(build_generator(1.0, 1.0, eps, MEASURE, grid))
-    lam_plain = lyapunov_quadrature(plain, 1.0, 1.0, eps, MEASURE, "plain")
-    pw = solve_stationary(build_generator(1.0, 1.0, eps, MEASURE, grid, "pw"))
-    lam_pw = lyapunov_quadrature(pw, 1.0, 1.0, eps, MEASURE, "pw")
+    lam_plain = lyapunov_quadrature(plain, 1.0, 1.0, eps, MEASURE)
+    lam_pw = pw_lambda(eps, MEASURE, grid)
     assert abs(lam_plain - lam_pw) / abs(lam_plain) < 0.01
+
+
+def test_pw_richardson_value_matches_closed_form():
+    """The pw route, Richardson-extrapolated from n = 1024 and 2048, is the
+    Pinsky-Wihstutz exponent lambda_1 (a eps sigma sqrt(b + m2))^(2/3)
+    (measured 1.0e-10 relative)."""
+    eps = 0.1
+    m2 = jump_moment(MEASURE, 2.0, 0.05, 1.0)
+    lam = {n: pw_lambda(eps, MEASURE, CircleGrid(n)) for n in (1024, 2048)}
+    extrap = (4.0 * lam[2048] - lam[1024]) / 3.0
+    exact = shear_exponent(1.0, eps, 1.0, rate=1.0 + m2)
+    assert abs(extrap - exact) <= 1e-9 * exact
+    # b = 0 without the Brownian part
+    assert pw_substitution(1.0, eps, MEASURE, False)[0] ** 2 == \
+        pytest.approx(m2, rel=1e-15)
+
+
+def test_plain_fp_with_jumps_sits_just_above_pw_limit():
+    """Over the sweep epsilon, the plain FP value with jumps (floor 0.05,
+    Richardson from n = 512 and 1024) exceeds the PW limit by at most
+    0.2 %, and the gap grows with epsilon (measured 1.00044 -> 1.00146)."""
+    rate = 1.0 + jump_moment(MEASURE, 2.0, 0.05, 1.0)
+    ratios = []
+    for eps in (0.05, 0.08, 0.125, 0.2, 0.32):
+        lam = {n: lyapunov_quadrature(solve_stationary(
+                   build_generator(1.0, 1.0, eps, MEASURE, CircleGrid(n))),
+                   1.0, 1.0, eps, MEASURE) for n in (512, 1024)}
+        extrap = (4.0 * lam[1024] - lam[512]) / 3.0
+        ratios.append(extrap / shear_exponent(1.0, eps, 1.0, rate=rate))
+    assert all(1.0 <= r <= 1.002 for r in ratios), ratios
+    assert all(np.diff(ratios) > 0.0), ratios
 
 
 def test_explicit_adjoint_residual_decays():
