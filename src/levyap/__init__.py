@@ -4,7 +4,7 @@ under small Brownian-plus-jump perturbations."""
 from .errors import (AllTrajectoriesExited, ConfigError, DegenerateNullspace,
                      DivergentMoment, EmptyMeasure, ExitDetected, InvalidGrid,
                      InvalidMeasure, InvalidParameter, LevyapError,
-                     NonPositiveEstimate, QuadratureFailure)
+                     NonPositiveEstimate)
 from .estimators import (EstimatorConfig, LyapunovEstimate, OccupationMeasure,
                          SweepResult, compute_Irho, lyapunov_direct,
                          lyapunov_khasminskii, lyapunov_theorem33,

@@ -152,8 +152,7 @@ _VOLATILE_KEYS = ("output.path", "run.workers")
 
 
 def _jsonable_config(cfg: dict) -> dict:
-    return {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
-            for k, v in cfg.items() if k not in _VOLATILE_KEYS}
+    return {k: v for k, v in cfg.items() if k not in _VOLATILE_KEYS}
 
 
 def _build_model(cfg: dict):
@@ -267,9 +266,11 @@ def _check_methods(methods: list, system) -> None:
 
 def _check_fp(cfg: dict, noise) -> None:
     """Refuse, before any work starts, a bad fp.grid_n or fp.variant, and
-    jumps with noise.floor_delta = 0 for the plain circle generator: its
-    nonlocal term models the measure on [floor_delta, cutoff) and ignores both
-    Gaussian substitutes, so a substitute does not truncate it."""
+    two inputs the plain circle generator cannot solve: run.epsilon = 0,
+    where every noise term vanishes and the pure drift -a sin^2 has no
+    one-dimensional nullspace, and jumps with noise.floor_delta = 0, since
+    its nonlocal term models the measure on [floor_delta, cutoff) and ignores
+    both Gaussian substitutes, so a substitute does not truncate it."""
     try:
         CircleGrid(cfg["fp.grid_n"])
     except InvalidGrid as exc:
@@ -277,9 +278,13 @@ def _check_fp(cfg: dict, noise) -> None:
     if cfg["fp.variant"] not in ("plain", "pw"):
         raise ConfigError(f"unknown fp.variant {cfg['fp.variant']!r}; "
                           "choose plain or pw")
+    if cfg["fp.variant"] != "plain":
+        return
+    if cfg["run.epsilon"] == 0.0:
+        raise ConfigError("the plain circle Fokker-Planck solve needs "
+                          "run.epsilon > 0 (fp.variant = pw gives lambda = 0)")
     m = noise.measure
-    if cfg["fp.variant"] == "plain" and m is not None and m.has_jumps \
-            and m.floor_delta <= 0.0:
+    if m is not None and m.has_jumps and m.floor_delta <= 0.0:
         raise ConfigError("the circle Fokker-Planck generator needs "
                           "noise.floor_delta > 0 when jumps are on")
 
@@ -526,14 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "defaults":
             continue
         p.add_argument("--config", help="flat key=value file or emitted JSON summary")
-        seen = set()
-        for key, (typ, _default, help_text) in CONFIG_SCHEMA.items():
-            flag = _flag_name(key)
-            if flag in seen:
-                continue
-            seen.add(flag)
-            p.add_argument(flag, dest=key.replace(".", "__"), default=None,
-                           metavar="V", help=help_text)
+        for key, (_typ, _default, help_text) in CONFIG_SCHEMA.items():
+            p.add_argument(_flag_name(key), dest=key.replace(".", "__"),
+                           default=None, metavar="V", help=help_text)
     return parser
 
 

@@ -28,10 +28,6 @@ class ExitDetected(LevyapError):
         super().__init__(f"trajectory exited at t={state.t:.6g} ({state.exit_flag})")
 
 
-class QuadratureFailure(LevyapError):
-    """A nonlocal integral did not converge under node doubling."""
-
-
 class InvalidGrid(LevyapError):
     pass
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateNullspace, InvalidGrid, InvalidParameter
-from .noise import JumpMeasureSpec, jump_moment, jump_nodes, nu_quadrature
+from .noise import JumpMeasureSpec, jump_moment, jump_nodes
 from .systems import exact_theta_jump, rho_jump_profile
 
 # largest 1-norm condition number of the bordered stationary system accepted
@@ -92,6 +92,30 @@ def _catmull_rom_row(pos: np.ndarray, n: int):
     return cols, w
 
 
+def _jump_stencils(grid: CircleGrid, amp: float,
+                   measure: Optional[JumpMeasureSpec]):
+    """The nonlocal jump term, one mark z or -z at a time: yields (weight,
+    columns, stencil weights) of the Catmull-Rom interpolation at the angle
+    each grid node maps to under the shear jump of amplitude amp * z.
+
+    The marks are the panel nodes of ``jump_nodes`` on [floor_delta, cutoff),
+    so the measure must be truncated (floor_delta > 0).  Yields nothing
+    without jumps.
+    """
+    if measure is None or not measure.has_jumps:
+        return
+    if measure.floor_delta <= 0.0:
+        raise InvalidParameter(
+            "the nonlocal generator needs a truncated measure (floor_delta > 0)")
+    z, w, _ = jump_nodes(measure)
+    th = grid.nodes
+    for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
+        zeta = exact_theta_jump(th, amp * sq)
+        pos = (zeta % (2.0 * math.pi)) / grid.h
+        cols, cw = _catmull_rom_row(pos, grid.n)
+        yield wq, cols, cw
+
+
 def _local_part(grid: CircleGrid, drift: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """drift * d/dtheta + diff * d^2/dtheta^2 by periodic central differences."""
     n, h = grid.n, grid.h
@@ -114,19 +138,11 @@ def build_generator(a: float, sigma: float, epsilon: float,
     s, c = np.sin(th), np.cos(th)
     bfac = epsilon ** 2 * sigma ** 2 if brownian else 0.0
     G = _local_part(grid, -a * s * s - bfac * s * c ** 3, 0.5 * bfac * c ** 4)
-    if measure is not None and measure.has_jumps:
-        if measure.floor_delta <= 0.0:
-            raise InvalidParameter(
-                "the nonlocal generator needs a truncated measure (floor_delta > 0)")
-        z, w = nu_quadrature(measure)
-        idx = np.arange(grid.n)
-        for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
-            zeta = exact_theta_jump(th, epsilon * sigma * sq)
-            pos = (zeta % (2.0 * math.pi)) / grid.h
-            cols, cw = _catmull_rom_row(pos, grid.n)
-            for k in range(4):
-                np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
-            G[idx, idx] -= wq
+    idx = np.arange(grid.n)
+    for wq, cols, cw in _jump_stencils(grid, epsilon * sigma, measure):
+        for k in range(4):
+            np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
+        G[idx, idx] -= wq
     return GeneratorMatrix(grid, G)
 
 
@@ -256,15 +272,8 @@ def explicit_adjoint_residual(density: CircleDensity, a: float, sigma: float,
     bfac = epsilon ** 2 * sigma ** 2 if brownian else 0.0
     out = a * c ** 2 * d1(s * s * mu)
     out += 0.5 * bfac * c ** 2 * d1(c ** 2 * d1(c ** 2 * mu))
-    if measure is not None and measure.has_jumps:
-        z, w = nu_quadrature(measure)
-        f = c ** 2 * mu  # the nonlocal term transports cos^2 mu to the mapped angle
-        acc = np.zeros(n)
-        for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
-            zeta = exact_theta_jump(th, epsilon * sigma * sq)
-            pos = (zeta % (2.0 * math.pi)) / h
-            cols, cw = _catmull_rom_row(pos, n)
-            interp = np.sum(f[cols] * cw, axis=1)
-            acc += wq * (interp - f)
-        out += acc
-    return float(np.abs(out).max())
+    f = c ** 2 * mu  # the nonlocal term transports cos^2 mu to the mapped angle
+    acc = np.zeros(n)
+    for wq, cols, cw in _jump_stencils(grid, epsilon * sigma, measure):
+        acc += wq * (np.sum(f[cols] * cw, axis=1) - f)
+    return float(np.abs(out + acc).max())

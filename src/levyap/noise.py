@@ -1,5 +1,6 @@
 """Sampling of the driving noise: Brownian increments plus truncated
-power-law jumps, and closed-form moments of the jump measure.
+power-law jumps, closed-form moments of the jump measure, and the one
+quadrature of integrals against it (``jump_nodes``).
 
 The jump measure is symmetric alpha-stable restricted to magnitudes in
 [floor_delta, cutoff_c):  nu(dz) = c_alpha |z|^(-1-alpha) dz.  The driver
@@ -28,9 +29,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DivergentMoment, InvalidMeasure, InvalidParameter
-from .quadrature import nu_nodes, nu_nodes_regularized
 
 GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -65,29 +66,12 @@ class JumpMeasureSpec:
     def has_jumps(self) -> bool:
         return self.c_alpha > 0.0
 
-    def intensity(self, lo: Optional[float] = None, hi: Optional[float] = None) -> float:
-        """Total mass nu({lo <= |z| < hi})."""
-        lo = self.floor_delta if lo is None else lo
-        hi = self.cutoff_c if hi is None else hi
-        if not self.has_jumps or hi <= lo:
-            return 0.0
-        if lo <= 0.0:
-            raise DivergentMoment("jump intensity is infinite without a floor")
-        return 2.0 * self.c_alpha * (lo ** -self.alpha - hi ** -self.alpha) / self.alpha
 
-
-def jump_moment(measure: JumpMeasureSpec, p: float, lo: float, hi: float,
-                signed: bool = False) -> float:
-    """Closed form of  int_{lo <= |z| < hi} |z|^p nu(dz).
-
-    With ``signed=True`` the integrand is z^p over the signed symmetric
-    region; for odd p this vanishes identically by symmetry.
-    """
+def jump_moment(measure: JumpMeasureSpec, p: float, lo: float, hi: float) -> float:
+    """Closed form of  int_{lo <= |z| < hi} |z|^p nu(dz); p = 0 is the mass."""
     if not 0.0 <= lo < hi or hi > measure.cutoff_c * (1 + 1e-12):
         raise InvalidParameter(f"need 0 <= lo < hi <= cutoff_c, got [{lo}, {hi})")
     if not measure.has_jumps:
-        return 0.0
-    if signed and int(p) == p and int(p) % 2 == 1:
         return 0.0
     a, C = measure.alpha, measure.c_alpha
     if lo == 0.0 and p <= a:
@@ -151,7 +135,7 @@ class NoiseModel:
             raise InvalidMeasure(
                 "jump activity is infinite: choose floor_delta > 0 or enable "
                 "the Gaussian small-jump substitute")
-        return m.intensity(self.sampling_floor, m.cutoff_c)
+        return jump_moment(m, 0.0, self.sampling_floor, m.cutoff_c)
 
 
 def trajectory_streams(master_seed: int, index: int, attempt: int = 0):
@@ -235,52 +219,46 @@ def sample_block(noise: NoiseModel, dt: float, n_steps: int,
                            marks[order])
 
 
+def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights for integration over [a, b]."""
+    x, w = leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
 @lru_cache(maxsize=256)
-def _nu_nodes_cached(alpha: float, c_alpha: float, lo: float, hi: float,
-                     per_panel: int):
-    z, w = nu_nodes(alpha, c_alpha, lo, hi, per_panel=per_panel)
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w
-
-
-def nu_quadrature(measure: JumpMeasureSpec, lo: Optional[float] = None,
-                  per_panel: int = 16):
-    """One-sided (z, w) nodes for smooth integrands over [lo, cutoff_c).
-
-    Cached per measure; callers must not mutate the returned arrays.
-    """
-    lo = measure.floor_delta if lo is None else lo
-    if not measure.has_jumps:
-        return np.empty(0), np.empty(0)
-    return _nu_nodes_cached(measure.alpha, measure.c_alpha, lo,
-                            measure.cutoff_c, per_panel)
-
-
 def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
                per_panel: int = 16):
     """One-sided (z, w, quadratic) nodes over [lo, cutoff_c) for integrands
     that vanish quadratically at 0; lo defaults to the measure's floor.
+    Symmetric integrals come from the caller evaluating g(z) + g(-z).
 
-    A positive lo gets geometric panels, the weights carrying the measure
-    density.  lo = 0 gets the power substitution with 4 * per_panel nodes
-    and the z^2 factor absorbed into the weights (``quadratic`` is True:
-    the caller divides its values by z^2).
+    The density C z^(-1-alpha) spans many orders of magnitude, so a positive
+    lo gets Gauss-Legendre on geometric panels of ratio 4, the weights
+    carrying the density.  lo = 0 gets the power substitution u = z^(2-alpha),
+    which leaves a bounded integrand, with 4 * per_panel nodes and the z^2
+    factor absorbed into the weights (``quadratic`` is True: the caller
+    divides its values by z^2).  Cached per measure; the arrays are
+    read-only.
     """
     lo = measure.floor_delta if lo is None else lo
-    if lo > 0.0:
-        z, w = nu_quadrature(measure, lo=lo, per_panel=per_panel)
-        return z, w, False
-    z, w = nu_quadrature_quadratic(measure, n=4 * per_panel)
-    return z, w, True
-
-
-def nu_quadrature_quadratic(measure: JumpMeasureSpec, n: int = 64):
-    """One-sided (z, w) nodes for integrands z^2 G(z) over [0, cutoff_c).
-
-    Weights absorb the z^2 factor: sum w_i G(z_i).
-    """
-    if not measure.has_jumps:
-        return np.empty(0), np.empty(0)
-    return nu_nodes_regularized(measure.alpha, measure.c_alpha,
-                                measure.cutoff_c, n=n)
+    hi = measure.cutoff_c
+    quadratic = not lo > 0.0
+    if not measure.has_jumps or (not quadratic and hi <= lo):
+        z = w = np.empty(0)
+    elif quadratic:
+        p = 2.0 - measure.alpha
+        u, w = gauss_legendre(4 * per_panel, 0.0, hi ** p)
+        z, w = u ** (1.0 / p), w * measure.c_alpha / p
+    else:
+        zs, ws, b = [], [], hi
+        while not zs or b > lo * (1 + 1e-12):   # one panel at least
+            a = max(lo, b / 4.0)
+            z, w = gauss_legendre(per_panel, a, b)
+            zs.append(z)
+            ws.append(w * measure.c_alpha * z ** (-1.0 - measure.alpha))
+            b = a
+        z, w = np.concatenate(zs), np.concatenate(ws)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w, quadratic

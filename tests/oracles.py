@@ -36,8 +36,8 @@ import numpy as np
 from levyap.errors import ExitDetected, LevyapError
 from levyap.frame import angle_jump_flow, polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
-from levyap.noise import jump_nodes, sample_block, trajectory_streams
-from levyap.quadrature import gauss_legendre
+from levyap.noise import (gauss_legendre, jump_nodes, sample_block,
+                          trajectory_streams)
 
 
 class FlowEscape(LevyapError):

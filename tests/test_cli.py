@@ -250,6 +250,14 @@ def test_fp_solve_pw_ignores_beta(capsys):
     assert results[0]["explicit_adjoint_residual"] is not None
 
 
+def test_fp_solve_pw_at_zero_epsilon_is_zero(capsys):
+    """The plain route refuses eps = 0; the PW limit scales by eps^(2/3)
+    and so returns exactly 0 there."""
+    assert run_cli(["fp-solve", "--variant", "pw", "--epsilon", "0",
+                    "--grid-n", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["lambda"] == 0.0
+
+
 def test_lyapunov_theorem33_method(tmp_path, capsys):
     out = tmp_path / "thm"
     rc = run_cli(["lyapunov", "--method", "theorem33", "--epsilon", "0.1",
@@ -335,6 +343,9 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["fp-solve", "--epsilon", "-0.1", "--grid-n", "64"],
                                   ["fp-solve", "--epsilon", "nan", "--grid-n", "64"],
                                   ["fp-solve", "--variant", "pw", "--epsilon", "inf",
+                                   "--grid-n", "64"],
+                                  ["fp-solve", "--epsilon", "0", "--grid-n", "64"],
+                                  ["lyapunov", "--method", "fpcircle", "--epsilon", "0",
                                    "--grid-n", "64"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"

@@ -206,9 +206,15 @@ def test_parity_border_only_for_the_parity_artifact():
 
 
 def test_nonlocal_generator_needs_floor():
+    # the generator and the explicit residual share one nonlocal stencil
+    # loop, and both refuse an untruncated measure
     m0 = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.0)
+    grid = CircleGrid(64)
     with pytest.raises(InvalidParameter):
-        build_generator(1.0, 1.0, 0.1, m0, CircleGrid(64))
+        build_generator(1.0, 1.0, 0.1, m0, grid)
+    uniform = CircleDensity(grid, np.full(64, 1.0 / (2.0 * math.pi)), 0.0)
+    with pytest.raises(InvalidParameter):
+        explicit_adjoint_residual(uniform, 1.0, 1.0, 0.1, m0)
 
 
 def test_lyapunov_quadrature_odd_term_drops_for_uniform_density():

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from levyap.frame import (angle_jump_flow, compute_Irho_generic, polar_fields,
                           wz_corrections)
 from levyap.marcus import VectorFieldSet
-from levyap.noise import (JumpMeasureSpec, jump_moment, nu_quadrature,
-                          nu_quadrature_quadratic)
-from levyap.quadrature import gauss_legendre
+from levyap.noise import (JumpMeasureSpec, gauss_legendre, jump_moment,
+                          jump_nodes)
 from levyap.systems import make_duffing, make_nilpotent
 from oracles import (compute_R0, frame_coordinates, frame_oracle, noise_field,
                      rk4_angle_jump, sigma0)
@@ -383,18 +382,9 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
 # per-node loops of the jump quadratures, with the compensator's linear term
 # subtracted node by node and the flow states summed by numpy
 
-def _z_nodes_oracle(measure, panel_n, lo=None):
-    lo = measure.floor_delta if lo is None else lo
-    if lo > 0.0:
-        z, w = nu_quadrature(measure, lo=lo, per_panel=panel_n)
-        return z, w, False
-    z, w = nu_quadrature_quadratic(measure, n=4 * panel_n)
-    return z, w, True
-
-
 def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
                   panel_n=16, lo=None):
-    zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
+    zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
     _, s2 = polar_fields(system.coeffs(x), theta, eps, beta)
     sigma = system.sigma
     total = 0.0
@@ -414,7 +404,7 @@ def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
 def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
                 panel_n=16, lo=None):
     bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
-    zq, wq, quadratic = _z_nodes_oracle(measure, panel_n, lo)
+    zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
     sigma = system.sigma
     total = 0.0
     for zi, wi in zip(zq, wq):

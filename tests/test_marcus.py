@@ -7,9 +7,8 @@ import pytest
 from levyap.errors import ExitDetected, InvalidParameter
 from levyap.estimators import EstimatorConfig, _direct_generic_one
 from levyap.marcus import StepperConfig, VectorFieldSet, integrate, step
-from levyap.noise import (JumpMeasureSpec, NoiseModel, sample_block,
-                          trajectory_streams)
-from levyap.quadrature import gauss_legendre
+from levyap.noise import (JumpMeasureSpec, NoiseModel, gauss_legendre,
+                          sample_block, trajectory_streams)
 from levyap.systems import make_duffing, make_nilpotent
 from oracles import (array_direct_one, array_fields, array_integrate,
                      duffing_energy, marcus_jump_jacobian, marcus_jump_map,

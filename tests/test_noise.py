@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from levyap.errors import DivergentMoment, InvalidMeasure, InvalidParameter
 from levyap.noise import (BlockIncrements, JumpMeasureSpec, NoiseModel,
-                          jump_moment, sample_block, trajectory_streams)
+                          jump_moment, jump_nodes, sample_block,
+                          trajectory_streams)
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.1)
 # a jump measure without a jump part
@@ -74,7 +75,7 @@ def test_jump_mark_moments():
     noise = NoiseModel(measure=MEASURE, brownian=False)
     block = sample_block(noise, 1.0, 3 * 10**4, *rngs)
     marks = block.jump_marks
-    intensity = MEASURE.intensity()
+    intensity = jump_moment(MEASURE, 0.0, 0.1, 1.0)
     m2 = jump_moment(MEASURE, 2.0, 0.1, 1.0) / intensity
     assert abs((marks**2).mean() - m2) / m2 < 0.01
     se = marks.std() / math.sqrt(len(marks))
@@ -107,16 +108,12 @@ def test_second_moment_against_quadrature(alpha, c):
     assert closed == pytest.approx(2.0 * c ** (2.0 - alpha) / (2.0 - alpha), rel=1e-12)
 
 
-def test_signed_odd_moment_vanishes():
-    assert jump_moment(MEASURE, 1.0, 0.1, 1.0, signed=True) == 0.0
-
-
 def test_divergent_moment_raises():
     m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0)
     with pytest.raises(DivergentMoment):
         jump_moment(m, 1.0, 0.0, 1.0)
     with pytest.raises(DivergentMoment):
-        m.intensity(0.0, 1.0)
+        jump_moment(m, 0.0, 0.0, 1.0)
 
 
 def test_moment_log_case():
@@ -134,6 +131,47 @@ def test_moment_closed_form_matches_quadrature(alpha, p, lo, c):
     closed = jump_moment(m, p, lo, c)
     numeric, err = quad(lambda z: 2.0 * 1.3 * z ** (p - 1.0 - alpha), lo, c)
     assert abs(closed - numeric) <= max(1e-8 * abs(numeric), 10 * err, 1e-12)
+
+
+@pytest.mark.parametrize("alpha,c_alpha,cutoff,floor", [
+    (1.5, 1.0, 1.0, 0.05), (1.2, 0.7, 1.0, 1e-3), (1.8, 2.0, 10.0, 0.01),
+    (1.0, 1.0, 1000.0, 0.01)])
+def test_jump_nodes_match_closed_form_moments(alpha, c_alpha, cutoff, floor):
+    m = JumpMeasureSpec(alpha=alpha, c_alpha=c_alpha, cutoff_c=cutoff,
+                        floor_delta=floor)
+    # geometric panels from the floor: the weights carry the density
+    z, w, quadratic = jump_nodes(m)
+    assert not quadratic
+    for p in (0.0, 2.0, 3.5):
+        assert 2.0 * np.sum(w * z ** p) == pytest.approx(
+            jump_moment(m, p, floor, cutoff), rel=1e-12)
+    # power substitution from 0: the weights absorb z^2
+    z0, w0, quadratic0 = jump_nodes(m, lo=0.0)
+    assert quadratic0
+    assert 2.0 * np.sum(w0) == pytest.approx(
+        jump_moment(m, 2.0, 0.0, cutoff), rel=1e-12)
+    assert 2.0 * np.sum(w0 * z0 ** 2) == pytest.approx(
+        jump_moment(m, 4.0, 0.0, cutoff), rel=1e-8)
+    for arr in (z, w, z0, w0):
+        assert not arr.flags.writeable
+
+
+def test_jump_nodes_floor_next_to_cutoff():
+    # a band narrower than the panel loop's 1e-12 guard still gets a panel
+    floor = 1.0 - 1e-13
+    m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=floor)
+    z, w, _ = jump_nodes(m)
+    assert z.size == 16 and np.all((z > floor) & (z < 1.0))
+    # both sides lose about three digits to the band's width (measured 3.7e-4)
+    assert 2.0 * np.sum(w) == pytest.approx(jump_moment(m, 0.0, floor, 1.0),
+                                            rel=1e-2)
+
+
+def test_jump_nodes_empty_without_jumps():
+    m = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0, floor_delta=0.05)
+    for lo in (None, 0.0):
+        z, w, _ = jump_nodes(m, lo)
+        assert z.size == w.size == 0
 
 
 def test_stream_splitting_reproducible_and_distinct():
