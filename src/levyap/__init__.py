@@ -5,10 +5,9 @@ from .errors import (AllTrajectoriesExited, ConfigError, DegenerateNullspace,
                      DivergentMoment, EmptyMeasure, ExitDetected, InvalidGrid,
                      InvalidMeasure, InvalidParameter, LevyapError,
                      NonPositiveEstimate)
-from .estimators import (EstimatorConfig, LyapunovEstimate, OccupationMeasure,
-                         SweepResult, compute_Irho, lyapunov_direct,
-                         lyapunov_khasminskii, lyapunov_theorem33,
-                         scaling_sweep)
+from .estimators import (EstimatorConfig, LyapunovEstimate, SweepResult,
+                         compute_Irho, lyapunov_direct, lyapunov_khasminskii,
+                         lyapunov_theorem33_estimate, scaling_sweep)
 from .fpcircle import (CircleDensity, CircleGrid, GeneratorMatrix,
                        build_generator, lyapunov_quadrature, solve_stationary)
 from .frame import FrameCoefficients

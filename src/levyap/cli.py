@@ -266,11 +266,13 @@ def _check_methods(methods: list, system) -> None:
 
 def _check_fp(cfg: dict, noise) -> None:
     """Refuse, before any work starts, a bad fp.grid_n or fp.variant, and
-    two inputs the plain circle generator cannot solve: run.epsilon = 0,
-    where every noise term vanishes and the pure drift -a sin^2 has no
-    one-dimensional nullspace, and jumps with noise.floor_delta = 0, since
-    its nonlocal term models the measure on [floor_delta, cutoff) and ignores
-    both Gaussian substitutes, so a substitute does not truncate it."""
+    the inputs the circle generator cannot solve.  Without Brownian noise
+    and jumps (both solves ignore the Gaussian substitutes) every noise term
+    vanishes, and the pure drift -a sin^2 has no one-dimensional nullspace;
+    the plain variant meets the same drift at run.epsilon = 0.  The plain
+    variant also refuses jumps with noise.floor_delta = 0, since its
+    nonlocal term models the measure on [floor_delta, cutoff), so a
+    substitute does not truncate it."""
     try:
         CircleGrid(cfg["fp.grid_n"])
     except InvalidGrid as exc:
@@ -278,13 +280,17 @@ def _check_fp(cfg: dict, noise) -> None:
     if cfg["fp.variant"] not in ("plain", "pw"):
         raise ConfigError(f"unknown fp.variant {cfg['fp.variant']!r}; "
                           "choose plain or pw")
+    m = noise.measure
+    jumps = m is not None and m.has_jumps
+    if not (noise.brownian or jumps):
+        raise ConfigError("the circle Fokker-Planck solve needs noise: "
+                          "noise.brownian is false and there are no jumps")
     if cfg["fp.variant"] != "plain":
         return
     if cfg["run.epsilon"] == 0.0:
         raise ConfigError("the plain circle Fokker-Planck solve needs "
                           "run.epsilon > 0 (fp.variant = pw gives lambda = 0)")
-    m = noise.measure
-    if m is not None and m.has_jumps and m.floor_delta <= 0.0:
+    if jumps and m.floor_delta <= 0.0:
         raise ConfigError("the circle Fokker-Planck generator needs "
                           "noise.floor_delta > 0 when jumps are on")
 
@@ -321,7 +327,7 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
     # fpcircle, the one method left after _check_methods
     dens, lam, _ = _fp_solve(cfg, noise)
     est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
-                           cfg["run.beta"], 0.0, 1, 0)
+                           cfg["run.beta"], 0.0, 1)
     est.extras["fp_residual"] = dens.residual
     est.extras["fp_clipped_mass"] = dens.clipped_mass
     return est
@@ -445,8 +451,7 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["run.horizon"] > 0:
         record(0.0, x0)
         summary = integrate(fields, noise, x0, cfg["run.horizon"], scfg,
-                            (cfg["run.seed"], 0), observer=observer,
-                            raise_on_exit=False)
+                            (cfg["run.seed"], 0), observer=observer)
         if summary.exited:
             exit_info = {"t": summary.final.t, "flag": summary.final.exit_flag}
     header = "t,x1,x2" + (",theta,rho" if polar else "")

@@ -7,9 +7,9 @@ Three routes are provided:
 * ``lyapunov_khasminskii`` ergodic average of the log-radius drift of the
                            rescaled angle process (martingale parts are not
                            accumulated -- their time average vanishes);
-* ``lyapunov_theorem33``   leading-order formula: eps^(2/3) times the
-                           occupation average of the growth-rate integrand
-                           (constant-shear systems only).
+* ``lyapunov_theorem33_estimate``  leading-order formula: eps^(2/3) times
+                           the occupation average of the growth-rate
+                           integrand (constant-shear systems only).
 
 plus ``scaling_sweep`` fitting the log-log slope across a list of epsilons.
 
@@ -87,27 +87,11 @@ class LyapunovEstimate:
     beta: float
     horizon: float
     replicates: int
-    renorm_interval: int
     per_replicate: list = field(default_factory=list)
     restarts: int = 0
     exits: int = 0
     unreliable: bool = False
     extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class OccupationMeasure:
-    """Normalized histogram over the angle grid: weights has the shape
-    (B,) of theta_centers."""
-
-    theta_centers: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        total = float(np.sum(self.weights))
-        if total <= 0.0:
-            raise EmptyMeasure("occupation measure has no mass")
-        self.weights = np.asarray(self.weights, dtype=float) / total
 
 
 @dataclass
@@ -163,7 +147,7 @@ def _aggregate(rows, method: str, epsilon: float,
             "every replicate exited before accumulating half the horizon")
     value, stderr = _spread([r[0] for r in rows if not r[2]])
     return LyapunovEstimate(value, stderr, method, epsilon, cfg.beta,
-                            cfg.horizon, cfg.replicates, cfg.renorm_interval,
+                            cfg.horizon, cfg.replicates,
                             per_replicate=[r[0] for r in rows],
                             restarts=restarts, exits=failures,
                             unreliable=restarts > 0.1 * cfg.replicates)
@@ -173,9 +157,10 @@ def _aggregate(rows, method: str, epsilon: float,
 # direct route
 # ---------------------------------------------------------------------------
 
-def _direct_lane_rates(system, noise, eps_list, cfg, indices) -> np.ndarray:
-    """(len(eps_list), len(indices)) direct rates from one lanes call: every
+def _direct_lane_worker(payload, indices):
+    """Per replicate, the tuple of its direct rates at every epsilon: each
     epsilon runs as a block of lanes over the same replicate streams."""
+    system, noise, eps_list, cfg = payload
     eps = np.repeat(np.asarray(eps_list, dtype=float), len(indices))
     # Gaussian draws do not depend on the block length (jump draws do: the
     # Poisson counts are per block), so a Brownian-only batch shortens its
@@ -188,19 +173,7 @@ def _direct_lane_rates(system, noise, eps_list, cfg, indices) -> np.ndarray:
                              list(indices) * len(eps_list),
                              burn_in=cfg.burn_in, block_steps=block,
                              v0=cfg.v0)
-    return (res.log_growth / res.growth_time).reshape(len(eps_list), -1)
-
-
-def _direct_lane_worker(payload, indices):
-    system, noise, epsilon, cfg = payload
-    lam = _direct_lane_rates(system, noise, [epsilon], cfg, indices)[0]
-    return [(float(v), 0, False) for v in lam]
-
-
-def _sweep_lane_worker(payload, indices):
-    """Per replicate, the tuple of its direct rates at every epsilon."""
-    system, noise, eps_list, cfg = payload
-    lam = _direct_lane_rates(system, noise, eps_list, cfg, indices)
+    lam = (res.log_growth / res.growth_time).reshape(len(eps_list), -1)
     return [tuple(float(v) for v in col) for col in lam.T]
 
 
@@ -220,8 +193,7 @@ def _direct_generic_one(system, noise, epsilon, cfg, index):
         summary = integrate(fields, noise, x0, cfg.horizon - consumed, scfg,
                             streams, v0=np.asarray(cfg.v0, float),
                             renorm_interval=cfg.renorm_interval,
-                            burn_in_time=max(burn - consumed, 0.0),
-                            raise_on_exit=False)
+                            burn_in_time=max(burn - consumed, 0.0))
         growth += summary.log_growth
         gtime += summary.growth_time
         consumed += summary.final.t
@@ -239,14 +211,26 @@ def _direct_generic_worker(payload, indices):
     return [_direct_generic_one(system, noise, epsilon, cfg, i) for i in indices]
 
 
+def _direct_estimates(system, noise, eps_list, cfg) -> list:
+    """Direct estimates at each epsilon of eps_list.  Constant shear runs
+    one lanes pass for the whole list: a step costs about the same for
+    5 x 16 lanes as for 16, and each lane's arithmetic is unchanged.  Other
+    systems run the generic integrator once per epsilon."""
+    if not system.constant_shear:
+        return [_aggregate(_run_chunked(_direct_generic_worker,
+                                        (system, noise, e, cfg),
+                                        cfg.replicates, cfg.workers),
+                           "direct", e, cfg) for e in eps_list]
+    rows = _run_chunked(_direct_lane_worker, (system, noise, eps_list, cfg),
+                        cfg.replicates, cfg.workers)
+    return [_aggregate([(r[j], 0, False) for r in rows], "direct", e, cfg)
+            for j, e in enumerate(eps_list)]
+
+
 def lyapunov_direct(system, noise: NoiseModel, epsilon: float,
                     cfg: EstimatorConfig) -> LyapunovEstimate:
     """Tangent-growth estimate; replicate spread gives the standard error."""
-    epsilon = check_epsilon(epsilon)
-    worker = _direct_lane_worker if system.constant_shear else _direct_generic_worker
-    rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
-                        cfg.workers)
-    return _aggregate(rows, "direct", epsilon, cfg)
+    return _direct_estimates(system, noise, [check_epsilon(epsilon)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +368,13 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
 
     The marks run from the sampling floor of ``noise`` (the measure's floor
     without it) to the cutoff: a Gaussian substitute for the band below the
-    sampling floor is already in the continuous part.  Constant-shear
-    systems use the closed-form even-sum of the log-radius jump (the linear
-    part cancels under the symmetric measure); other systems sum the
-    closed-form Marcus jump of the pair over the quadrature marks.
+    sampling floor is already in the continuous part.  The closed-form
+    Marcus jump of the pair is summed over the quadrature marks; the
+    constant-shear routes use ``rho_jump_profile`` instead.
     """
     if measure is None or not measure.has_jumps:
         return 0.0
     lo = noise.sampling_floor if noise is not None else measure.floor_delta
-    if system.constant_shear:
-        amp = epsilon ** (1.0 - beta) * system.sigma
-        return float(rho_jump_profile(theta, amp, jump_nodes(measure, lo)))
     return fr.compute_Irho_generic(system.frame, system.sigma, measure, x,
                                    theta, epsilon, beta=beta, lo=lo)
 
@@ -426,43 +406,31 @@ def shear_sigma0_profile(system, noise: NoiseModel, epsilon: float,
                                       jump_nodes(measure, noise.sampling_floor))
 
 
-def _check_constant_shear(system) -> None:
-    """Refuse a system whose shear rate depends on the position: the
-    leading-order formula is evaluated here for constant shear only."""
-    if not system.constant_shear:
-        raise InvalidParameter(
-            f"the leading-order formula needs a constant-shear system, "
-            f"not {system.name!r}")
-
-
-def lyapunov_theorem33(system, noise: NoiseModel, epsilon: float,
-                       occupation: OccupationMeasure,
-                       beta: float = 2.0 / 3.0) -> float:
-    """Leading-order formula: the occupation average of the scaled
-    growth-rate integrand (``shear_sigma0_profile``).  At the standard
-    beta = 2/3 this is eps^(2/3) times the average of the unscaled
-    integrand.  Constant-shear systems only."""
-    epsilon = check_epsilon(epsilon)
-    _check_constant_shear(system)
-    return float(occupation.weights @ shear_sigma0_profile(
-        system, noise, epsilon, occupation.theta_centers, beta=beta))
-
-
 def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
                                 cfg: EstimatorConfig) -> LyapunovEstimate:
-    """Theorem-route estimate with replicate spread from per-replicate
-    occupation histograms of the angle lanes; constant-shear systems only,
-    refused before any replicate runs."""
+    """Leading-order formula per replicate: the scaled growth-rate integrand
+    ``shear_sigma0_profile`` at the bin centres, averaged under the
+    replicate's normalized occupation histogram from the angle lanes (at
+    beta = 2/3, eps^(2/3) times the unscaled average).  A system whose shear
+    depends on the position is refused before any replicate runs."""
     epsilon = check_epsilon(epsilon)
-    _check_constant_shear(system)
+    if not system.constant_shear:
+        raise InvalidParameter(f"the leading-order formula needs a "
+                               f"constant-shear system, not {system.name!r}")
     rows = _run_chunked(_khas_lane_worker, (system, noise, epsilon, cfg),
                         cfg.replicates, cfg.workers)
     bins = cfg.theta_bins
     centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
-    rows = [(lyapunov_theorem33(system, noise, epsilon,
-                                OccupationMeasure(centers, r[3]), beta=cfg.beta),
-             r[1], r[2]) for r in rows]
-    return _aggregate(rows, "theorem33", epsilon, cfg)
+    profile = shear_sigma0_profile(system, noise, epsilon, centers, beta=cfg.beta)
+
+    def value(occupation):
+        total = float(np.sum(occupation))
+        if total <= 0.0:
+            raise EmptyMeasure("occupation measure has no mass")
+        return float((np.asarray(occupation, dtype=float) / total) @ profile)
+
+    return _aggregate([(value(r[3]), r[1], r[2]) for r in rows], "theorem33",
+                      epsilon, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +452,8 @@ def check_sweep_epsilons(eps_list) -> list:
     return eps_list
 
 
-def scaling_sweep(system, noise: NoiseModel, eps_list, cfg: EstimatorConfig,
-                  estimate_fn: Optional[Callable] = None) -> SweepResult:
+def scaling_sweep(system, noise: NoiseModel, eps_list,
+                  cfg: EstimatorConfig) -> SweepResult:
     """Direct estimates per epsilon and a least-squares log-log slope fit.
 
     Nonpositive estimates are excluded from the fit (reported in
@@ -493,16 +461,7 @@ def scaling_sweep(system, noise: NoiseModel, eps_list, cfg: EstimatorConfig,
     NonPositiveEstimate.
     """
     eps_list = check_sweep_epsilons(eps_list)
-    if estimate_fn is None and system.constant_shear:
-        # one lanes pass for the whole sweep: a step costs about the same for
-        # 5 x 16 lanes as for 16, and each lane's arithmetic is unchanged
-        rows = _run_chunked(_sweep_lane_worker, (system, noise, eps_list, cfg),
-                            cfg.replicates, cfg.workers)
-        estimates = [_aggregate([(r[j], 0, False) for r in rows], "direct", e, cfg)
-                     for j, e in enumerate(eps_list)]
-    else:
-        fn = estimate_fn or lyapunov_direct
-        estimates = [fn(system, noise, e, cfg) for e in eps_list]
+    estimates = _direct_estimates(system, noise, eps_list, cfg)
     pts = [(e, est.value) for e, est in zip(eps_list, estimates)]
     excluded = [e for e, v in pts if v <= 0.0]
     kept = [(e, v) for e, v in pts if v > 0.0]

@@ -174,9 +174,10 @@ def step(fields: VectorFieldSet, cfg: StepperConfig,
 def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
               cfg: StepperConfig, rng_or_seed, v0=None,
               renorm_interval: int = 0, burn_in_time: float = 0.0,
-              observer: Optional[Callable] = None,
-              raise_on_exit: bool = True) -> TrajectorySummary:
-    """Integrate from x0 until the horizon or an exit.
+              observer: Optional[Callable] = None) -> TrajectorySummary:
+    """Integrate from x0 until the horizon or an exit; an exit (at the start
+    point or after a step) ends the run and is reported in the summary's
+    ``exited`` and ``final.exit_flag``.
 
     ``rng_or_seed`` is either a (brownian, jump) generator pair or a
     (master_seed, index) pair fed to the documented splitting rule.  When a
@@ -198,10 +199,8 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
     x1, x2 = (float(c) for c in x0)
     flag = _exit_flag(fields, cfg, x1, x2)
     if flag is not None:
-        state = _state(t, x1, x2, v1, v2, flag)
-        if raise_on_exit:
-            raise ExitDetected(state)
-        return TrajectorySummary(state, 0, 0, exited=True)
+        return TrajectorySummary(_state(t, x1, x2, v1, v2, flag), 0, 0,
+                                 exited=True)
 
     n_total = int(round(horizon / cfg.dt))
     n_steps = n_jumps = 0
@@ -219,8 +218,6 @@ def integrate(fields: VectorFieldSet, noise: NoiseModel, x0, horizon: float,
                 t, x1, x2, v1, v2 = step(fields, cfg, t, x1, x2, v1, v2, dw,
                                          marks[jlo:jhi])
             except ExitDetected as exc:
-                if raise_on_exit:
-                    raise
                 return TrajectorySummary(exc.state, n_steps, n_jumps, log_growth,
                                          growth_time, exited=True)
             n_steps += 1

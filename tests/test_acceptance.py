@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from levyap.cli import main as cli_main
-from levyap.errors import ExitDetected
 from levyap.estimators import (EstimatorConfig, lyapunov_direct,
                                lyapunov_khasminskii, scaling_sweep)
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
@@ -230,11 +229,10 @@ def test_acceptance_6_conservation_and_exit():
     integrate(DUF.fields(0.0), NoiseModel(measure=None), [1.0, 0.0], 100.0,
               cfg, (0, 0), observer=watch)
     assert worst["dev"] <= 1e-6, f"energy drift {worst['dev']:.2e}"
-    with pytest.raises(ExitDetected) as err:
-        integrate(DUF.fields(0.1), NoiseModel(measure=None), [0.0, 0.0],
-                  1.0, cfg, (0, 0))
-    assert err.value.state.t == 0.0
-    assert err.value.state.exit_flag == "critical-point"
+    summary = integrate(DUF.fields(0.1), NoiseModel(measure=None), [0.0, 0.0],
+                        1.0, cfg, (0, 0))
+    assert summary.exited and summary.final.t == 0.0
+    assert summary.final.exit_flag == "critical-point"
     _report(6, f"energy drift {worst['dev']:.1e} over t in [0, 100]; "
                f"origin start exits immediately with the critical-point flag")
 

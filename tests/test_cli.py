@@ -211,10 +211,16 @@ def test_workers_do_not_change_artifacts(tmp_path, capsys):
     duffing = ["lyapunov", "--system", "duffing", "--method", "direct",
                "--horizon", "2", "--replicates", "4", "--epsilon", "0.1",
                "--seed", "3", "--floor-delta", "0.05"]
-    for args, counts in ((base, (1, 4)), (duffing, (1, 2))):
+    sweep = ["sweep", "--epsilons", "0.05,0.1,0.2,0.4", "--horizon", "5",
+             "--replicates", "3", "--seed", "7", "--floor-delta", "0.05"]
+    theorem33 = ["lyapunov", "--method", "theorem33", "--horizon", "10",
+                 "--replicates", "3", "--epsilon", "0.1", "--seed", "5",
+                 "--floor-delta", "0.05"]
+    for i, (args, counts) in enumerate(((base, (1, 4)), (duffing, (1, 2)),
+                                        (sweep, (1, 2)), (theorem33, (1, 2)))):
         blobs = {}
         for workers in counts:
-            out = tmp_path / f"{args[2]}-w{workers}"
+            out = tmp_path / f"run{i}-w{workers}"
             assert run_cli(args + ["--workers", str(workers), "--output", str(out)]) == 0
             blobs[workers] = (out.with_suffix(".json").read_bytes(),
                               out.with_suffix(".csv").read_bytes())
@@ -346,7 +352,13 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                    "--grid-n", "64"],
                                   ["fp-solve", "--epsilon", "0", "--grid-n", "64"],
                                   ["lyapunov", "--method", "fpcircle", "--epsilon", "0",
-                                   "--grid-n", "64"]])
+                                   "--grid-n", "64"],
+                                  ["fp-solve", "--brownian", "false", "--c-alpha", "0",
+                                   "--grid-n", "64"],
+                                  ["fp-solve", "--brownian", "false", "--c-alpha", "0",
+                                   "--variant", "pw", "--grid-n", "64"],
+                                  ["lyapunov", "--method", "fpcircle", "--brownian", "false",
+                                   "--c-alpha", "0", "--grid-n", "64"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",
@@ -394,7 +406,7 @@ def test_failed_replicate_is_written_as_null(tmp_path, capsys, monkeypatch):
 
     def one_failed(_system, _noise, epsilon, cfg):
         return LyapunovEstimate(0.25, 0.05, "direct", epsilon, cfg.beta,
-                                cfg.horizon, 3, cfg.renorm_interval,
+                                cfg.horizon, 3,
                                 per_replicate=[0.2, math.nan, 0.3], exits=1)
 
     monkeypatch.setattr("levyap.cli.lyapunov_direct", one_failed)

@@ -6,19 +6,19 @@ import pytest
 
 import levyap.frame as fr
 from levyap._lanes import shear_direct_lanes
-from levyap.errors import (AllTrajectoriesExited, InvalidParameter,
-                           NonPositiveEstimate)
+from levyap.errors import (AllTrajectoriesExited, EmptyMeasure,
+                           InvalidParameter, NonPositiveEstimate)
 from levyap.estimators import (EstimatorConfig, LyapunovEstimate,
-                               OccupationMeasure, _khas_generic_worker,
                                compute_Irho, lyapunov_direct,
-                               lyapunov_khasminskii, lyapunov_theorem33,
+                               lyapunov_khasminskii,
                                lyapunov_theorem33_estimate,
                                shear_sigma0_profile, scaling_sweep)
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              pw_substitution, solve_stationary)
 from levyap.marcus import StepperConfig, integrate
-from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment
-from levyap.systems import NilpotentSystem, make_duffing, make_nilpotent
+from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
+from levyap.systems import (NilpotentSystem, make_duffing, make_nilpotent,
+                            rho_jump_profile)
 from oracles import sigma0
 
 NIL = make_nilpotent(1.0, 1.0)
@@ -63,36 +63,30 @@ def test_fast_lanes_match_generic_integrator_pathwise():
     assert lanes.growth_time == pytest.approx(2.0)
 
 
-def test_generic_khasminskii_matches_lanes_on_constant_coefficients():
-    measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
-                              floor_delta=0.2)
-    noise = NoiseModel(measure=measure)
-    cfg = EstimatorConfig(dt=1e-3, horizon=20.0, replicates=2, seed=3,
-                          drift_stride=20)
-    fast = lyapunov_khasminskii(NIL, noise, 0.1, cfg)
-    slow = _khas_generic_worker((NIL, noise, 0.1, cfg), range(cfg.replicates))
-    assert np.mean([r[0] for r in slow]) == pytest.approx(fast.value, rel=1e-12)
-    assert not any(r[2] for r in slow)
-
-
 @dataclass(frozen=True)
 class GenericShear(NilpotentSystem):
     """The shear system without the constant-shear flag, so every estimator
-    route and the compensator take the generic path."""
+    route takes the generic path."""
 
     constant_shear: bool = field(default=False, init=False)
 
 
-def test_generic_khasminskii_matches_lanes_with_gaussian_band():
-    """A Gaussian substitute below ar_threshold: the generic route counts
-    the band in the Wong-Zakai rate only, as the lanes do, and not again in
-    the jump compensator."""
-    noise = NoiseModel(measure=MEASURE, ar_threshold=0.2)
-    cfg = EstimatorConfig(dt=1e-3, horizon=5.0, replicates=2, seed=4,
+@pytest.mark.parametrize("noise, horizon, seed", [
+    (NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
+                                        floor_delta=0.2)), 20.0, 3),
+    (NoiseModel(measure=MEASURE, ar_threshold=0.2), 5.0, 4),
+], ids=["constant-coefficients", "gaussian-band"])
+def test_generic_khasminskii_matches_lanes(noise, horizon, seed):
+    """The generic pair simulation with its flow-quadrature compensator
+    reproduces the angle lanes on the shear system.  With a Gaussian
+    substitute below ar_threshold it counts the band in the Wong-Zakai rate
+    only, as the lanes do, and not again in the jump compensator."""
+    cfg = EstimatorConfig(dt=1e-3, horizon=horizon, replicates=2, seed=seed,
                           drift_stride=20)
     fast = lyapunov_khasminskii(NIL, noise, 0.1, cfg)
     slow = lyapunov_khasminskii(GenericShear(1.0, 1.0), noise, 0.1, cfg)
     assert slow.value == pytest.approx(fast.value, rel=1e-12)
+    assert slow.exits == 0
 
 
 def test_direct_eps_zero_duffing_rate_is_polynomial():
@@ -227,12 +221,15 @@ def test_compute_irho_trivial_and_taylor():
     empty = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0)
     assert compute_Irho(NIL, empty, np.ones(2), 0.3, 0.1) == 0.0
     assert compute_Irho(NIL, None, np.ones(2), 0.3, 0.1) == 0.0
-    # rescaled compensator integral approaches the quadratic-variation form
+    # rescaled compensator integral approaches the quadratic-variation form;
+    # at floor 0 only the closed form is accurate enough to show it (the
+    # pair sum of the generic route loses digits to cancellation)
     m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0)
     m2 = jump_moment(m, 2.0, 0.0, 1.0)
     eps = 1e-3
     for th in (0.3, 1.0, 2.2, 5.0):
-        irho = compute_Irho(NIL, m, np.ones(2), th, eps)
+        irho = rho_jump_profile(th, eps ** (1.0 / 3.0) * NIL.sigma,
+                                jump_nodes(m, 0.0))
         s, c = math.sin(th), math.cos(th)
         qv = 0.5 * c * c - s * s * c * c
         # I_rho ~ eps^(2-2 beta) sigma^2 qv m2, so the rescaled value is eps-free
@@ -245,15 +242,17 @@ def test_generic_irho_starts_at_sampling_floor():
     covers only the sampled band: the generic route matches the closed
     form."""
     noise = NoiseModel(measure=MEASURE, ar_threshold=0.2)
-    generic = GenericShear(1.0, 1.0)
     x = np.array([1.0, 0.5])
+    nodes = jump_nodes(MEASURE, noise.sampling_floor)
+
+    def closed(th):
+        return float(rho_jump_profile(th, 0.1 ** (1.0 / 3.0) * NIL.sigma, nodes))
+
     for th in (0.4, 1.0, 2.5):
-        closed = compute_Irho(NIL, MEASURE, x, th, 0.1, noise=noise)
-        got = compute_Irho(generic, MEASURE, x, th, 0.1, noise=noise)
-        assert got == pytest.approx(closed, rel=1e-10, abs=1e-15)
+        got = compute_Irho(NIL, MEASURE, x, th, 0.1, noise=noise)
+        assert got == pytest.approx(closed(th), rel=1e-10, abs=1e-15)
     # at theta = 0.4 the band [0.05, 0.2) alone would add about 0.057
-    assert compute_Irho(NIL, MEASURE, x, 0.4, 0.1, noise=noise) == \
-        pytest.approx(0.14068, abs=1e-5)
+    assert closed(0.4) == pytest.approx(0.14068, abs=1e-5)
 
 
 @pytest.mark.parametrize("noise", [
@@ -279,8 +278,7 @@ def test_generic_theorem33_matches_closed_form(noise):
 
 
 def test_theorem33_single_bin():
-    occ = OccupationMeasure(np.array([0.6]), np.array([5.0]))
-    got = lyapunov_theorem33(NIL, BROWNIAN, 0.1, occ)
+    got = shear_sigma0_profile(NIL, BROWNIAN, 0.1, np.array([0.6]))[0]
     s, c = math.sin(0.6), math.cos(0.6)
     want = 0.1 ** (2.0 / 3.0) * (s * c + (0.5 * c * c - s * s * c * c))
     assert got == pytest.approx(want, rel=1e-12)
@@ -289,10 +287,10 @@ def test_theorem33_single_bin():
 def test_theorem33_epsilon_scaling_structure():
     # with the occupation held fixed and no jump term the leading formula
     # scales exactly like eps^(2/3)
-    occ = OccupationMeasure((np.arange(64) + 0.5) * 2 * math.pi / 64,
-                            np.ones(64))
-    lo = lyapunov_theorem33(NIL, BROWNIAN, 0.1, occ)
-    hi = lyapunov_theorem33(NIL, BROWNIAN, 0.2, occ)
+    th = (np.arange(64) + 0.5) * 2 * math.pi / 64
+    w = np.full(64, 1.0 / 64)
+    lo = w @ shear_sigma0_profile(NIL, BROWNIAN, 0.1, th)
+    hi = w @ shear_sigma0_profile(NIL, BROWNIAN, 0.2, th)
     assert hi == pytest.approx(2.0 ** (2.0 / 3.0) * lo, rel=1e-12)
 
 
@@ -311,8 +309,8 @@ def test_theorem33_matches_fp_on_solver_measure():
     eps = 0.02
     grid = CircleGrid(512)
     dens, lam_pw = pw_density_and_lambda(eps, grid)
-    occ = OccupationMeasure(grid.nodes, dens.values.copy())
-    lam33 = lyapunov_theorem33(NIL, JUMPS, eps, occ)
+    w = dens.values / np.sum(dens.values)
+    lam33 = w @ shear_sigma0_profile(NIL, JUMPS, eps, grid.nodes)
     assert abs(lam33 - lam_pw) <= 0.02 * abs(lam_pw)
 
 
@@ -325,14 +323,32 @@ def test_theorem33_estimate_from_simulated_occupation():
     assert abs(est.value - lam_pw) <= max(3.0 * est.stderr, 0.02 * abs(lam_pw))
 
 
-def test_sweep_with_stubbed_estimates_recovers_exponent():
-    def stub(system, noise, eps, cfg):
-        return LyapunovEstimate(eps ** (2.0 / 3.0), 0.0, "stub", eps, cfg.beta,
-                                cfg.horizon, cfg.replicates, cfg.renorm_interval)
+def test_theorem33_estimate_refuses_empty_histogram(monkeypatch):
+    import levyap.estimators as est_mod
 
+    def no_samples(_worker, _payload, n, _workers):
+        return [(0.0, 0, False, np.zeros(8), 0.0)] * n
+
+    monkeypatch.setattr(est_mod, "_run_chunked", no_samples)
+    cfg = EstimatorConfig(horizon=1.0, replicates=2, theta_bins=8)
+    with pytest.raises(EmptyMeasure):
+        lyapunov_theorem33_estimate(NIL, BROWNIAN, 0.1, cfg)
+
+
+def stub_direct(value_of):
+    """A stand-in for the sweep's direct estimates: value_of(eps) at each
+    epsilon, with no replicate run."""
+    def estimates(system, noise, eps_list, cfg):
+        return [LyapunovEstimate(value_of(e), 0.0, "stub", e, cfg.beta,
+                                 cfg.horizon, cfg.replicates) for e in eps_list]
+    return estimates
+
+
+def test_sweep_with_stubbed_estimates_recovers_exponent(monkeypatch):
+    monkeypatch.setattr("levyap.estimators._direct_estimates",
+                        stub_direct(lambda e: e ** (2.0 / 3.0)))
     cfg = EstimatorConfig(horizon=1.0, replicates=1)
-    sweep = scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg,
-                          estimate_fn=stub)
+    sweep = scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg)
     assert sweep.slope == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert sweep.intercept == pytest.approx(0.0, abs=1e-12)
     assert sweep.residual < 1e-12
@@ -351,6 +367,19 @@ def test_sweep_lanes_match_per_epsilon_direct_bitwise(noise, workers):
         ref = lyapunov_direct(NIL, noise, e, cfg)
         assert est.per_replicate == ref.per_replicate
         assert (est.value, est.stderr) == (ref.value, ref.stderr)
+
+
+def test_generic_sweep_matches_per_epsilon_direct_bitwise():
+    # a system without constant shear runs the generic integrator once per
+    # epsilon; each estimate must equal lyapunov_direct's
+    cfg = EstimatorConfig(dt=1e-3, horizon=2.0, replicates=2, seed=7)
+    eps = [0.05, 0.1, 0.2, 0.4]
+    sweep = scaling_sweep(DUF, JUMPS, eps, cfg)
+    for e, est in zip(eps, sweep.estimates):
+        ref = lyapunov_direct(DUF, JUMPS, e, cfg)
+        assert est.per_replicate == ref.per_replicate
+        assert (est.value, est.stderr, est.restarts, est.exits) == \
+            (ref.value, ref.stderr, ref.restarts, ref.exits)
 
 
 def test_sweep_rejects_bad_epsilon_lists():
@@ -379,18 +408,16 @@ def test_estimators_refuse_epsilon_outside_unit_interval(eps, monkeypatch):
 
     monkeypatch.setattr(est_mod, "_run_chunked", no_work)
     cfg = EstimatorConfig(horizon=1.0, replicates=1)
-    occ = OccupationMeasure(np.array([0.5]), np.array([1.0]))
     for run in (lambda: lyapunov_direct(NIL, BROWNIAN, eps, cfg),
                 lambda: lyapunov_khasminskii(NIL, BROWNIAN, eps, cfg),
-                lambda: lyapunov_theorem33_estimate(NIL, BROWNIAN, eps, cfg),
-                lambda: lyapunov_theorem33(NIL, BROWNIAN, eps, occ)):
+                lambda: lyapunov_theorem33_estimate(NIL, BROWNIAN, eps, cfg)):
         with pytest.raises(InvalidParameter, match="epsilon"):
             run()
 
 
 def test_theorem33_refuses_position_dependent_shear_before_work(monkeypatch):
-    """Duffing's shear depends on the position: both theorem-3.3 entry
-    points refuse it before any replicate runs."""
+    """Duffing's shear depends on the position: the theorem-3.3 estimate
+    refuses it before any replicate runs."""
     import levyap.estimators as est_mod
 
     def no_work(*_args, **_kwargs):
@@ -400,9 +427,6 @@ def test_theorem33_refuses_position_dependent_shear_before_work(monkeypatch):
     cfg = EstimatorConfig(horizon=0.2, replicates=2)
     with pytest.raises(InvalidParameter, match="constant-shear"):
         lyapunov_theorem33_estimate(DUF, JUMPS, 0.1, cfg)
-    occ = OccupationMeasure(np.array([0.5]), np.array([1.0]))
-    with pytest.raises(InvalidParameter, match="constant-shear"):
-        lyapunov_theorem33(DUF, JUMPS, 0.1, occ)
 
 
 @pytest.mark.parametrize("field, value", [("dt", 0.0), ("dt", -1e-3),
@@ -431,28 +455,19 @@ def test_config_rejects_zero_or_nonfinite_tangent(v0):
         EstimatorConfig(horizon=1.0, replicates=1, v0=v0)
 
 
-def test_sweep_nonpositive_estimates_reported_or_fatal():
-    calls = {"n": 0}
-
-    def stub(system, noise, eps, cfg):
-        calls["n"] += 1
-        value = eps ** (2.0 / 3.0) if eps > 0.07 else -1e-4
-        return LyapunovEstimate(value, 0.0, "stub", eps, cfg.beta, cfg.horizon,
-                                cfg.replicates, cfg.renorm_interval)
-
+def test_sweep_nonpositive_estimates_reported_or_fatal(monkeypatch):
+    monkeypatch.setattr("levyap.estimators._direct_estimates",
+                        stub_direct(lambda e: e ** (2.0 / 3.0) if e > 0.07
+                                    else -1e-4))
     cfg = EstimatorConfig(horizon=1.0, replicates=1)
-    sweep = scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg,
-                          estimate_fn=stub)
+    sweep = scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg)
     assert sweep.excluded == [0.05]
     assert sweep.slope == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def all_bad(system, noise, eps, cfg):
-        return LyapunovEstimate(-1.0, 0.0, "stub", eps, cfg.beta, cfg.horizon,
-                                cfg.replicates, cfg.renorm_interval)
-
+    monkeypatch.setattr("levyap.estimators._direct_estimates",
+                        stub_direct(lambda e: -1.0))
     with pytest.raises(NonPositiveEstimate):
-        scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg,
-                      estimate_fn=all_bad)
+        scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg)
 
 
 def test_desk_scale_sweep_slope_brownian():
@@ -464,8 +479,7 @@ def test_desk_scale_sweep_slope_brownian():
 def test_gather_occupation_normalized(khas_jump_run):
     k, cfg = khas_jump_run
     bins = cfg.theta_bins
-    centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
-    occ = OccupationMeasure(centers, k.extras["occupation"])
-    assert occ.weights.sum() == pytest.approx(1.0)
-    assert occ.weights.min() >= 0.0
-    assert len(occ.theta_centers) == cfg.theta_bins
+    occ = np.asarray(k.extras["occupation"], dtype=float)
+    assert occ.shape == (bins,)
+    assert occ.min() >= 0.0
+    assert occ.sum() > 0.0

@@ -11,7 +11,7 @@ from levyap.frame import (angle_jump_flow, compute_Irho_generic, polar_fields,
 from levyap.marcus import VectorFieldSet
 from levyap.noise import (JumpMeasureSpec, gauss_legendre, jump_moment,
                           jump_nodes)
-from levyap.systems import make_duffing, make_nilpotent
+from levyap.systems import make_duffing, make_nilpotent, rho_jump_profile
 from oracles import (compute_R0, frame_coordinates, frame_oracle, noise_field,
                      rk4_angle_jump, sigma0)
 
@@ -280,13 +280,14 @@ def test_compute_r0_node_doubling_converges():
 
 
 def test_irho_generic_matches_closed_form():
-    from levyap.estimators import compute_Irho
     measure = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0,
                               floor_delta=0.05)
+    nodes = jump_nodes(measure, measure.floor_delta)
     x = np.array([1.0, 0.5])
     rng = np.random.default_rng(11)
     for th in rng.uniform(0, 2 * math.pi, 10):
-        closed = compute_Irho(NIL, measure, x, th, 0.1)
+        closed = float(rho_jump_profile(th, 0.1 ** (1.0 / 3.0) * NIL.sigma,
+                                        nodes))
         generic = compute_Irho_generic(NIL.frame, NIL.sigma, measure, x, th, 0.1)
         assert generic == pytest.approx(closed, rel=1e-10, abs=1e-15)
 

@@ -225,19 +225,20 @@ def test_integrate_duffing_level_set():
 
 def test_exit_at_critical_point_is_immediate():
     cfg = StepperConfig(dt=1e-3)
+    summary = integrate(DUF.fields(0.1), NO_JUMPS, [0.0, 0.0], 1.0, cfg, (0, 0))
+    assert summary.exited and summary.n_steps == 0
+    assert summary.final.t == 0.0
+    assert summary.final.exit_flag == "critical-point"
+    # a single step that lands on the critical point raises instead
     with pytest.raises(ExitDetected) as err:
-        integrate(DUF.fields(0.1), NO_JUMPS, [0.0, 0.0], 1.0, cfg, (0, 0))
-    assert err.value.state.t == 0.0
+        step(DUF.fields(0.1), cfg, 0.0, 0.0, 0.0, None, None, 0.0)
+    assert err.value.state.t == cfg.dt
     assert err.value.state.exit_flag == "critical-point"
-    summary = integrate(DUF.fields(0.1), NO_JUMPS, [0.0, 0.0], 1.0, cfg, (0, 0),
-                        raise_on_exit=False)
-    assert summary.exited and summary.final.t == 0.0
 
 
 def test_explosion_flag():
     cfg = StepperConfig(dt=1e-2, bound_explode=1.2)
-    summary = integrate(DUF.fields(0.0), NO_JUMPS, [1.0, 0.0], 10.0, cfg, (0, 0),
-                        raise_on_exit=False)
+    summary = integrate(DUF.fields(0.0), NO_JUMPS, [1.0, 0.0], 10.0, cfg, (0, 0))
     assert summary.exited
     assert summary.final.exit_flag == "explosion"
 
