@@ -8,17 +8,20 @@ failure (including cross-method disagreement), 2 usage.
 
 All file artifacts are deterministic for a fixed configuration: floats are
 written with 17 significant digits, JSON keys are sorted, and no wall-clock
-data is embedded (runtimes go to stderr only).
+data is embedded (a runtime goes to the stdout summary and stderr only).
+One writer, ``_emit``, owns the artifact format.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -142,17 +145,28 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(_json_text(payload) + "\n")
-
-
-# execution-only keys: they do not influence results, so they are left out
-# of emitted summaries to keep artifacts byte-identical across runs
-_VOLATILE_KEYS = ("output.path", "run.workers")
-
-
-def _jsonable_config(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if k not in _VOLATILE_KEYS}
+def _emit(cfg: dict, command: str, results: dict, header: str, rows: list,
+          runtime: Optional[float] = None, **top) -> None:
+    """The one writer of the artifact format.  The payload holds the schema,
+    the command, the config without its execution-only keys (output.path and
+    run.workers do not influence results), the results and the ``top``
+    entries; it goes to <stem>.json, the CSV rows under the schema line and
+    ``header`` to <stem>.csv, when output.path is set.  The summary printed
+    on stdout is the payload plus, when given, ``runtime_seconds``, which
+    also goes to stderr and never into the files."""
+    payload = {"schema": SCHEMA, "command": command, "results": results,
+               "config": {k: v for k, v in cfg.items()
+                          if k not in ("output.path", "run.workers")}, **top}
+    if cfg["output.path"]:
+        stem = Path(cfg["output.path"])
+        stem.with_suffix(".json").write_text(_json_text(payload) + "\n")
+        stem.with_suffix(".csv").write_text(
+            "\n".join(["# " + SCHEMA, header, *rows]) + "\n")
+    if runtime is None:
+        print(_json_text(payload))
+        return
+    print(_json_text(dict(payload, runtime_seconds=runtime)))
+    print(f"runtime: {runtime:.2f}s", file=sys.stderr)
 
 
 def _build_model(cfg: dict):
@@ -234,19 +248,8 @@ def build_runtime(cfg: dict):
 
 
 def _estimate_payload(est: LyapunovEstimate) -> dict:
-    return {
-        "value": est.value,
-        "stderr": est.stderr,
-        "method": est.method,
-        "epsilon": est.epsilon,
-        "beta": est.beta,
-        "horizon": est.horizon,
-        "replicates": est.replicates,
-        "restarts": est.restarts,
-        "exits": est.exits,
-        "unreliable": est.unreliable,
-        "per_replicate": [float(v) for v in est.per_replicate],
-    }
+    return {f.name: getattr(est, f.name) for f in dataclasses.fields(est)
+            if f.name != "extras"}
 
 
 def _check_methods(methods: list, system) -> None:
@@ -319,9 +322,7 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
     if method == "direct":
         return lyapunov_direct(system, noise, cfg["run.epsilon"], est_cfg)
     if method == "khasminskii":
-        est = lyapunov_khasminskii(system, noise, cfg["run.epsilon"], est_cfg)
-        est.extras.pop("occupation", None)
-        return est
+        return lyapunov_khasminskii(system, noise, cfg["run.epsilon"], est_cfg)
     if method == "theorem33":
         return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"], est_cfg)
     # fpcircle, the one method left after _check_methods
@@ -355,29 +356,17 @@ def cmd_lyapunov(cfg: dict) -> int:
                 disagreement = {"methods": [a.method, b.method], "gap": gap,
                                 "combined_stderr": combined}
 
-    payload = {
-        "schema": SCHEMA,
-        "command": "lyapunov",
-        "config": _jsonable_config(cfg),
-        # extras are scalars except khasminskii's martingale_rate, a
-        # (mean, stderr) pair written as a two-element list
-        "results": {e.method: dict(_estimate_payload(e), **e.extras)
-                    for e in estimates},
-        "agreement": {"ok": disagreement is None,
-                      "disagreement": disagreement},
-    }
-    out = cfg["output.path"]
-    if out:
-        stem = Path(out)
-        _dump_json(stem.with_suffix(".json"), payload)
-        rows = ["# " + SCHEMA, "method,kind,index,value,stderr"]
-        for e in estimates:
-            for i, v in enumerate(e.per_replicate):
-                rows.append(f"{e.method},replicate,{i},{_fmt(v)},")
-            rows.append(f"{e.method},aggregate,,{_fmt(e.value)},{_fmt(e.stderr)}")
-        stem.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-    print(_json_text(dict(payload, runtime_seconds=runtime)))
-    print(f"runtime: {runtime:.2f}s", file=sys.stderr)
+    rows = []
+    for e in estimates:
+        rows += [f"{e.method},replicate,{i},{_fmt(v)},"
+                 for i, v in enumerate(e.per_replicate)]
+        rows.append(f"{e.method},aggregate,,{_fmt(e.value)},{_fmt(e.stderr)}")
+    # extras are scalars except khasminskii's martingale_rate, a (mean,
+    # stderr) pair written as a two-element list
+    _emit(cfg, "lyapunov",
+          {e.method: dict(_estimate_payload(e), **e.extras) for e in estimates},
+          "method,kind,index,value,stderr", rows, runtime,
+          agreement={"ok": disagreement is None, "disagreement": disagreement})
     return 1 if disagreement else 0
 
 
@@ -391,29 +380,13 @@ def cmd_sweep(cfg: dict) -> int:
     t0 = time.monotonic()
     sweep = scaling_sweep(system, noise, eps, est_cfg)
     runtime = time.monotonic() - t0
-    payload = {
-        "schema": SCHEMA,
-        "command": "sweep",
-        "config": _jsonable_config(cfg),
-        "results": {
-            "slope": sweep.slope,
-            "intercept": sweep.intercept,
-            "residual": sweep.residual,
-            "excluded": sweep.excluded,
-            "estimates": [_estimate_payload(e) for e in sweep.estimates],
-        },
-    }
-    out = cfg["output.path"]
-    if out:
-        stem = Path(out)
-        _dump_json(stem.with_suffix(".json"), payload)
-        rows = ["# " + SCHEMA, "epsilon,lambda,stderr,method"]
-        for e, est in zip(sweep.epsilons, sweep.estimates):
-            mark = est.method if est.value > 0 else est.method + ":excluded"
-            rows.append(f"{_fmt(e)},{_fmt(est.value)},{_fmt(est.stderr)},{mark}")
-        stem.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-    print(_json_text(dict(payload, runtime_seconds=runtime)))
-    print(f"runtime: {runtime:.2f}s", file=sys.stderr)
+    results = {"slope": sweep.slope, "intercept": sweep.intercept,
+               "residual": sweep.residual, "excluded": sweep.excluded,
+               "estimates": [_estimate_payload(e) for e in sweep.estimates]}
+    rows = [f"{_fmt(e)},{_fmt(est.value)},{_fmt(est.stderr)},"
+            + (est.method if est.value > 0 else est.method + ":excluded")
+            for e, est in zip(sweep.epsilons, sweep.estimates)]
+    _emit(cfg, "sweep", results, "epsilon,lambda,stderr,method", rows, runtime)
     return 0
 
 
@@ -454,18 +427,8 @@ def cmd_simulate(cfg: dict) -> int:
                             (cfg["run.seed"], 0), observer=observer)
         if summary.exited:
             exit_info = {"t": summary.final.t, "flag": summary.final.exit_flag}
-    header = "t,x1,x2" + (",theta,rho" if polar else "")
-    stem = Path(cfg["output.path"])
-    stem.with_suffix(".csv").write_text(
-        "\n".join(["# " + SCHEMA, header] + rows) + "\n")
-    payload = {
-        "schema": SCHEMA,
-        "command": "simulate",
-        "config": _jsonable_config(cfg),
-        "results": {"rows": len(rows), "exit": exit_info},
-    }
-    _dump_json(stem.with_suffix(".json"), payload)
-    print(_json_text(payload))
+    _emit(cfg, "simulate", {"rows": len(rows), "exit": exit_info},
+          "t,x1,x2" + (",theta,rho" if polar else ""), rows)
     return 0
 
 
@@ -478,24 +441,12 @@ def cmd_fp_solve(cfg: dict) -> int:
     _check_fp(cfg, noise)
     dens, lam, explicit = _fp_solve(cfg, noise, explicit=True)
     grid = dens.grid
-    payload = {
-        "schema": SCHEMA,
-        "command": "fp-solve",
-        "config": _jsonable_config(cfg),
-        "results": {"lambda": lam, "residual": dens.residual,
-                    "explicit_adjoint_residual": explicit,
-                    "clipped_mass": dens.clipped_mass,
-                    "grid_n": grid.n, "variant": cfg["fp.variant"]},
-    }
-    out = cfg["output.path"]
-    if out:
-        stem = Path(out)
-        _dump_json(stem.with_suffix(".json"), payload)
-        rows = ["# " + SCHEMA, "theta,mu"]
-        for t, m in zip(grid.nodes, dens.values):
-            rows.append(f"{_fmt(t)},{_fmt(m)}")
-        stem.with_suffix(".csv").write_text("\n".join(rows) + "\n")
-    print(_json_text(payload))
+    results = {"lambda": lam, "residual": dens.residual,
+               "explicit_adjoint_residual": explicit,
+               "clipped_mass": dens.clipped_mass,
+               "grid_n": grid.n, "variant": cfg["fp.variant"]}
+    _emit(cfg, "fp-solve", results, "theta,mu",
+          [f"{_fmt(t)},{_fmt(m)}" for t, m in zip(grid.nodes, dens.values)])
     return 0
 
 
@@ -508,6 +459,14 @@ def cmd_defaults(_cfg: dict) -> int:
         print(f"{key} = {val:<24} # {help_}")
     return 0
 
+
+COMMANDS = {
+    "simulate": (cmd_simulate, "integrate one trajectory and write sampled rows"),
+    "lyapunov": (cmd_lyapunov, "estimate the top Lyapunov exponent"),
+    "sweep": (cmd_sweep, "epsilon sweep with a log-log slope fit"),
+    "fp-solve": (cmd_fp_solve, "stationary angle density and quadrature growth rate"),
+    "defaults": (cmd_defaults, "print all configuration defaults"),
+}
 
 _FLAG_OVERRIDES = {"system.name": "--system", "output.path": "--output"}
 
@@ -524,14 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lyapunov exponents of planar Hamiltonian systems under "
                     "small Brownian-plus-jump perturbations")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "integrate one trajectory and write sampled rows",
-        "lyapunov": "estimate the top Lyapunov exponent",
-        "sweep": "epsilon sweep with a log-log slope fit",
-        "fp-solve": "stationary angle density and quadrature growth rate",
-        "defaults": "print all configuration defaults",
-    }
-    for name, help_ in commands.items():
+    for name, (_, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         if name == "defaults":
             continue
@@ -556,18 +508,8 @@ def resolve_config(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "lyapunov": cmd_lyapunov,
-        "sweep": cmd_sweep,
-        "fp-solve": cmd_fp_solve,
-        "defaults": cmd_defaults,
-    }
     try:
-        cfg = default_config() if args.command == "defaults" else resolve_config(args)
-        return handlers[args.command](cfg)
-    except SystemExit:
-        raise
+        return COMMANDS[args.command][0](resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

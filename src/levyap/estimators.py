@@ -238,7 +238,7 @@ def lyapunov_direct(system, noise: NoiseModel, epsilon: float,
 # ---------------------------------------------------------------------------
 
 def _khas_lane_worker(payload, indices):
-    """Rows (rate, restarts, failed, occupation, martingale rate)."""
+    """Rows (rate, restarts, failed, martingale rate, occupation)."""
     system, noise, epsilon, cfg = payload
     res = shear_angle_lanes(system.a, system.sigma,
                             np.full(len(indices), epsilon), cfg.beta, noise,
@@ -247,8 +247,8 @@ def _khas_lane_worker(payload, indices):
                             theta_bins=cfg.theta_bins,
                             block_steps=cfg.block_steps,
                             theta0=cfg.theta0)
-    return [(float(res.lam[j]), 0, False, res.occupation[j],
-             float(res.martingale_rate[j])) for j in range(len(indices))]
+    return [(float(res.lam[j]), 0, False, float(res.martingale_rate[j]),
+             res.occupation[j]) for j in range(len(indices))]
 
 
 def _khas_generic_one(system, noise, epsilon, cfg, index):
@@ -275,8 +275,6 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
     acc_irho = 0.0
     n_acc = 0
     n_irho = 0
-    occ = np.zeros(cfg.theta_bins)
-    bin_w = 2.0 * math.pi / cfg.theta_bins
     restarts = 0
     attempt = 0
     e_sh = epsilon ** beta
@@ -298,8 +296,6 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                     acc_irho += compute_Irho(system, noise.measure, x, theta,
                                              epsilon, beta, noise=noise)
                     n_irho += 1
-                    idx = int((theta % (2.0 * math.pi)) / bin_w) % cfg.theta_bins
-                    occ[idx] += 1.0
             drift_th = (-e_sh * co.shear * math.sin(theta) ** 2
                         + 0.5 * rate * wz1)
             try:
@@ -310,7 +306,7 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
                 attempt += 1
                 step_no += 1
                 if attempt > cfg.max_restarts:
-                    return math.nan, restarts, True, occ
+                    return math.nan, restarts, True
                 x = x0.copy()
                 theta = cfg.theta0
                 streams = trajectory_streams(cfg.seed, index, attempt)
@@ -324,9 +320,9 @@ def _khas_generic_one(system, noise, epsilon, cfg, index):
             x = (p1, p2)
             step_no += 1
     if n_acc == 0:
-        return math.nan, restarts, True, occ
+        return math.nan, restarts, True
     lam = acc / n_acc + (acc_irho / n_irho if n_irho else 0.0)
-    return lam, restarts, False, occ
+    return lam, restarts, False
 
 
 def _khas_generic_worker(payload, indices):
@@ -350,8 +346,7 @@ def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
     rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
                         cfg.workers)
     est = _aggregate(rows, "khasminskii", epsilon, cfg)
-    est.extras["occupation"] = np.sum([r[3] for r in rows], axis=0)
-    mart = [r[4] for r in rows if not math.isnan(r[4])]
+    mart = [r[3] for r in rows if not math.isnan(r[3])]
     if mart:
         est.extras["martingale_rate"] = _spread(mart)
     return est
@@ -429,7 +424,7 @@ def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
             raise EmptyMeasure("occupation measure has no mass")
         return float((np.asarray(occupation, dtype=float) / total) @ profile)
 
-    return _aggregate([(value(r[3]), r[1], r[2]) for r in rows], "theorem33",
+    return _aggregate([(value(r[4]), r[1], r[2]) for r in rows], "theorem33",
                       epsilon, cfg)
 
 

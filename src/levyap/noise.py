@@ -43,7 +43,7 @@ class JumpMeasureSpec:
 
     alpha       stability index in (0, 2)
     c_alpha     intensity constant >= 0 (0 means no jump part)
-    cutoff_c    large-jump truncation radius > 0
+    cutoff_c    large-jump truncation radius, finite and > 0
     floor_delta small-jump floor in [0, cutoff_c); sampling requires > 0
     """
 
@@ -57,8 +57,8 @@ class JumpMeasureSpec:
             raise InvalidParameter(f"alpha must lie in (0, 2), got {self.alpha}")
         if not self.c_alpha >= 0.0:
             raise InvalidParameter(f"c_alpha must be nonnegative, got {self.c_alpha}")
-        if self.cutoff_c <= 0.0:
-            raise InvalidParameter("cutoff_c must be positive")
+        if not 0.0 < self.cutoff_c < math.inf:
+            raise InvalidParameter(f"cutoff_c must be finite and positive, got {self.cutoff_c}")
         if not 0.0 <= self.floor_delta < self.cutoff_c:
             raise InvalidParameter("floor_delta must lie in [0, cutoff_c)")
 

@@ -114,8 +114,9 @@ class NilpotentSystem:
     tol_crit: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        if self.a <= 0 or self.sigma <= 0:
-            raise InvalidParameter("a and sigma must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.sigma < math.inf):
+            raise InvalidParameter(f"a and sigma must be finite and positive, "
+                                   f"got a = {self.a}, sigma = {self.sigma}")
         object.__setattr__(self, "_coeffs", FrameCoefficients(
             shear=self.a,
             mats=((0.0, 0.0), (self.sigma, 0.0)),
@@ -163,8 +164,8 @@ class DuffingSystem:
     tol_crit: float = field(default=1e-6, init=False)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidParameter("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidParameter(f"sigma must be finite and positive, got {self.sigma}")
 
     @property
     def default_x0(self) -> np.ndarray:

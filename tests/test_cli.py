@@ -227,6 +227,33 @@ def test_workers_do_not_change_artifacts(tmp_path, capsys):
         assert blobs[counts[0]] == blobs[counts[1]]
 
 
+@pytest.mark.parametrize("args,header", [
+    (["lyapunov", "--method", "direct,khasminskii", "--horizon", "2",
+      "--replicates", "2"], "method,kind,index,value,stderr"),
+    (["sweep", "--epsilons", "0.05,0.1,0.2,0.4", "--horizon", "5",
+      "--replicates", "2"], "epsilon,lambda,stderr,method"),
+    (["simulate", "--horizon", "1"], "t,x1,x2,theta,rho"),
+    (["fp-solve", "--grid-n", "64"], "theta,mu"),
+], ids=["lyapunov", "sweep", "simulate", "fp-solve"])
+def test_artifacts_match_stdout_summary(args, header, tmp_path, capsys):
+    """Every command writes its JSON as the stdout summary less the runtime,
+    which only the timed commands report, and its CSV under the schema line
+    and the command's header."""
+    out = tmp_path / "run"
+    assert run_cli(args + ["--seed", "3", "--floor-delta", "0.05",
+                           "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    timed = args[0] in ("lyapunov", "sweep")
+    assert ("runtime_seconds" in summary) == timed
+    assert captured.err.startswith("runtime:") == timed
+    summary.pop("runtime_seconds", None)
+    assert json.loads(out.with_suffix(".json").read_text()) == summary
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[:2] == ["# levyap-schema v1", header]
+    assert len(lines) > 2
+
+
 def test_fp_solve_artifacts(tmp_path, capsys):
     out = tmp_path / "dens"
     rc = run_cli(["fp-solve", "--epsilon", "0.1", "--floor-delta", "0.05",
@@ -358,7 +385,25 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["fp-solve", "--brownian", "false", "--c-alpha", "0",
                                    "--variant", "pw", "--grid-n", "64"],
                                   ["lyapunov", "--method", "fpcircle", "--brownian", "false",
-                                   "--c-alpha", "0", "--grid-n", "64"]])
+                                   "--c-alpha", "0", "--grid-n", "64"],
+                                  ["lyapunov", "--method", "khasminskii", "--floor-delta",
+                                   "0.05", "--cutoff-c", "inf"],
+                                  ["fp-solve", "--floor-delta", "0.05", "--cutoff-c", "inf",
+                                   "--grid-n", "64"],
+                                  ["fp-solve", "--variant", "pw", "--floor-delta", "0.05",
+                                   "--cutoff-c", "inf", "--grid-n", "64"],
+                                  ["lyapunov", "--floor-delta", "0.05", "--cutoff-c", "inf"],
+                                  ["simulate", "--floor-delta", "0.05", "--cutoff-c", "inf"],
+                                  ["lyapunov", "--method", "direct,khasminskii", "--c-alpha",
+                                   "0", "--a", "nan"],
+                                  ["fp-solve", "--c-alpha", "0", "--a", "nan", "--grid-n", "64"],
+                                  ["lyapunov", "--method", "direct,khasminskii", "--c-alpha",
+                                   "0", "--a", "inf"],
+                                  ["lyapunov", "--method", "direct,khasminskii", "--c-alpha",
+                                   "0", "--sigma", "nan"],
+                                  ["lyapunov", "--method", "direct,khasminskii", "--c-alpha",
+                                   "0", "--sigma", "inf"],
+                                  ["lyapunov", "--system", "duffing", "--sigma", "nan"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",

@@ -31,7 +31,7 @@ BROWNIAN = NoiseModel(measure=None)
 @pytest.fixture(scope="module")
 def khas_jump_run():
     cfg = EstimatorConfig(dt=1e-3, horizon=600.0, replicates=8, seed=11)
-    return lyapunov_khasminskii(NIL, JUMPS, 0.1, cfg), cfg
+    return lyapunov_khasminskii(NIL, JUMPS, 0.1, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def test_direct_and_khasminskii_agree_brownian(eps):
 def test_estimator_triangle_with_jumps(direct_jump_run, khas_jump_run,
                                        fp_lambda_eps01):
     d = direct_jump_run
-    k, _ = khas_jump_run
+    k = khas_jump_run
     lam_fp = fp_lambda_eps01
     assert abs(d.value - k.value) <= 3.0 * math.hypot(d.stderr, k.stderr)
     assert abs(d.value - lam_fp) <= 3.0 * d.stderr
@@ -120,7 +120,7 @@ def test_estimator_triangle_with_jumps(direct_jump_run, khas_jump_run,
 
 
 def test_martingale_time_average_vanishes(khas_jump_run):
-    k, _ = khas_jump_run
+    k = khas_jump_run
     mean, se = k.extras["martingale_rate"]
     assert abs(mean) <= 3.0 * se
 
@@ -475,11 +475,3 @@ def test_desk_scale_sweep_slope_brownian():
     sweep = scaling_sweep(NIL, BROWNIAN, [0.05, 0.1, 0.2, 0.4], cfg)
     assert 0.52 <= sweep.slope <= 0.82
 
-
-def test_gather_occupation_normalized(khas_jump_run):
-    k, cfg = khas_jump_run
-    bins = cfg.theta_bins
-    occ = np.asarray(k.extras["occupation"], dtype=float)
-    assert occ.shape == (bins,)
-    assert occ.min() >= 0.0
-    assert occ.sum() > 0.0

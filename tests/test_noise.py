@@ -213,6 +213,11 @@ def test_invalid_parameters():
         JumpMeasureSpec(alpha=2.5, c_alpha=1.0, cutoff_c=1.0)
     with pytest.raises(InvalidParameter):
         JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=2.0)
+    # from an infinite cutoff the geometric panels of jump_nodes never end
+    for cutoff in (math.inf, math.nan):
+        with pytest.raises(InvalidParameter):
+            JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=cutoff,
+                            floor_delta=0.05)
     with pytest.raises(InvalidParameter):
         sample_block(NoiseModel(measure=None), -1.0, 1, *rngs(0))
 
