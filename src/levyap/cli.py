@@ -34,7 +34,7 @@ from .estimators import (EstimatorConfig, LyapunovEstimate,
 from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
                        lyapunov_quadrature, pw_substitution, solve_stationary)
 from .marcus import StepperConfig, check_epsilon, integrate
-from .noise import JumpMeasureSpec, NoiseModel
+from .noise import POISSON_MEAN_MAX, JumpMeasureSpec, NoiseModel
 from .systems import make_duffing, make_nilpotent
 
 SCHEMA = "levyap-schema v1"
@@ -191,9 +191,12 @@ def _build_model(cfg: dict):
                            ar_threshold=cfg["noise.ar_threshold"])
         # jumps with a sampling floor of 0 have infinite activity, which
         # every command refuses: jump_rate raises InvalidMeasure for them
-        noise.jump_rate
+        rate = noise.jump_rate
     except (InvalidParameter, InvalidMeasure) as exc:
         raise ConfigError(str(exc)) from exc
+    if rate * cfg["run.dt"] > POISSON_MEAN_MAX:
+        raise ConfigError(f"jump rate {rate:.3g} times run.dt is too large "
+                          f"for the Poisson sampler (at most {POISSON_MEAN_MAX:.3g})")
     return system, noise
 
 
@@ -331,6 +334,7 @@ def _run_method(method: str, system, noise, est_cfg, cfg):
                            cfg["run.beta"], 0.0, 1)
     est.extras["fp_residual"] = dens.residual
     est.extras["fp_clipped_mass"] = dens.clipped_mass
+    est.extras["fp_condition"] = dens.condition
     return est
 
 
@@ -443,7 +447,7 @@ def cmd_fp_solve(cfg: dict) -> int:
     grid = dens.grid
     results = {"lambda": lam, "residual": dens.residual,
                "explicit_adjoint_residual": explicit,
-               "clipped_mass": dens.clipped_mass,
+               "clipped_mass": dens.clipped_mass, "condition": dens.condition,
                "grid_n": grid.n, "variant": cfg["fp.variant"]}
     _emit(cfg, "fp-solve", results, "theta,mu",
           [f"{_fmt(t)},{_fmt(m)}" for t, m in zip(grid.nodes, dens.values)])
@@ -505,11 +509,21 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _check_output(cfg: dict) -> None:
+    """Refuse, before any work starts, an output stem in no directory."""
+    stem = cfg["output.path"]
+    if stem and not Path(stem).parent.is_dir():
+        raise ConfigError(f"output.path {stem!r}: {str(Path(stem).parent)!r} "
+                          "is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command][0](resolve_config(args))
+        cfg = resolve_config(args)
+        _check_output(cfg)
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,15 +8,24 @@ angle.  The stationary density solves the adjoint nullspace problem
 G^T mu = 0 with unit mass; the adjoint is the matrix transpose, which
 preserves the constants-in-nullspace duality exactly.
 
-The solve inverts the bordered matrix K = [[G^T, 1], [h 1^T, 0]] once: the
-density is a column of K^-1, and ||K||_1 ||K^-1||_1 is the exact 1-norm
-condition number kappa_1 of K.  A simple nullspace keeps kappa_1 moderate
-(about 4.2e4, 1.7e5 and 7.7e5 for the eps = 0.1 shear generators at
-n = 512, 1024 and 2048, with or without jumps); a nearly reducible
+The angle process lives on directions (v and -v are one point), so the
+generator commutes with the half-turn theta -> theta + pi: only the rows of
+the nodes in [0, pi) are built, the others are those rolled by n/2, and
+G = [[A, B], [B, A]] exactly.  The orthogonal map (1/sqrt 2)[[I, I], [I, -I]]
+splits the bordered matrix K = [[G^T, 1], [h 1^T, 0]] of the stationary
+solve into the periodic block, (A + B)^T with the mass border times sqrt 2,
+and the antiperiodic block (A - B)^T, so two inverses of half the size
+replace one.  The density is a column of the periodic inverse, duplicated,
+and ||K||_1 ||K^-1||_1, assembled from both inverses with
+|a + b| + |a - b| = 2 max(|a|, |b|), is still the exact 1-norm condition
+number kappa_1 of the full circle system.  A simple nullspace keeps kappa_1
+moderate (about 4.2e4, 1.7e5 and 7.7e5 for the eps = 0.1 shear generators
+at n = 512, 1024 and 2048, with or without jumps); a nearly reducible
 generator drives it up (2.3e14 for drift sin(2 theta) with diffusion 1e-10
-at n = 256), and kappa_1 >= CONDITION_LIMIT is refused.  The parity artifact
-of centered differences (a constant drift with no diffusion also annihilates
-the alternating vector) gets the alternating vector as a second border.
+at n = 256, its antiperiodic block nearly singular), and
+kappa_1 >= CONDITION_LIMIT is refused.  The parity artifact of centered
+differences gets the alternating vector as a second border, in the
+periodic block when n/2 is even and in the antiperiodic one when it is odd.
 
 A separate diagnostic evaluates the explicit cos^2-scaled form of the
 adjoint equation on the solution as an independent validation residual.
@@ -58,16 +67,21 @@ class CircleGrid:
 
 @dataclass
 class GeneratorMatrix:
+    """The generator rows of the nodes in [0, pi), shape (n/2, n); row
+    i + n/2 of the circle generator is row i rolled by n/2."""
     grid: CircleGrid
-    matrix: np.ndarray
+    rows: np.ndarray
 
 
 @dataclass
 class CircleDensity:
+    """condition is kappa_1 of the bordered circle system (nan when the
+    density did not come from solve_stationary)."""
     grid: CircleGrid
     values: np.ndarray
     residual: float
     clipped_mass: float = 0.0
+    condition: float = math.nan
 
     @property
     def mass(self) -> float:
@@ -96,7 +110,8 @@ def _jump_stencils(grid: CircleGrid, amp: float,
                    measure: Optional[JumpMeasureSpec]):
     """The nonlocal jump term, one mark z or -z at a time: yields (weight,
     columns, stencil weights) of the Catmull-Rom interpolation at the angle
-    each grid node maps to under the shear jump of amplitude amp * z.
+    each grid node in [0, pi) maps to under the shear jump of amplitude
+    amp * z (a node theta + pi maps to that angle + pi).
 
     The marks are the panel nodes of ``jump_nodes`` on [floor_delta, cutoff),
     so the measure must be truncated (floor_delta > 0).  Yields nothing
@@ -108,7 +123,7 @@ def _jump_stencils(grid: CircleGrid, amp: float,
         raise InvalidParameter(
             "the nonlocal generator needs a truncated measure (floor_delta > 0)")
     z, w, _ = jump_nodes(measure)
-    th = grid.nodes
+    th = grid.nodes[:grid.n // 2]
     for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
         zeta = exact_theta_jump(th, amp * sq)
         pos = (zeta % (2.0 * math.pi)) / grid.h
@@ -117,10 +132,11 @@ def _jump_stencils(grid: CircleGrid, amp: float,
 
 
 def _local_part(grid: CircleGrid, drift: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """drift * d/dtheta + diff * d^2/dtheta^2 by periodic central differences."""
+    """drift * d/dtheta + diff * d^2/dtheta^2 by periodic central differences:
+    the rows of the nodes in [0, pi), where drift and diff are given."""
     n, h = grid.n, grid.h
-    G = np.zeros((n, n))
-    idx = np.arange(n)
+    G = np.zeros((n // 2, n))
+    idx = np.arange(n // 2)
     G[idx, (idx + 1) % n] += drift / (2 * h) + diff / h ** 2
     G[idx, (idx - 1) % n] += -drift / (2 * h) + diff / h ** 2
     G[idx, idx] += -2.0 * diff / h ** 2
@@ -132,13 +148,14 @@ def build_generator(a: float, sigma: float, epsilon: float,
                     *, brownian: bool = True) -> GeneratorMatrix:
     """Angle-process generator for the shear system:
     -a sin^2 d/dth + eps^2 sig^2 (-sin cos^3 d/dth + cos^4/2 d2/dth2)
-    + nonlocal jump term with the closed-form shear angle map.
+    + nonlocal jump term with the closed-form shear angle map; every
+    coefficient is invariant under theta -> theta + pi.
     """
-    th = grid.nodes
+    th = grid.nodes[:grid.n // 2]
     s, c = np.sin(th), np.cos(th)
     bfac = epsilon ** 2 * sigma ** 2 if brownian else 0.0
     G = _local_part(grid, -a * s * s - bfac * s * c ** 3, 0.5 * bfac * c ** 4)
-    idx = np.arange(grid.n)
+    idx = np.arange(grid.n // 2)
     for wq, cols, cw in _jump_stencils(grid, epsilon * sigma, measure):
         for k in range(4):
             np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
@@ -168,64 +185,62 @@ def pw_substitution(sigma: float, epsilon: float,
     return sigma * math.sqrt((1.0 if brownian else 0.0) + m2), epsilon ** (2.0 / 3.0)
 
 
-def _bordered_system(gen: GeneratorMatrix) -> np.ndarray:
-    """The bordered matrix K = [[G^T, B], [C^T, 0]] of the stationary solve.
-
-    B = 1 and C = h 1 pin the unit mass; when G^T annihilates the
-    alternating vector (the parity artifact), it is added as a second border
-    column and row so the solution is orthogonal to that massless mode.
-    """
-    G = gen.matrix
-    n, h = gen.grid.n, gen.grid.h
-    border = [np.ones(n)]
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    if np.abs(G.T @ alt).max() <= n * np.finfo(float).eps * np.abs(G).max():
-        border.append(alt)
-    k = len(border)
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = G.T
-    for j, b in enumerate(border):
-        K[:n, n + j] = b
-        K[n + j, :n] = b
-    K[n, :n] *= h
-    return K
-
-
 def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
-    """Nullspace of the adjoint with unit mass, from one factorisation of
-    the bordered system [[G^T, 1], [h 1^T, 0]] [mu; c] = [0; 1].
-
-    The density is column n of K^-1, and ||K||_1 ||K^-1||_1 is the exact
-    1-norm condition number kappa_1 of the bordered matrix.  A singular
-    factorisation or kappa_1 >= CONDITION_LIMIT means the nullspace of G^T is
-    not cleanly one-dimensional and raises DegenerateNullspace.
+    """Nullspace of the adjoint with unit mass, [mu; c] of the bordered
+    system K [mu; c] = [0; 1], from the inverses of its two half-turn blocks
+    (see the module docstring).  A singular block or kappa_1 >=
+    CONDITION_LIMIT means the nullspace of G^T is not cleanly
+    one-dimensional and raises DegenerateNullspace.
 
     One benign degeneracy is tolerated: centered differences on an even
     periodic grid decouple the two parities, so a constant drift with no
     diffusion also annihilates the alternating vector, a pure grid artifact.
-    Then the alternating vector is a second border (see _bordered_system),
-    which selects the solution orthogonal to the massless mode.
+    Then the alternating vector is a second border column and row, which
+    selects the solution orthogonal to the massless mode.
     """
-    G = gen.matrix
-    n = gen.grid.n
-    if not np.any(G):
+    R = gen.rows
+    n, h = gen.grid.n, gen.grid.h
+    m, r2 = n // 2, math.sqrt(2.0)
+    if not np.any(R):
         raise DegenerateNullspace("zero generator")
-    K = _bordered_system(gen)
-    try:
-        Kinv = np.linalg.inv(K)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateNullspace(f"singular bordered system: {exc}") from exc
-    kappa = np.linalg.norm(K, 1) * np.linalg.norm(Kinv, 1)
+    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    sign = -1.0 if m % 2 else 1.0   # the circle's alternating vector is
+    v = alt @ R                     # [alt; sign alt], and G^T of it [r; sign r]
+    parity = bool(np.abs(v[:m] + sign * v[m:]).max()
+                  <= n * np.finfo(float).eps * np.abs(R).max())
+    Y = []
+    for s in (1.0, -1.0):           # the blocks (A + B)^T and (A - B)^T
+        borders = [(r2, r2 * h)] if s > 0 else []
+        borders += [(r2 * alt, r2 * alt)] if parity and s == sign else []
+        K = np.zeros((m + len(borders),) * 2)
+        K[:m, :m] = R[:, :m].T
+        K[:m, :m] += s * R[:, m:].T
+        for j, (col, row) in enumerate(borders):
+            K[:m, m + j], K[m + j, :m] = col, row
+        try:
+            Y.append(np.linalg.inv(K))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateNullspace(f"singular bordered system: {exc}") from exc
+    mu = np.tile(Y[0][:m, m], 2) / r2
+    # K^-1 = Q diag(Y+, Y-) Q: its grid columns hold (X+ + X-) / 2 and
+    # (X+ - X-) / 2 and the border rows over sqrt 2, its border columns the
+    # blocks' border columns over sqrt 2, twice
+    Ap, Am = (np.abs(y, out=y) for y in Y)
+    cols = [np.maximum(Ap[:m, :m], Am[:m, :m]).sum(0)
+            + (Ap[m:, :m].sum(0) + Am[m:, :m].sum(0)) / r2]
+    cols += [r2 * A[:m, m:].sum(0) + A[m:, m:].sum(0) for A in (Ap, Am)]
+    norm = max(np.abs(R).sum(1).max() + h + parity, n)  # ||K||_1
+    kappa = float(norm * np.concatenate(cols).max())
     if not kappa < CONDITION_LIMIT:
         raise DegenerateNullspace(
             f"bordered system condition {kappa:.3g} is not below "
             f"{CONDITION_LIMIT:.0e}; the nullspace is not one-dimensional")
-    mu = Kinv[:n, n].copy()
-    clipped = float(np.sum(-mu[mu < 0]) * gen.grid.h)  # +0.0 when none
+    clipped = float(np.sum(-mu[mu < 0]) * h)  # +0.0 when none
     mu = np.clip(mu, 0.0, None)
-    mu /= np.sum(mu) * gen.grid.h
-    residual = float(np.abs(G.T @ mu).max())
-    return CircleDensity(gen.grid, mu, residual, clipped)
+    mu /= np.sum(mu) * h
+    v = mu[:m] @ R                  # G^T mu is [r; r], r = v[:m] + v[m:]
+    residual = float(np.abs(v[:m] + v[m:]).max())
+    return CircleDensity(gen.grid, mu, residual, clipped, kappa)
 
 
 def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
@@ -275,5 +290,7 @@ def explicit_adjoint_residual(density: CircleDensity, a: float, sigma: float,
     f = c ** 2 * mu  # the nonlocal term transports cos^2 mu to the mapped angle
     acc = np.zeros(n)
     for wq, cols, cw in _jump_stencils(grid, epsilon * sigma, measure):
-        acc += wq * (np.sum(f[cols] * cw, axis=1) - f)
+        # the node theta + pi maps to the image of theta, plus pi
+        cols = np.concatenate([cols, (cols + n // 2) % n])
+        acc += wq * (np.sum(f[cols] * np.tile(cw, (2, 1)), axis=1) - f)
     return float(np.abs(out + acc).max())

@@ -35,6 +35,8 @@ from .errors import DivergentMoment, InvalidMeasure, InvalidParameter
 
 GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# the largest mean numpy's Poisson sampler draws ("lam value too large")
+POISSON_MEAN_MAX = np.iinfo("l").max - 10.0 * math.sqrt(np.iinfo("l").max)
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class JumpMeasureSpec:
     """Truncated symmetric alpha-stable jump measure.
 
     alpha       stability index in (0, 2)
-    c_alpha     intensity constant >= 0 (0 means no jump part)
+    c_alpha     intensity constant, finite and >= 0 (0 means no jump part)
     cutoff_c    large-jump truncation radius, finite and > 0
     floor_delta small-jump floor in [0, cutoff_c); sampling requires > 0
     """
@@ -55,8 +57,8 @@ class JumpMeasureSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise InvalidParameter(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not self.c_alpha >= 0.0:
-            raise InvalidParameter(f"c_alpha must be nonnegative, got {self.c_alpha}")
+        if not 0.0 <= self.c_alpha < math.inf:
+            raise InvalidParameter(f"c_alpha must be finite and nonnegative, got {self.c_alpha}")
         if not 0.0 < self.cutoff_c < math.inf:
             raise InvalidParameter(f"cutoff_c must be finite and positive, got {self.cutoff_c}")
         if not 0.0 <= self.floor_delta < self.cutoff_c:

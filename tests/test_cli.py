@@ -140,6 +140,8 @@ def test_lyapunov_fpcircle_reports_residual(tmp_path, capsys):
     payload = json.loads((tmp_path / "fp.json").read_text())
     assert "fp_residual" in payload["results"]["fpcircle"]
     assert payload["results"]["fpcircle"]["fp_residual"] < 1e-6
+    # kappa_1 of the bordered circle system, far below the refusal limit
+    assert 1e2 < payload["results"]["fpcircle"]["fp_condition"] < 1e6
 
 
 def test_lyapunov_cross_method_agreement_exit_code(tmp_path, capsys):
@@ -264,6 +266,7 @@ def test_fp_solve_artifacts(tmp_path, capsys):
     assert res["residual"] < 1e-6
     assert res["explicit_adjoint_residual"] is not None
     assert "lambda" in res
+    assert 1e2 < res["condition"] < 1e6
     lines = (tmp_path / "dens.csv").read_text().splitlines()
     assert lines[1] == "theta,mu"
     assert len(lines) == 2 + 128
@@ -403,12 +406,36 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                    "0", "--sigma", "nan"],
                                   ["lyapunov", "--method", "direct,khasminskii", "--c-alpha",
                                    "0", "--sigma", "inf"],
-                                  ["lyapunov", "--system", "duffing", "--sigma", "nan"]])
+                                  ["lyapunov", "--system", "duffing", "--sigma", "nan"],
+                                  ["lyapunov", "--c-alpha", "inf"],
+                                  ["lyapunov", "--c-alpha", "1e300"],
+                                  ["simulate", "--c-alpha", "inf"],
+                                  ["simulate", "--c-alpha", "1e300"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",
                            "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["fp-solve", "--grid-n", "64"],
+                                  ["lyapunov", "--method", "direct,fpcircle",
+                                   "--grid-n", "64"],
+                                  ["sweep", "--epsilons", "0.05,0.1,0.2,0.4"],
+                                  ["simulate"]])
+def test_missing_output_directory_refused_before_work(args, tmp_path,
+                                                      monkeypatch, capsys):
+    import levyap.cli as cli
+
+    def no_work(*_args, **_kw):
+        raise AssertionError("the output directory is checked before any work")
+
+    for name in ("_fp_solve", "lyapunov_direct", "scaling_sweep", "integrate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "o"
+    assert run_cli(args + ["--horizon", "0.01", "--output", str(out)]) == 2
+    assert "output.path" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,15 +6,52 @@ from scipy.integrate import quad
 
 from levyap.errors import DegenerateNullspace, InvalidGrid, InvalidParameter
 from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
-                             GeneratorMatrix, _bordered_system, _local_part,
+                             GeneratorMatrix, _catmull_rom_row, _local_part,
                              build_generator, explicit_adjoint_residual,
                              lyapunov_quadrature, pw_substitution,
                              solve_stationary)
 from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
-from levyap.systems import rho_jump_profile
+from levyap.systems import exact_theta_jump, rho_jump_profile
 from oracles import shear_exponent
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
+
+
+def full_matrix(gen):
+    """The n x n circle generator: the built rows of the nodes in [0, pi),
+    then the same rows rolled by n/2."""
+    return np.vstack([gen.rows, np.roll(gen.rows, gen.grid.n // 2, axis=1)])
+
+
+def bordered_system(gen):
+    """The dense bordered matrix K = [[G^T, B], [C^T, 0]] of the stationary
+    solve: B = 1 and C = h 1 pin the unit mass, and the alternating vector
+    is a second border when G^T annihilates it (the parity artifact)."""
+    G = full_matrix(gen)
+    n, h = gen.grid.n, gen.grid.h
+    border = [np.ones(n)]
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    if np.abs(G.T @ alt).max() <= n * np.finfo(float).eps * np.abs(G).max():
+        border.append(alt)
+    k = len(border)
+    K = np.zeros((n + k, n + k))
+    K[:n, :n] = G.T
+    for j, b in enumerate(border):
+        K[:n, n + j] = b
+        K[n + j, :n] = b
+    K[n, :n] *= h
+    return K
+
+
+def dense_solve(gen):
+    """Oracle of the block solve: one dense inverse of the full bordered
+    system gives the density (column n, clipped and renormalised as in
+    solve_stationary) and kappa_1 = ||K||_1 ||K^-1||_1."""
+    n, h = gen.grid.n, gen.grid.h
+    K = bordered_system(gen)
+    Kinv = np.linalg.inv(K)
+    mu = np.clip(Kinv[:n, n], 0.0, None)
+    return mu / (np.sum(mu) * h), np.linalg.norm(K, 1) * np.linalg.norm(Kinv, 1)
 
 
 def svd_lstsq_density(gen):
@@ -22,7 +59,7 @@ def svd_lstsq_density(gen):
     mass row appended (dense SVD), then the same clipping and renormalisation
     as solve_stationary.  Also returns sigma_2 / sigma_1 of G^T, the
     singular-value gap of its two smallest singular values."""
-    G, h, n = gen.matrix, gen.grid.h, gen.grid.n
+    G, h, n = full_matrix(gen), gen.grid.h, gen.grid.n
     sv = np.linalg.svd(G.T, compute_uv=False)
     M = np.vstack([G.T, np.full((1, n), h)])
     rhs = np.zeros(n + 1)
@@ -42,15 +79,23 @@ def pw_lambda(eps, measure, grid):
 
 
 def condition_1(gen):
-    K = _bordered_system(gen)
-    return np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1)
+    return dense_solve(gen)[1]
+
+
+def rotation_generator(n, speed=0.7):
+    """Constant drift, no diffusion: the parity artifact."""
+    grid = CircleGrid(n)
+    return GeneratorMatrix(grid, _local_part(grid, np.full(n // 2, speed),
+                                             np.zeros(n // 2)))
 
 
 def sin2_generator(diffusion, n=256):
     """Drift sin(2 theta): two attracting angles, so with vanishing diffusion
     the circle nearly splits into two invariant arcs."""
     grid = CircleGrid(n)
-    G = _local_part(grid, np.sin(2.0 * grid.nodes), np.full(n, diffusion))
+    # drift and diffusion at the nodes in [0, pi), where the rows are built
+    G = _local_part(grid, np.sin(2.0 * grid.nodes[:n // 2]),
+                    np.full(n // 2, diffusion))
     return GeneratorMatrix(grid, G)
 
 
@@ -65,12 +110,12 @@ def test_grid_validation():
 
 def test_generator_kills_constants():
     gen = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(128))
-    assert np.abs(gen.matrix @ np.ones(128)).max() < 1e-8
+    assert np.abs(full_matrix(gen) @ np.ones(128)).max() < 1e-8
 
 
 def test_generator_no_jumps_is_local():
     gen = build_generator(1.0, 1.0, 0.1, None, CircleGrid(64))
-    band = np.triu(np.abs(gen.matrix), 2)[:, :-2]
+    band = np.triu(np.abs(full_matrix(gen)), 2)[:, :-2]
     # only the wrap corners and the tridiagonal band are populated
     assert band[:-1, 1:].max() == 0.0
 
@@ -80,15 +125,13 @@ def test_generator_drift_only_derivative():
     grid = CircleGrid(n)
     gen = build_generator(1.0, 1.0, 0.0, None, grid, brownian=False)
     f = np.cos(grid.nodes)
-    got = gen.matrix @ f
+    got = full_matrix(gen) @ f
     want = np.sin(grid.nodes) ** 3  # -sin^2 * d cos/dth
     assert np.abs(got - want).max() < (2 * math.pi / n) ** 2
 
 
 def test_pure_rotation_has_uniform_density():
-    grid = CircleGrid(128)
-    G = _local_part(grid, np.full(128, 0.7), np.zeros(128))
-    gen = GeneratorMatrix(grid, G)
+    gen = rotation_generator(128)
     dens = solve_stationary(gen)
     assert np.abs(dens.values - 1.0 / (2 * math.pi)).max() < 1e-10
     assert dens.mass == pytest.approx(1.0, rel=1e-12)
@@ -148,7 +191,7 @@ def test_richardson_value_matches_exact_brownian_exponent():
 
 def test_degenerate_nullspace_detected():
     grid = CircleGrid(64)
-    gen = GeneratorMatrix(grid, np.zeros((64, 64)))
+    gen = GeneratorMatrix(grid, np.zeros((32, 64)))
     with pytest.raises(DegenerateNullspace):
         solve_stationary(gen)
 
@@ -164,6 +207,83 @@ def test_bordered_solve_matches_svd_lstsq(measure):
                               1.0, 1.0, 0.1, measure)
     assert lam == pytest.approx(ref, rel=0, abs=1e-12)
     assert dens.residual < 1e-12
+
+
+def full_circle_generator(a, sigma, eps, measure, grid):
+    """The generator built row by row at all n nodes, without the half-turn
+    (the construction solve_stationary's blocks replace)."""
+    n, h, th = grid.n, grid.h, grid.nodes
+    s, c = np.sin(th), np.cos(th)
+    bfac = eps ** 2 * sigma ** 2
+    drift, diff = -a * s * s - bfac * s * c ** 3, 0.5 * bfac * c ** 4
+    G = np.zeros((n, n))
+    idx = np.arange(n)
+    G[idx, (idx + 1) % n] += drift / (2 * h) + diff / h ** 2
+    G[idx, (idx - 1) % n] += -drift / (2 * h) + diff / h ** 2
+    G[idx, idx] += -2.0 * diff / h ** 2
+    z, w, _ = jump_nodes(measure) if measure else (np.empty(0),) * 3
+    for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
+        pos = (exact_theta_jump(th, eps * sigma * sq) % (2.0 * math.pi)) / h
+        cols, cw = _catmull_rom_row(pos, n)
+        for k in range(4):
+            np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
+        G[idx, idx] -= wq
+    return G
+
+
+@pytest.mark.parametrize("n", [128, 130])
+@pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
+def test_rolled_rows_match_a_full_circle_build(measure, n):
+    """The rows of [pi, 2 pi) are those of [0, pi) rolled by n/2: the
+    coefficients and the shear angle map commute with the half-turn."""
+    grid = CircleGrid(n)
+    gen = build_generator(1.0, 1.0, 0.1, measure, grid)
+    assert gen.rows.shape == (n // 2, n)
+    ref = full_circle_generator(1.0, 1.0, 0.1, measure, grid)
+    assert np.abs(full_matrix(gen) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
+def test_block_solve_matches_dense_oracle(measure, n):
+    """The two half-turn blocks give the dense solve's density and the exact
+    kappa_1 of the full bordered circle system; the residual G^T mu of the
+    full matrix is the one reported."""
+    gen = build_generator(1.0, 1.0, 0.1, measure, CircleGrid(n))
+    dens = solve_stationary(gen)
+    ref_mu, ref_kappa = dense_solve(gen)
+    assert dens.condition == pytest.approx(ref_kappa, rel=1e-10, abs=0)
+    assert np.abs(dens.values - ref_mu).max() <= 1e-12 * ref_mu.max()
+    full_residual = np.abs(full_matrix(gen).T @ dens.values).max()
+    assert full_residual == pytest.approx(dens.residual, rel=1e-6, abs=1e-15)
+    assert full_residual < 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 66], ids=["half-even", "half-odd"])
+def test_parity_border_in_each_block(n):
+    """The alternating vector is half-turn periodic when n/2 is even and
+    antiperiodic when n/2 is odd; either way its border gives the uniform
+    density of a pure rotation and the dense system's kappa_1."""
+    gen = rotation_generator(n)
+    assert bordered_system(gen).shape == (n + 2, n + 2)
+    dens = solve_stationary(gen)
+    assert np.abs(dens.values - 1.0 / (2 * math.pi)).max() < 1e-10
+    assert dens.condition == pytest.approx(condition_1(gen), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("diffusion", [1e-6, 1e-7, 1e-8, 1e-10])
+def test_condition_refusal_matches_dense_oracle(diffusion):
+    """CONDITION_LIMIT refuses exactly where the dense kappa_1 reaches it
+    (2.3e10 at diffusion 1e-8, just above the limit; the two attracting
+    angles make the antiperiodic block the nearly singular one)."""
+    gen = sin2_generator(diffusion)
+    kappa = condition_1(gen)
+    if kappa >= CONDITION_LIMIT:
+        with pytest.raises(DegenerateNullspace):
+            solve_stationary(gen)
+    else:
+        assert solve_stationary(gen).condition == \
+            pytest.approx(kappa, rel=1e-10, abs=0)
 
 
 def test_near_reducible_generator_raises():
@@ -198,11 +318,9 @@ def test_condition_of_fp_grid_far_below_limit(measure):
 
 def test_parity_border_only_for_the_parity_artifact():
     grid = CircleGrid(64)
-    rotation = GeneratorMatrix(grid, _local_part(grid, np.full(64, 0.7),
-                                                 np.zeros(64)))
-    assert _bordered_system(rotation).shape == (66, 66)
+    assert bordered_system(rotation_generator(64)).shape == (66, 66)
     shear = build_generator(1.0, 1.0, 0.1, None, grid)
-    assert _bordered_system(shear).shape == (65, 65)
+    assert bordered_system(shear).shape == (65, 65)
 
 
 def test_nonlocal_generator_needs_floor():
@@ -218,9 +336,7 @@ def test_nonlocal_generator_needs_floor():
 
 
 def test_lyapunov_quadrature_odd_term_drops_for_uniform_density():
-    grid = CircleGrid(256)
-    dens = solve_stationary(GeneratorMatrix(
-        grid, _local_part(grid, np.full(256, 1.0), np.zeros(256))))
+    dens = solve_stationary(rotation_generator(256, 1.0))
     lam = lyapunov_quadrature(dens, 2.3, 0.0, 0.1, None, brownian=False)
     assert abs(lam) < 1e-12
 

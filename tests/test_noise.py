@@ -218,6 +218,11 @@ def test_invalid_parameters():
         with pytest.raises(InvalidParameter):
             JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=cutoff,
                             floor_delta=0.05)
+    # an infinite intensity has no Poisson rate to sample from
+    for c_alpha in (math.inf, math.nan, -1.0):
+        with pytest.raises(InvalidParameter):
+            JumpMeasureSpec(alpha=1.5, c_alpha=c_alpha, cutoff_c=1.0,
+                            floor_delta=0.05)
     with pytest.raises(InvalidParameter):
         sample_block(NoiseModel(measure=None), -1.0, 1, *rngs(0))
 
