@@ -27,14 +27,14 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidGrid, InvalidMeasure, InvalidParameter,
                      LevyapError)
-from .estimators import (EstimatorConfig, LyapunovEstimate,
+from .estimators import (EstimatorConfig, LyapunovEstimate, angle_lane_rows,
                          check_sweep_epsilons, lyapunov_direct,
                          lyapunov_khasminskii, lyapunov_theorem33_estimate,
                          scaling_sweep)
 from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
                        lyapunov_quadrature, pw_substitution, solve_stationary)
 from .marcus import StepperConfig, check_epsilon, integrate
-from .noise import POISSON_MEAN_MAX, JumpMeasureSpec, NoiseModel
+from .noise import EVENTS_PER_BLOCK_MAX, JumpMeasureSpec, NoiseModel
 from .systems import make_duffing, make_nilpotent
 
 SCHEMA = "levyap-schema v1"
@@ -191,13 +191,21 @@ def _build_model(cfg: dict):
                            ar_threshold=cfg["noise.ar_threshold"])
         # jumps with a sampling floor of 0 have infinite activity, which
         # every command refuses: jump_rate raises InvalidMeasure for them
-        rate = noise.jump_rate
+        noise.jump_rate
     except (InvalidParameter, InvalidMeasure) as exc:
         raise ConfigError(str(exc)) from exc
-    if rate * cfg["run.dt"] > POISSON_MEAN_MAX:
-        raise ConfigError(f"jump rate {rate:.3g} times run.dt is too large "
-                          f"for the Poisson sampler (at most {POISSON_MEAN_MAX:.3g})")
     return system, noise
+
+
+def _check_events(noise, dt: float, block_steps: int) -> None:
+    """Refuse, before any jump is drawn, a jump rate whose noise blocks
+    would hold more than EVENTS_PER_BLOCK_MAX events on average."""
+    events = noise.jump_rate * dt * block_steps
+    if events > EVENTS_PER_BLOCK_MAX:
+        raise ConfigError(f"jump rate {noise.jump_rate:.3g} gives {events:.3g} "
+                          f"expected events per noise block of {block_steps} "
+                          f"steps, above the budget of {EVENTS_PER_BLOCK_MAX:.3g}; "
+                          "raise noise.floor_delta or noise.ar_threshold")
 
 
 def _x0(cfg: dict):
@@ -321,13 +329,15 @@ def _fp_solve(cfg: dict, noise, explicit: bool = False):
     return dens, lam, residual
 
 
-def _run_method(method: str, system, noise, est_cfg, cfg):
+def _run_method(method: str, system, noise, est_cfg, cfg, lane_rows):
     if method == "direct":
         return lyapunov_direct(system, noise, cfg["run.epsilon"], est_cfg)
     if method == "khasminskii":
-        return lyapunov_khasminskii(system, noise, cfg["run.epsilon"], est_cfg)
+        return lyapunov_khasminskii(system, noise, cfg["run.epsilon"], est_cfg,
+                                    lane_rows)
     if method == "theorem33":
-        return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"], est_cfg)
+        return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"],
+                                           est_cfg, lane_rows)
     # fpcircle, the one method left after _check_methods
     dens, lam, _ = _fp_solve(cfg, noise)
     est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
@@ -345,8 +355,15 @@ def cmd_lyapunov(cfg: dict) -> int:
     _check_methods(methods, system)
     if "fpcircle" in methods:
         _check_fp(cfg, noise)
+    if set(methods) - {"fpcircle"}:
+        _check_events(noise, cfg["run.dt"], est_cfg.block_steps)
     t0 = time.monotonic()
-    estimates = [_run_method(m, system, noise, est_cfg, cfg) for m in methods]
+    # khasminskii and theorem33 on the shear system read one angle-lane pass
+    lane_rows = None
+    if system.constant_shear and {"khasminskii", "theorem33"} <= set(methods):
+        lane_rows = angle_lane_rows(system, noise, cfg["run.epsilon"], est_cfg)
+    estimates = [_run_method(m, system, noise, est_cfg, cfg, lane_rows)
+                 for m in methods]
     runtime = time.monotonic() - t0
 
     disagreement = None
@@ -381,6 +398,7 @@ def cmd_sweep(cfg: dict) -> int:
     except (ValueError, InvalidParameter) as exc:
         raise ConfigError(f"sweep.epsilons = {raw!r}: {exc}") from exc
     system, noise, est_cfg = build_runtime(cfg)
+    _check_events(noise, cfg["run.dt"], est_cfg.block_steps)
     t0 = time.monotonic()
     sweep = scaling_sweep(system, noise, eps, est_cfg)
     runtime = time.monotonic() - t0
@@ -406,6 +424,7 @@ def cmd_simulate(cfg: dict) -> int:
         scfg = StepperConfig(dt=cfg["run.dt"], tol_crit=system.tol_crit)
     except InvalidParameter as exc:
         raise ConfigError(f"run.dt: {exc}") from exc
+    _check_events(noise, cfg["run.dt"], scfg.block_steps)
     x0 = _x0(cfg)
     x0 = np.asarray(x0 if x0 is not None else system.default_x0, float)
     polar = system.name == "nilpotent"

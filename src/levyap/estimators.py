@@ -13,8 +13,12 @@ Three routes are provided:
 
 plus ``scaling_sweep`` fitting the log-log slope across a list of epsilons.
 
-Constant-shear systems dispatch to vectorized lane kernels; everything else
-runs through the generic Marcus integrator and moving-frame machinery.
+Constant-shear systems dispatch to vectorized lane kernels, which step the
+exact linear tangent: the direct route its growth, the Khasminskii and
+leading-order routes the angle of the rescaled tangent, read from one pass
+(``angle_lane_rows``) that a run of both can share.  Everything else runs
+through the generic Marcus integrator and moving-frame machinery, whose
+Khasminskii route integrates the angle by an Euler scheme.
 Replicates are split into contiguous index chunks across worker processes;
 per-replicate streams depend only on (seed, index), so results are
 bit-identical for any worker count.
@@ -332,19 +336,32 @@ def _khas_generic_worker(payload, indices):
             for i in indices]
 
 
+def angle_lane_rows(system, noise: NoiseModel, epsilon: float,
+                    cfg: EstimatorConfig) -> list:
+    """The rows of one angle-lane pass of a constant-shear system, per
+    replicate; ``lyapunov_khasminskii`` and ``lyapunov_theorem33_estimate``
+    both read them, so a run of both methods can pass one set to each."""
+    return _run_chunked(_khas_lane_worker, (system, noise, epsilon, cfg),
+                        cfg.replicates, cfg.workers)
+
+
 def lyapunov_khasminskii(system, noise: NoiseModel, epsilon: float,
-                         cfg: EstimatorConfig) -> LyapunovEstimate:
+                         cfg: EstimatorConfig,
+                         lane_rows: Optional[list] = None) -> LyapunovEstimate:
     """Ergodic average of the log-radius drift of the rescaled pair process.
 
     Accumulates the shear drift term, the Wong-Zakai correction of the
     continuous noise, and the jump compensator integral (by quadrature on a
     sample stride).  Brownian and compensated-jump martingale increments are
-    not accumulated.
+    not accumulated.  A constant-shear system reads ``lane_rows`` when given
+    (``angle_lane_rows`` of the same inputs).
     """
     epsilon = check_epsilon(epsilon)
-    worker = _khas_lane_worker if system.constant_shear else _khas_generic_worker
-    rows = _run_chunked(worker, (system, noise, epsilon, cfg), cfg.replicates,
-                        cfg.workers)
+    if system.constant_shear:
+        rows = lane_rows or angle_lane_rows(system, noise, epsilon, cfg)
+    else:
+        rows = _run_chunked(_khas_generic_worker, (system, noise, epsilon, cfg),
+                            cfg.replicates, cfg.workers)
     est = _aggregate(rows, "khasminskii", epsilon, cfg)
     mart = [r[3] for r in rows if not math.isnan(r[3])]
     if mart:
@@ -402,18 +419,19 @@ def shear_sigma0_profile(system, noise: NoiseModel, epsilon: float,
 
 
 def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,
-                                cfg: EstimatorConfig) -> LyapunovEstimate:
+                                cfg: EstimatorConfig,
+                                lane_rows: Optional[list] = None) -> LyapunovEstimate:
     """Leading-order formula per replicate: the scaled growth-rate integrand
     ``shear_sigma0_profile`` at the bin centres, averaged under the
-    replicate's normalized occupation histogram from the angle lanes (at
-    beta = 2/3, eps^(2/3) times the unscaled average).  A system whose shear
-    depends on the position is refused before any replicate runs."""
+    replicate's normalized occupation histogram from the angle lanes
+    (``lane_rows`` when given; at beta = 2/3, eps^(2/3) times the unscaled
+    average).  A system whose shear depends on the position is refused
+    before any replicate runs."""
     epsilon = check_epsilon(epsilon)
     if not system.constant_shear:
         raise InvalidParameter(f"the leading-order formula needs a "
                                f"constant-shear system, not {system.name!r}")
-    rows = _run_chunked(_khas_lane_worker, (system, noise, epsilon, cfg),
-                        cfg.replicates, cfg.workers)
+    rows = lane_rows or angle_lane_rows(system, noise, epsilon, cfg)
     bins = cfg.theta_bins
     centers = (np.arange(bins) + 0.5) * 2.0 * math.pi / bins
     profile = shear_sigma0_profile(system, noise, epsilon, centers, beta=cfg.beta)

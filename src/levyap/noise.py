@@ -35,8 +35,9 @@ from .errors import DivergentMoment, InvalidMeasure, InvalidParameter
 
 GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-# the largest mean numpy's Poisson sampler draws ("lam value too large")
-POISSON_MEAN_MAX = np.iinfo("l").max - 10.0 * math.sqrt(np.iinfo("l").max)
+# the most jump events a noise block may hold on average: sample_block's
+# tables peak near 64 bytes per event, about 0.26 GB at this count
+EVENTS_PER_BLOCK_MAX = 4e6
 
 
 @dataclass(frozen=True)

@@ -22,26 +22,6 @@ from .frame import FrameCoefficients
 from .marcus import VectorFieldSet
 
 
-def theta_jump_sc(theta, st, ct, s, out=None, work=(None, None)):
-    """exact_theta_jump from theta with st = sin(theta), ct = cos(theta)
-    already known: the one place the angle jump formula is written, shared
-    by ``exact_theta_jump`` and the angle lane kernel.  The result goes to
-    ``out`` when given (it may be theta itself), the intermediate values to
-    the two arrays of ``work`` when given; either way the bits are those of
-    theta + ((arctan2(st + s ct, ct) - arctan2(st, ct) + pi) % 2pi - pi)."""
-    u, v = work
-    w = np.add(st, np.multiply(s, ct, u), u)
-    w = np.subtract(np.arctan2(w, ct, u), np.arctan2(st, ct, v), u)
-    w = np.subtract(np.remainder(np.add(w, np.pi, u), 2.0 * np.pi, u), np.pi, u)
-    return np.add(theta, w, out)
-
-
-def rho_jump_sc(st, ct, s):
-    """exact_rho_jump with st = sin(theta), ct = cos(theta) already known:
-    the one place the log-radius jump formula is written."""
-    return 0.5 * np.log1p(s * (2.0 * st * ct + s * ct * ct))
-
-
 def exact_theta_jump(theta, s):
     """Angle after the shear (u1, u2) -> (u1, s u1 + u2), glued globally.
 
@@ -51,7 +31,9 @@ def exact_theta_jump(theta, s):
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    out = theta_jump_sc(theta, np.sin(theta), np.cos(theta), s)
+    st, ct = np.sin(theta), np.cos(theta)
+    w = np.arctan2(st + s * ct, ct) - np.arctan2(st, ct)
+    out = theta + ((w + np.pi) % (2.0 * np.pi) - np.pi)
     return out if out.ndim else float(out)
 
 
@@ -59,7 +41,8 @@ def exact_rho_jump(theta, s):
     """Log-radius change of the same shear: 0.5 log(1 + 2s sc + s^2 c^2)."""
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    out = rho_jump_sc(np.sin(theta), np.cos(theta), s)
+    st, ct = np.sin(theta), np.cos(theta)
+    out = 0.5 * np.log1p(s * (2.0 * st * ct + s * ct * ct))
     return out if out.ndim else float(out)
 
 
@@ -71,8 +54,8 @@ def rho_jump_even_sum(theta, s):
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    c2 = np.cos(theta) ** 2
-    out = 0.5 * np.log1p(s * s * c2 * (2.0 * np.cos(2.0 * theta) + s * s * c2))
+    x = s * s * np.cos(theta) ** 2
+    out = 0.5 * np.log1p(x * (2.0 * np.cos(2.0 * theta) + x))
     return out if out.ndim else float(out)
 
 

@@ -23,6 +23,10 @@
   a point, with its jump term by flow quadrature on the closed-form angle
   jump, the oracle of ``estimators.shear_sigma0_profile``.
 * ``shear_exponent``: the exact top exponent of the Brownian shear system.
+* ``per_step_angle_lanes``: the shear's Khasminskii averages from an Euler
+  scheme for the rescaled angle, one step and one lane array at a time, with
+  the closed-form angle and log-radius jumps.  The generic Khasminskii route
+  takes the same steps, so the two agree pathwise to rounding.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from levyap._lanes import AngleLanesResult, _lane_blocks
 from levyap.errors import ExitDetected, LevyapError
 from levyap.frame import angle_jump_flow, polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
 from levyap.noise import (gauss_legendre, jump_nodes, sample_block,
                           trajectory_streams)
+from levyap.systems import exact_rho_jump, exact_theta_jump, rho_jump_profile
 
 
 class FlowEscape(LevyapError):
@@ -461,3 +467,82 @@ def rk4_angle_jump(system, z, x, theta: float, eps: float, beta: float,
         pos = tb
         recorded.append(y.copy())
     return recorded, advance(y, 1.0 - pos) if pos < 1.0 else y
+
+
+def per_step_angle_lanes(a, sigma, eps, beta, noise, dt, horizon, seed,
+                         indices, burn_in=0.1, drift_stride=10,
+                         theta_bins=256, block_steps=16384, theta0=0.7):
+    """Euler scheme for the rescaled angle theta of every lane.
+
+    A step adds sin cos and cos^2 / 2 - sin^2 cos^2 to the shear and
+    quadratic-variation sums, takes the drift step
+    theta += dt (-eps^beta a sin^2 - e_wz sin cos^3), adds the Gaussian kick
+    e_ang cos^2 dW at the new angle (its martingale part e_ang sin cos dW to
+    the martingale sum) and applies the step's jumps as one shear with the
+    summed marks, adding their log-radius change to the martingale sum;
+    e_ang = eps^(1 - beta) sigma, e_wz = rate eps^(2 - 2 beta) sigma^2.
+    After burn-in every drift_stride-th step also records the compensator
+    profile at its start angle and the occupation bin of its end angle.
+    """
+    eps = np.asarray(eps, dtype=float)
+    L = len(eps)
+    n = int(round(horizon / dt))
+    burn_steps = int(round(burn_in * n))
+    rate = noise.gaussian_rate
+    e_ang = eps ** (1.0 - beta) * sigma
+    e_sh = eps ** beta
+    e_wz = rate * eps ** (2.0 - 2.0 * beta) * sigma ** 2
+    k_sh = -e_sh * a
+
+    theta = np.full(L, float(theta0))
+    acc_sc = np.zeros(L)
+    acc_qv = np.zeros(L)
+    acc_irho = np.zeros(L)
+    n_irho = 0
+    n_drift = 0
+    occ = np.zeros((L, theta_bins))
+    mart = np.zeros(L)
+    bin_w = 2.0 * math.pi / theta_bins
+
+    nodes = None
+    if noise.jump_rate > 0.0:
+        nodes = jump_nodes(noise.measure, noise.sampling_floor)
+
+    for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
+        m = gauss.shape[0]
+        for i in range(m):
+            step_no = off + i
+            st = np.sin(theta)
+            ct = np.cos(theta)
+            sc = st * ct
+            c2 = ct * ct
+            if step_no >= burn_steps:
+                acc_sc += sc
+                acc_qv += 0.5 * c2 - sc * sc
+                n_drift += 1
+                if step_no % drift_stride == 0:
+                    if nodes is not None:
+                        acc_irho += rho_jump_profile(theta, e_ang, nodes)
+                    n_irho += 1
+            theta = theta + dt * (k_sh * st * st - e_wz * sc * c2)
+            ct = np.cos(theta)
+            g = e_ang * ct ** 2 * gauss[i]
+            if step_no >= burn_steps:
+                mart += e_ang * np.sin(theta) * ct * gauss[i]
+            theta = theta + g
+            if sums is not None:
+                s = e_ang * sums[i]
+                if step_no >= burn_steps:
+                    mart += exact_rho_jump(theta, s)
+                theta = exact_theta_jump(theta, s)
+            if step_no >= burn_steps and step_no % drift_stride == 0:
+                idx = np.floor((theta % (2.0 * math.pi)) / bin_w).astype(int) % theta_bins
+                occ[np.arange(L), idx] += 1.0
+
+    lam_sc = e_sh * a * acc_sc / max(n_drift, 1)
+    lam_qv = e_wz * acc_qv / max(n_drift, 1)
+    lam_ir = acc_irho / max(n_irho, 1) if n_irho else np.zeros(L)
+    T = max(n_drift, 1) * dt
+    mart = mart - lam_ir * T
+    return AngleLanesResult(lam_sc + lam_qv + lam_ir, lam_sc, lam_qv, lam_ir,
+                            occ, mart / T, n_irho)

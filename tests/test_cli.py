@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from levyap._lanes import shear_angle_lanes
 from levyap.cli import CONFIG_SCHEMA, load_config_file, main
 from levyap.errors import ConfigError
 from levyap.marcus import StepperConfig
@@ -410,7 +411,9 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--c-alpha", "inf"],
                                   ["lyapunov", "--c-alpha", "1e300"],
                                   ["simulate", "--c-alpha", "inf"],
-                                  ["simulate", "--c-alpha", "1e300"]])
+                                  ["simulate", "--c-alpha", "1e300"],
+                                  ["simulate", "--c-alpha", "1e12", "--floor-delta", "0.05"],
+                                  ["lyapunov", "--c-alpha", "1e12", "--floor-delta", "0.05"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",
@@ -471,6 +474,34 @@ def test_lyapunov_khasminskii_writes_martingale_rate(tmp_path, capsys):
         "khasminskii"]["martingale_rate"]
     assert len(rate) == 2 and all(math.isfinite(v) for v in rate)
     assert rate[1] > 0.0
+
+
+def test_khasminskii_and_theorem33_share_one_angle_pass(tmp_path, capsys,
+                                                         monkeypatch):
+    """Run together, the two methods read one pass of the angle lanes, and
+    each writes the entries it writes when run alone."""
+    import levyap.estimators as est
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shear_angle_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(est, "shear_angle_lanes", counted)
+    args = ["lyapunov", "--epsilon", "0.1", "--horizon", "3", "--replicates", "3",
+            "--seed", "6", "--floor-delta", "0.05"]
+    results = {}
+    for methods in ("khasminskii,theorem33", "khasminskii", "theorem33"):
+        calls.clear()
+        out = tmp_path / methods.replace(",", "_")
+        assert run_cli(args + ["--method", methods, "--output", str(out)]) in (0, 1)
+        assert len(calls) == 1, methods
+        results[methods] = json.loads(out.with_suffix(".json").read_text())["results"]
+    both = results["khasminskii,theorem33"]
+    for method in ("khasminskii", "theorem33"):
+        assert json.dumps(both[method], sort_keys=True) == \
+            json.dumps(results[method][method], sort_keys=True)
 
 
 def test_failed_replicate_is_written_as_null(tmp_path, capsys, monkeypatch):
