@@ -32,7 +32,7 @@ from .estimators import (EstimatorConfig, LyapunovEstimate, angle_lane_rows,
                          lyapunov_khasminskii, lyapunov_theorem33_estimate,
                          scaling_sweep)
 from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
-                       lyapunov_quadrature, pw_substitution, solve_stationary)
+                       lyapunov_quadrature, pw_limit, solve_stationary)
 from .marcus import StepperConfig, check_epsilon, integrate
 from .noise import EVENTS_PER_BLOCK_MAX, JumpMeasureSpec, NoiseModel
 from .systems import make_duffing, make_nilpotent
@@ -68,7 +68,6 @@ CONFIG_SCHEMA = {
     "run.record_stride": (int, 100, "steps between recorded trajectory rows"),
     "run.x0": (str, "", "initial point 'x,y' (empty = system default)"),
     "fp.grid_n": (int, 512, "circle grid size"),
-    "fp.variant": (str, "plain", "plain | pw"),
     "sweep.epsilons": (str, "", "comma list of epsilon values"),
     "output.path": (str, "", "output stem; <stem>.csv and <stem>.json"),
 }
@@ -264,10 +263,13 @@ def _estimate_payload(est: LyapunovEstimate) -> dict:
 
 
 def _check_methods(methods: list, system) -> None:
-    """Refuse, before any work starts, a method the system cannot run."""
+    """Refuse, before any work starts, a method listed twice or one the
+    system cannot run."""
     if not methods:
         raise ConfigError("run.method is empty")
-    for method in methods:
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ConfigError(f"run.method lists {method!r} twice")
         if method not in _METHODS:
             raise ConfigError(f"unknown method {method!r}; choose from {_METHODS}")
         if method == "fpcircle" and system.name != "nilpotent":
@@ -279,54 +281,41 @@ def _check_methods(methods: list, system) -> None:
 
 
 def _check_fp(cfg: dict, noise) -> None:
-    """Refuse, before any work starts, a bad fp.grid_n or fp.variant, and
-    the inputs the circle generator cannot solve.  Without Brownian noise
-    and jumps (both solves ignore the Gaussian substitutes) every noise term
-    vanishes, and the pure drift -a sin^2 has no one-dimensional nullspace;
-    the plain variant meets the same drift at run.epsilon = 0.  The plain
-    variant also refuses jumps with noise.floor_delta = 0, since its
+    """Refuse, before any work starts, a bad fp.grid_n and the inputs the
+    circle generator cannot solve.  Without Brownian noise and jumps (the
+    solve ignores the Gaussian substitutes), or at run.epsilon = 0, every
+    noise term vanishes, and the pure drift -a sin^2 has no one-dimensional
+    nullspace.  Jumps with noise.floor_delta = 0 are refused too, since the
     nonlocal term models the measure on [floor_delta, cutoff), so a
     substitute does not truncate it."""
     try:
         CircleGrid(cfg["fp.grid_n"])
     except InvalidGrid as exc:
         raise ConfigError(f"fp.grid_n: {exc}") from exc
-    if cfg["fp.variant"] not in ("plain", "pw"):
-        raise ConfigError(f"unknown fp.variant {cfg['fp.variant']!r}; "
-                          "choose plain or pw")
     m = noise.measure
     jumps = m is not None and m.has_jumps
     if not (noise.brownian or jumps):
         raise ConfigError("the circle Fokker-Planck solve needs noise: "
                           "noise.brownian is false and there are no jumps")
-    if cfg["fp.variant"] != "plain":
-        return
     if cfg["run.epsilon"] == 0.0:
-        raise ConfigError("the plain circle Fokker-Planck solve needs "
-                          "run.epsilon > 0 (fp.variant = pw gives lambda = 0)")
+        raise ConfigError("the circle Fokker-Planck solve needs run.epsilon > 0")
     if jumps and m.floor_delta <= 0.0:
         raise ConfigError("the circle Fokker-Planck generator needs "
                           "noise.floor_delta > 0 when jumps are on")
 
 
 def _fp_solve(cfg: dict, noise, explicit: bool = False):
-    """(stationary density, growth rate, explicit adjoint residual or None)
-    of the circle FP problem.  fp.variant = pw solves the Brownian problem at
-    eps = 1 with sigma_pw (see pw_substitution) and scales its rate by
-    eps^(2/3); it does not read run.beta."""
+    """(stationary density, growth rate, PW limit, explicit adjoint residual
+    or None) of the circle FP problem; run.beta enters none of them."""
     a, sigma, eps = cfg["system.a"], cfg["system.sigma"], cfg["run.epsilon"]
-    measure, brownian, scale = noise.measure, cfg["noise.brownian"], 1.0
-    if cfg["fp.variant"] == "pw":
-        sigma, scale = pw_substitution(sigma, eps, measure, brownian)
-        eps, measure, brownian = 1.0, None, True
+    measure, brownian = noise.measure, cfg["noise.brownian"]
     dens = solve_stationary(build_generator(a, sigma, eps, measure,
                                             CircleGrid(cfg["fp.grid_n"]),
                                             brownian=brownian))
-    lam = scale * lyapunov_quadrature(dens, a, sigma, eps, measure,
-                                      brownian=brownian)
+    lam = lyapunov_quadrature(dens, a, sigma, eps, measure, brownian=brownian)
     residual = explicit_adjoint_residual(dens, a, sigma, eps, measure,
                                          brownian=brownian) if explicit else None
-    return dens, lam, residual
+    return dens, lam, pw_limit(a, sigma, eps, measure, brownian), residual
 
 
 def _run_method(method: str, system, noise, est_cfg, cfg, lane_rows):
@@ -339,12 +328,13 @@ def _run_method(method: str, system, noise, est_cfg, cfg, lane_rows):
         return lyapunov_theorem33_estimate(system, noise, cfg["run.epsilon"],
                                            est_cfg, lane_rows)
     # fpcircle, the one method left after _check_methods
-    dens, lam, _ = _fp_solve(cfg, noise)
+    dens, lam, pw, _ = _fp_solve(cfg, noise)
     est = LyapunovEstimate(lam, 0.0, "fpcircle", cfg["run.epsilon"],
                            cfg["run.beta"], 0.0, 1)
     est.extras["fp_residual"] = dens.residual
     est.extras["fp_clipped_mass"] = dens.clipped_mass
     est.extras["fp_condition"] = dens.condition
+    est.extras["fp_pw_limit"] = pw
     return est
 
 
@@ -462,12 +452,12 @@ def cmd_fp_solve(cfg: dict) -> int:
     if system.name != "nilpotent":
         raise ConfigError("fp-solve needs the nilpotent system")
     _check_fp(cfg, noise)
-    dens, lam, explicit = _fp_solve(cfg, noise, explicit=True)
+    dens, lam, pw, explicit = _fp_solve(cfg, noise, explicit=True)
     grid = dens.grid
     results = {"lambda": lam, "residual": dens.residual,
                "explicit_adjoint_residual": explicit,
                "clipped_mass": dens.clipped_mass, "condition": dens.condition,
-               "grid_n": grid.n, "variant": cfg["fp.variant"]}
+               "pw_limit": pw, "grid_n": grid.n}
     _emit(cfg, "fp-solve", results, "theta,mu",
           [f"{_fmt(t)},{_fmt(m)}" for t, m in zip(grid.nodes, dens.values)])
     return 0

@@ -40,7 +40,7 @@ from .errors import (AllTrajectoriesExited, EmptyMeasure, ExitDetected,
 from .marcus import StepperConfig, check_epsilon, integrate, step
 from .noise import (JumpMeasureSpec, NoiseModel, jump_nodes, sample_block,
                     trajectory_streams)
-from .systems import rho_jump_profile
+from .systems import shear_growth_profile
 
 
 @dataclass
@@ -397,25 +397,17 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
 
 def shear_sigma0_profile(system, noise: NoiseModel, epsilon: float,
                          theta_grid: np.ndarray, beta: float = 2.0 / 3.0):
-    """Scaled growth-rate integrand on an angle grid, constant shear only:
-    the shear block at eps^beta, the Gaussian block at eps^(2-2beta) and the
-    jump compensator ``rho_jump_profile`` at amplitude eps^(1-beta) sigma
-    (zero at eps = 0).  Along the shear d^2 rho / ds^2 = cos 2zeta cos^2 zeta,
-    so by Taylor's theorem with integral remainder the compensator is
-    eps^(2-2beta) times the (1 - b)-weighted flow integral of the jump term."""
-    th = np.asarray(theta_grid, dtype=float)
-    a, sig = system.a, system.sigma
-    rate = noise.gaussian_rate
-    shear_part = a * np.sin(th) * np.cos(th)
-    noise_part = rate * sig ** 2 * (
-        0.5 * np.cos(th) ** 2 - np.sin(th) ** 2 * np.cos(th) ** 2)
-    profile = (epsilon ** beta * shear_part
-               + epsilon ** (2.0 - 2.0 * beta) * noise_part)
-    measure = noise.measure
-    if measure is None or not measure.has_jumps:
-        return profile
-    return profile + rho_jump_profile(th, epsilon ** (1.0 - beta) * sig,
-                                      jump_nodes(measure, noise.sampling_floor))
+    """Scaled growth-rate integrand ``shear_growth_profile`` on an angle
+    grid, constant shear only: the Gaussian part at ``noise.gaussian_rate``
+    and the jump marks from the sampling floor (zero at eps = 0).  Along the
+    shear d^2 rho / ds^2 = cos 2zeta cos^2 zeta, so by Taylor's theorem with
+    integral remainder the compensator is eps^(2-2beta) times the (1 -
+    b)-weighted flow integral of the jump term."""
+    m = noise.measure
+    nodes = (jump_nodes(m, noise.sampling_floor)
+             if m is not None and m.has_jumps else None)
+    return shear_growth_profile(theta_grid, system.a, system.sigma, epsilon,
+                                beta, noise.gaussian_rate, nodes)
 
 
 def lyapunov_theorem33_estimate(system, noise: NoiseModel, epsilon: float,

@@ -1,5 +1,6 @@
-"""Stationary density of the angle process of the shear system, and the
-growth rate by quadrature against it.
+"""Stationary density of the angle process of the shear system, the
+growth rate by quadrature against it, and its Pinsky-Wihstutz limit in
+closed form (``pw_limit``).
 
 The generator combines local drift/diffusion terms (second-order central
 differences with periodic wrap) with the nonlocal jump term, discretized by
@@ -41,11 +42,13 @@ import numpy as np
 
 from .errors import DegenerateNullspace, InvalidGrid, InvalidParameter
 from .noise import JumpMeasureSpec, jump_moment, jump_nodes
-from .systems import exact_theta_jump, rho_jump_profile
+from .systems import exact_theta_jump, shear_growth_profile
 
 # largest 1-norm condition number of the bordered stationary system accepted
 # as a one-dimensional nullspace
 CONDITION_LIMIT = 1e10
+# the top exponent of the parameter-free shear du1 = u2 dt, du2 = u1 dW
+LAMBDA1 = math.sqrt(math.pi) * 0.75 ** (1.0 / 3.0) / math.gamma(1.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ def build_generator(a: float, sigma: float, epsilon: float,
     """Angle-process generator for the shear system:
     -a sin^2 d/dth + eps^2 sig^2 (-sin cos^3 d/dth + cos^4/2 d2/dth2)
     + nonlocal jump term with the closed-form shear angle map; every
-    coefficient is invariant under theta -> theta + pi.
+    coefficient is unchanged by theta -> theta + pi.
     """
     th = grid.nodes[:grid.n // 2]
     s, c = np.sin(th), np.cos(th)
@@ -161,28 +164,6 @@ def build_generator(a: float, sigma: float, epsilon: float,
             np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
         G[idx, idx] -= wq
     return GeneratorMatrix(grid, G)
-
-
-def pw_substitution(sigma: float, epsilon: float,
-                    measure: Optional[JumpMeasureSpec],
-                    brownian: bool = True) -> tuple[float, float]:
-    """(sigma_pw, scale) that turn the plain circle problem into the
-    Pinsky-Wihstutz (PW) limit of the rescaled angle process.
-
-    Rescaled by eps^(2/3), the leading-order angle generator is the
-    Brownian shear generator at eps = 1 with the variance rate b + m2: b is
-    1 with the Brownian part and 0 without, and m2 is the jump second
-    moment over the sampled band [floor_delta, cutoff).  Jumps enter only
-    through that moment, so no nonlocal term remains, and both Gaussian
-    substitutes are ignored, as in the plain generator.  Solving the plain
-    problem at (sigma_pw = sigma sqrt(b + m2), eps = 1, no measure) and
-    multiplying its growth rate by scale = eps^(2/3) gives the PW exponent
-    lambda_1 (a eps sigma_pw)^(2/3).
-    """
-    m2 = 0.0
-    if measure is not None and measure.has_jumps:
-        m2 = jump_moment(measure, 2.0, measure.floor_delta, measure.cutoff_c)
-    return sigma * math.sqrt((1.0 if brownian else 0.0) + m2), epsilon ** (2.0 / 3.0)
 
 
 def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
@@ -229,8 +210,9 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     cols = [np.maximum(Ap[:m, :m], Am[:m, :m]).sum(0)
             + (Ap[m:, :m].sum(0) + Am[m:, :m].sum(0)) / r2]
     cols += [r2 * A[:m, m:].sum(0) + A[m:, m:].sum(0) for A in (Ap, Am)]
-    norm = max(np.abs(R).sum(1).max() + h + parity, n)  # ||K||_1
-    kappa = float(norm * np.concatenate(cols).max())
+    # ||K||_1, and kappa_1 in Python floats: an overflow gives inf silently
+    norm = max(float(np.abs(R).sum(1).max()) + h + parity, n)
+    kappa = norm * float(np.concatenate(cols).max())
     if not kappa < CONDITION_LIMIT:
         raise DegenerateNullspace(
             f"bordered system condition {kappa:.3g} is not below "
@@ -246,18 +228,31 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
 def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
                         epsilon: float, measure: Optional[JumpMeasureSpec],
                         *, brownian: bool = True) -> float:
-    """Growth rate as the density-weighted angle average of the log-radius
-    drift a sin cos + eps^2 sig^2 (cos^2/2 - sin^2 cos^2) + jump term
-    (trapezoid rule; exact spacing on the periodic grid).
-    """
-    th = density.grid.nodes
-    s, c = np.sin(th), np.cos(th)
-    q = a * s * c
-    if brownian:
-        q = q + epsilon ** 2 * sigma ** 2 * (0.5 * c * c - s * s * c * c)
-    if measure is not None and measure.has_jumps:
-        q = q + rho_jump_profile(th, epsilon * sigma, jump_nodes(measure))
+    """Growth rate as the density-weighted angle average of the unscaled
+    integrand ``shear_growth_profile`` (trapezoid rule; exact spacing on the
+    periodic grid)."""
+    jumps = measure is not None and measure.has_jumps
+    nodes = jump_nodes(measure) if jumps else None
+    q = shear_growth_profile(density.grid.nodes, a, sigma, epsilon, 0.0,
+                             1.0 if brownian else 0.0, nodes)
     return float(np.sum(q * density.values) * density.grid.h)
+
+
+def pw_limit(a: float, sigma: float, epsilon: float,
+             measure: Optional[JumpMeasureSpec], brownian: bool = True) -> float:
+    """The Pinsky-Wihstutz (PW) limit lambda_1 (a eps sigma sqrt(b + m2))^(2/3)
+    of the growth rate, lambda_1 = sqrt(pi) (3/4)^(1/3) / Gamma(1/6).
+
+    Rescaled by eps^(2/3), the leading-order angle generator is the Brownian
+    shear generator with the variance rate b + m2: b is 1 with the Brownian
+    part and 0 without, and m2 is the jump second moment over [floor_delta,
+    cutoff), the band the circle generator models.
+    """
+    m2 = 0.0
+    if measure is not None:
+        m2 = jump_moment(measure, 2.0, measure.floor_delta, measure.cutoff_c)
+    rate = (1.0 if brownian else 0.0) + m2
+    return LAMBDA1 * (a * epsilon * sigma * math.sqrt(rate)) ** (2.0 / 3.0)
 
 
 def explicit_adjoint_residual(density: CircleDensity, a: float, sigma: float,

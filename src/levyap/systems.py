@@ -7,7 +7,8 @@ V(x) = (0, sigma x1), the critical-point tolerance ``tol_crit`` of the
 exit check, the frame ``frame(x1, x2) -> (U1, U2)`` and the
 frame-coefficient evaluator ``coeffs`` written in it, and (for the shear
 system) closed-form jump maps on the circle with the compensator integral
-of the log-radius jump (``rho_jump_profile``).
+of the log-radius jump (``rho_jump_profile``) and the one growth-rate
+integrand built on it (``shear_growth_profile``).
 """
 
 from __future__ import annotations
@@ -75,6 +76,23 @@ def rho_jump_profile(theta, amp, nodes) -> np.ndarray:
     if quadratic:
         vals = vals / (z * z)
     return (vals * w).sum(axis=-1)
+
+
+def shear_growth_profile(theta, a, sigma, epsilon, beta, rate, nodes) -> np.ndarray:
+    """Growth-rate integrand of the shear system at the angles theta, for
+    the tangent rescaled by eps^beta (beta = 0: unscaled): the log-radius
+    drift eps^beta a sin cos + eps^(2-2beta) rate sigma^2 (cos^2/2 -
+    sin^2 cos^2), with ``rate`` the variance rate of the Gaussian part, plus
+    the compensator ``rho_jump_profile`` at amplitude eps^(1-beta) sigma on
+    the marks ``nodes`` (None without jumps)."""
+    th = np.asarray(theta, dtype=float)
+    s, c = np.sin(th), np.cos(th)
+    profile = (epsilon ** beta * (a * s * c)
+               + epsilon ** (2.0 - 2.0 * beta)
+               * (rate * sigma ** 2 * (0.5 * c ** 2 - s ** 2 * c ** 2)))
+    if nodes is None:
+        return profile
+    return profile + rho_jump_profile(th, epsilon ** (1.0 - beta) * sigma, nodes)
 
 
 @dataclass(frozen=True)

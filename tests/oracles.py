@@ -23,6 +23,9 @@
   a point, with its jump term by flow quadrature on the closed-form angle
   jump, the oracle of ``estimators.shear_sigma0_profile``.
 * ``shear_exponent``: the exact top exponent of the Brownian shear system.
+* ``pw_route``: the Pinsky-Wihstutz limit by the circle Fokker-Planck solve,
+  the Brownian problem with the jumps folded into the variance rate; its
+  Richardson value is ``shear_exponent`` and ``fpcircle.pw_limit``.
 * ``per_step_angle_lanes``: the shear's Khasminskii averages from an Euler
   scheme for the rescaled angle, one step and one lane array at a time, with
   the closed-form angle and log-radius jumps.  The generic Khasminskii route
@@ -39,10 +42,12 @@ import numpy as np
 
 from levyap._lanes import AngleLanesResult, _lane_blocks
 from levyap.errors import ExitDetected, LevyapError
+from levyap.fpcircle import (build_generator, lyapunov_quadrature,
+                             solve_stationary)
 from levyap.frame import angle_jump_flow, polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
-from levyap.noise import (gauss_legendre, jump_nodes, sample_block,
-                          trajectory_streams)
+from levyap.noise import (gauss_legendre, jump_moment, jump_nodes,
+                          sample_block, trajectory_streams)
 from levyap.systems import exact_rho_jump, exact_theta_jump, rho_jump_profile
 
 
@@ -77,6 +82,25 @@ def shear_exponent(a: float, eps: float, sigma: float, rate: float = 1.0) -> flo
     Fokker-Planck solve reproduces it, see tests/test_fpcircle.py).
     """
     return LAMBDA1 * (a * eps * sigma * math.sqrt(rate)) ** (2.0 / 3.0)
+
+
+def pw_route(eps: float, measure, grid):
+    """(density, growth rate) of the PW limit of the shear system at a = 1,
+    sigma = 1, with the Brownian part, on the circle grid.
+
+    Rescaled by eps^(2/3), the leading-order angle generator is the Brownian
+    shear generator at eps = 1 with the variance rate 1 + m2, where m2 is the
+    jump second moment over [floor_delta, cutoff).  So the plain circle
+    problem at sigma_pw = sqrt(1 + m2), eps = 1 and no measure, its growth
+    rate times eps^(2/3), is the PW exponent up to the grid error.
+    """
+    m2 = 0.0
+    if measure is not None:
+        m2 = jump_moment(measure, 2.0, measure.floor_delta, measure.cutoff_c)
+    sigma_pw = math.sqrt(1.0 + m2)
+    dens = solve_stationary(build_generator(1.0, sigma_pw, 1.0, None, grid))
+    return dens, eps ** (2.0 / 3.0) * lyapunov_quadrature(dens, 1.0, sigma_pw,
+                                                          1.0, None)
 
 
 def duffing_energy(x1: float, x2: float) -> float:

@@ -12,9 +12,9 @@ from levyap._lanes import shear_angle_lanes
 from levyap.cli import CONFIG_SCHEMA, load_config_file, main
 from levyap.errors import ConfigError
 from levyap.marcus import StepperConfig
-from levyap.noise import JumpMeasureSpec, NoiseModel
+from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment
 from levyap.systems import make_duffing, make_nilpotent
-from oracles import array_fields, array_integrate
+from oracles import array_fields, array_integrate, shear_exponent
 
 
 def run_cli(args):
@@ -207,6 +207,22 @@ def test_config_round_trip(tmp_path, capsys):
     assert a["config"] == b["config"]
 
 
+def test_config_with_removed_fp_variant_key_refused(tmp_path, capsys):
+    """An artifact's config block that still carries fp.variant is refused as
+    an unknown key before any work; without that line it runs."""
+    stem = tmp_path / "fp"
+    assert run_cli(["fp-solve", "--floor-delta", "0.05", "--grid-n", "64",
+                    "--output", str(stem)]) == 0
+    payload = json.loads(stem.with_suffix(".json").read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"config": dict(payload["config"],
+                                              **{"fp.variant": "plain"})}))
+    capsys.readouterr()
+    assert run_cli(["fp-solve", "--config", str(old)]) == 2
+    assert "unknown key 'fp.variant'" in capsys.readouterr().err
+    assert run_cli(["fp-solve", "--config", str(stem.with_suffix(".json"))]) == 0
+
+
 def test_workers_do_not_change_artifacts(tmp_path, capsys):
     base = ["lyapunov", "--method", "direct,khasminskii", "--horizon", "30",
             "--replicates", "8", "--epsilon", "0.2", "--seed", "12",
@@ -276,23 +292,38 @@ def test_fp_solve_artifacts(tmp_path, capsys):
 
 
 def test_fp_solve_pw_ignores_beta(capsys):
-    """fp.variant = pw is the PW limit at the standard rescaling; run.beta
-    does not enter it, and its explicit adjoint residual is reported."""
+    """The growth rate and the PW limit of fp-solve do not read run.beta:
+    the circle solve is unscaled and the PW limit is taken at the standard
+    rescaling."""
     results = []
     for beta in ([], ["--beta", "0.5"]):
-        assert run_cli(["fp-solve", "--variant", "pw", "--floor-delta", "0.05",
+        assert run_cli(["fp-solve", "--floor-delta", "0.05",
                         "--grid-n", "128"] + beta) == 0
         results.append(json.loads(capsys.readouterr().out)["results"])
-    assert results[0]["lambda"] == results[1]["lambda"]
-    assert results[0]["explicit_adjoint_residual"] is not None
+    for key in ("lambda", "pw_limit", "explicit_adjoint_residual"):
+        assert results[0][key] == results[1][key]
 
 
-def test_fp_solve_pw_at_zero_epsilon_is_zero(capsys):
-    """The plain route refuses eps = 0; the PW limit scales by eps^(2/3)
-    and so returns exactly 0 there."""
-    assert run_cli(["fp-solve", "--variant", "pw", "--epsilon", "0",
-                    "--grid-n", "64"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["lambda"] == 0.0
+@pytest.mark.parametrize("brownian", ["true", "false"])
+def test_pw_limit_fields_match_closed_form(brownian, capsys):
+    """fp-solve reports pw_limit and --method fpcircle fp_pw_limit, both the
+    closed form lambda_1 (a eps sigma sqrt(b + m2))^(2/3); no fp.variant key
+    is left in the config."""
+    measure = JumpMeasureSpec(alpha=1.5, c_alpha=0.8, cutoff_c=1.0,
+                              floor_delta=0.05)
+    rate = (brownian == "true") + jump_moment(measure, 2.0, 0.05, 1.0)
+    want = shear_exponent(1.3, 0.07, 0.7, rate=rate)
+    model = ["--a", "1.3", "--sigma", "0.7", "--epsilon", "0.07", "--c-alpha",
+             "0.8", "--floor-delta", "0.05", "--brownian", brownian,
+             "--grid-n", "64"]
+    assert run_cli(["fp-solve"] + model) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "fp.variant" not in payload["config"]
+    assert "variant" not in payload["results"]
+    assert payload["results"]["pw_limit"] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert run_cli(["lyapunov", "--method", "fpcircle"] + model) == 0
+    est = json.loads(capsys.readouterr().out)["results"]["fpcircle"]
+    assert est["fp_pw_limit"] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_lyapunov_theorem33_method(tmp_path, capsys):
@@ -363,9 +394,6 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["fp-solve", "--floor-delta", "0", "--ar-threshold", "0.1"],
                                   ["lyapunov", "--method", "fpcircle", "--floor-delta", "0",
                                    "--ar-threshold", "0.1"],
-                                  ["fp-solve", "--variant", "foo", "--grid-n", "64"],
-                                  ["lyapunov", "--method", "fpcircle", "--variant", "foo",
-                                   "--grid-n", "64"],
                                   ["fp-solve", "--grid-n", "15"],
                                   ["lyapunov", "--method", "fpcircle", "--grid-n", "15"],
                                   ["lyapunov", "--x0", "a,b"],
@@ -375,27 +403,21 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["simulate", "--x0", "1,2,3"],
                                   ["sweep", "--epsilons", "0.05,0.1,0.2,0.4",
                                    "--beta", "1.5"],
-                                  ["fp-solve", "--variant", "pw", "--beta", "nan",
-                                   "--grid-n", "64"],
+                                  ["fp-solve", "--beta", "nan", "--grid-n", "64"],
                                   ["fp-solve", "--epsilon", "-0.1", "--grid-n", "64"],
                                   ["fp-solve", "--epsilon", "nan", "--grid-n", "64"],
-                                  ["fp-solve", "--variant", "pw", "--epsilon", "inf",
-                                   "--grid-n", "64"],
+                                  ["fp-solve", "--epsilon", "inf", "--grid-n", "64"],
                                   ["fp-solve", "--epsilon", "0", "--grid-n", "64"],
                                   ["lyapunov", "--method", "fpcircle", "--epsilon", "0",
                                    "--grid-n", "64"],
                                   ["fp-solve", "--brownian", "false", "--c-alpha", "0",
                                    "--grid-n", "64"],
-                                  ["fp-solve", "--brownian", "false", "--c-alpha", "0",
-                                   "--variant", "pw", "--grid-n", "64"],
                                   ["lyapunov", "--method", "fpcircle", "--brownian", "false",
                                    "--c-alpha", "0", "--grid-n", "64"],
                                   ["lyapunov", "--method", "khasminskii", "--floor-delta",
                                    "0.05", "--cutoff-c", "inf"],
                                   ["fp-solve", "--floor-delta", "0.05", "--cutoff-c", "inf",
                                    "--grid-n", "64"],
-                                  ["fp-solve", "--variant", "pw", "--floor-delta", "0.05",
-                                   "--cutoff-c", "inf", "--grid-n", "64"],
                                   ["lyapunov", "--floor-delta", "0.05", "--cutoff-c", "inf"],
                                   ["simulate", "--floor-delta", "0.05", "--cutoff-c", "inf"],
                                   ["lyapunov", "--method", "direct,khasminskii", "--c-alpha",
@@ -413,7 +435,15 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["simulate", "--c-alpha", "inf"],
                                   ["simulate", "--c-alpha", "1e300"],
                                   ["simulate", "--c-alpha", "1e12", "--floor-delta", "0.05"],
-                                  ["lyapunov", "--c-alpha", "1e12", "--floor-delta", "0.05"]])
+                                  ["lyapunov", "--c-alpha", "1e12", "--floor-delta", "0.05"],
+                                  ["lyapunov", "--method", "direct,direct", "--floor-delta",
+                                   "0.05"],
+                                  ["lyapunov", "--method", "direct, direct", "--floor-delta",
+                                   "0.05"],
+                                  ["lyapunov", "--method", "khasminskii,theorem33,khasminskii",
+                                   "--floor-delta", "0.05"],
+                                  ["lyapunov", "--method", "fpcircle,fpcircle", "--floor-delta",
+                                   "0.05", "--grid-n", "64"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",

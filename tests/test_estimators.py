@@ -14,12 +14,12 @@ from levyap.estimators import (EstimatorConfig, LyapunovEstimate,
                                lyapunov_theorem33_estimate,
                                shear_sigma0_profile, scaling_sweep)
 from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
-                             pw_substitution, solve_stationary)
+                             solve_stationary)
 from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (NilpotentSystem, make_duffing, make_nilpotent,
                             rho_jump_profile)
-from oracles import per_step_angle_lanes, sigma0
+from oracles import per_step_angle_lanes, pw_route, sigma0
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -295,21 +295,13 @@ def test_theorem33_epsilon_scaling_structure():
     assert hi == pytest.approx(2.0 ** (2.0 / 3.0) * lo, rel=1e-12)
 
 
-def pw_density_and_lambda(eps, grid):
-    """Density and growth rate of the fp.variant = pw route on MEASURE: the
-    Brownian problem at eps = 1 with sigma_pw, its rate scaled by eps^(2/3)."""
-    sigma_pw, scale = pw_substitution(1.0, eps, MEASURE)
-    dens = solve_stationary(build_generator(1.0, sigma_pw, 1.0, None, grid))
-    return dens, scale * lyapunov_quadrature(dens, 1.0, sigma_pw, 1.0, None)
-
-
 def test_theorem33_matches_fp_on_solver_measure():
     """Same stationary measure, two integrand routes: the flow-quadrature
     profile against the closed-form rescaled drift, within discretization
     tolerance."""
     eps = 0.02
     grid = CircleGrid(512)
-    dens, lam_pw = pw_density_and_lambda(eps, grid)
+    dens, lam_pw = pw_route(eps, MEASURE, grid)
     w = dens.values / np.sum(dens.values)
     lam33 = w @ shear_sigma0_profile(NIL, JUMPS, eps, grid.nodes)
     assert abs(lam33 - lam_pw) <= 0.02 * abs(lam_pw)
@@ -319,7 +311,7 @@ def test_theorem33_estimate_from_simulated_occupation():
     eps = 0.02
     cfg = EstimatorConfig(dt=1e-3, horizon=800.0, replicates=8, seed=21)
     est = lyapunov_theorem33_estimate(NIL, JUMPS, eps, cfg)
-    _, lam_pw = pw_density_and_lambda(eps, CircleGrid(512))
+    _, lam_pw = pw_route(eps, MEASURE, CircleGrid(512))
     assert est.stderr > 0
     assert abs(est.value - lam_pw) <= max(3.0 * est.stderr, 0.02 * abs(lam_pw))
 

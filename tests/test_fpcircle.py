@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from levyap.errors import DegenerateNullspace, InvalidGrid, InvalidParameter
 from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
                              GeneratorMatrix, _catmull_rom_row, _local_part,
                              build_generator, explicit_adjoint_residual,
-                             lyapunov_quadrature, pw_substitution,
-                             solve_stationary)
+                             lyapunov_quadrature, pw_limit, solve_stationary)
 from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
 from levyap.systems import exact_theta_jump, rho_jump_profile
-from oracles import shear_exponent
+from oracles import pw_route, shear_exponent
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
 
@@ -68,14 +68,6 @@ def svd_lstsq_density(gen):
     mu = np.clip(mu, 0.0, None)
     mu /= np.sum(mu) * h
     return mu, sv[-2] / sv[0]
-
-
-def pw_lambda(eps, measure, grid):
-    """The fp.variant = pw route: the Brownian problem at eps = 1 with
-    sigma_pw, its growth rate scaled by eps^(2/3)."""
-    sigma_pw, scale = pw_substitution(1.0, eps, measure)
-    dens = solve_stationary(build_generator(1.0, sigma_pw, 1.0, None, grid))
-    return scale * lyapunov_quadrature(dens, 1.0, sigma_pw, 1.0, None)
 
 
 def condition_1(gen):
@@ -295,6 +287,17 @@ def test_near_reducible_generator_raises():
         solve_stationary(gen)
 
 
+def test_overflowing_condition_refused_without_warning():
+    """c_alpha = 1e300 overflows kappa_1: the solve refuses it as condition
+    inf and raises no numpy overflow warning on the way."""
+    huge = JumpMeasureSpec(alpha=1.5, c_alpha=1e300, cutoff_c=1.0, floor_delta=0.05)
+    gen = build_generator(1.0, 1.0, 0.1, huge, CircleGrid(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateNullspace, match="condition inf"):
+            solve_stationary(gen)
+
+
 def test_resolvable_generator_solves():
     gen = sin2_generator(1e-6)
     ref_mu, gap = svd_lstsq_density(gen)
@@ -384,37 +387,40 @@ def test_lambda_consistency_between_variants(eps):
     grid = CircleGrid(256)
     plain = solve_stationary(build_generator(1.0, 1.0, eps, MEASURE, grid))
     lam_plain = lyapunov_quadrature(plain, 1.0, 1.0, eps, MEASURE)
-    lam_pw = pw_lambda(eps, MEASURE, grid)
+    lam_pw = pw_route(eps, MEASURE, grid)[1]
     assert abs(lam_plain - lam_pw) / abs(lam_plain) < 0.01
 
 
 def test_pw_richardson_value_matches_closed_form():
-    """The pw route, Richardson-extrapolated from n = 1024 and 2048, is the
-    Pinsky-Wihstutz exponent lambda_1 (a eps sigma sqrt(b + m2))^(2/3)
+    """pw_limit is the Pinsky-Wihstutz exponent lambda_1 (a eps sigma
+    sqrt(b + m2))^(2/3), with b = 1 or 0 for the Brownian part and m2 = 0
+    without jumps; the circle FP route to the same limit,
+    Richardson-extrapolated from n = 1024 and 2048, reproduces it
     (measured 1.0e-10 relative)."""
     eps = 0.1
     m2 = jump_moment(MEASURE, 2.0, 0.05, 1.0)
-    lam = {n: pw_lambda(eps, MEASURE, CircleGrid(n)) for n in (1024, 2048)}
+    for measure, jump_rate in ((MEASURE, m2), (None, 0.0)):
+        for brownian in (True, False):
+            want = shear_exponent(1.3, eps, 0.7, rate=float(brownian) + jump_rate)
+            got = pw_limit(1.3, 0.7, eps, measure, brownian)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    lam = {n: pw_route(eps, MEASURE, CircleGrid(n))[1] for n in (1024, 2048)}
     extrap = (4.0 * lam[2048] - lam[1024]) / 3.0
     exact = shear_exponent(1.0, eps, 1.0, rate=1.0 + m2)
     assert abs(extrap - exact) <= 1e-9 * exact
-    # b = 0 without the Brownian part
-    assert pw_substitution(1.0, eps, MEASURE, False)[0] ** 2 == \
-        pytest.approx(m2, rel=1e-15)
 
 
 def test_plain_fp_with_jumps_sits_just_above_pw_limit():
     """Over the sweep epsilon, the plain FP value with jumps (floor 0.05,
-    Richardson from n = 512 and 1024) exceeds the PW limit by at most
-    0.2 %, and the gap grows with epsilon (measured 1.00044 -> 1.00146)."""
-    rate = 1.0 + jump_moment(MEASURE, 2.0, 0.05, 1.0)
+    Richardson from n = 512 and 1024) exceeds pw_limit by at most 0.2 %,
+    and the gap grows with epsilon (measured 1.00044 -> 1.00146)."""
     ratios = []
     for eps in (0.05, 0.08, 0.125, 0.2, 0.32):
         lam = {n: lyapunov_quadrature(solve_stationary(
                    build_generator(1.0, 1.0, eps, MEASURE, CircleGrid(n))),
                    1.0, 1.0, eps, MEASURE) for n in (512, 1024)}
         extrap = (4.0 * lam[1024] - lam[512]) / 3.0
-        ratios.append(extrap / shear_exponent(1.0, eps, 1.0, rate=rate))
+        ratios.append(extrap / pw_limit(1.0, 1.0, eps, MEASURE))
     assert all(1.0 <= r <= 1.002 for r in ratios), ratios
     assert all(np.diff(ratios) > 0.0), ratios
 
