@@ -30,25 +30,24 @@ _GROUP = 8
 
 
 def _lane_blocks(noise: NoiseModel, dt: float, n_steps: int, seed: int,
-                 indices, block_steps: int):
-    """Yield (offset, gauss (m, L), mark_sums (m, L) or None) block tables."""
+                 indices, block_steps: int, amp):
+    """Yield (offset, table (m, L)) block tables: row t, column j holds lane
+    j's amp[j] (dW + summed marks) of the block's step t."""
     streams = [trajectory_streams(seed, int(i)) for i in indices]
     done = 0
     while done < n_steps:
         m = min(block_steps, n_steps - done)
-        gauss = np.empty((m, len(streams)))
-        sums = None
+        table = np.empty((m, len(streams)))
         for j, (rb, rj) in enumerate(streams):
             blk = sample_block(noise, dt, m, rb, rj)
-            gauss[:, j] = blk.gauss
+            col = blk.gauss
             if blk.jump_marks.size:
-                if sums is None:
-                    sums = np.zeros((m, len(streams)))
-                sums[:, j] = blk.step_mark_sums()
-            del blk
-        yield done, gauss, sums
+                col = col + blk.step_mark_sums()
+            np.multiply(col, amp[j], out=table[:, j])
+            del blk, col
+        yield done, table
         # hold no table of this block while the next one is drawn
-        del gauss, sums
+        del table
         done += m
 
 
@@ -82,7 +81,8 @@ def _segments(noise: NoiseModel, dt: float, n: int, burn_steps: int,
               group: int = 0, history: bool = False):
     """Yield (ends, prods): the transfer products of the run's segments.
 
-    A step is v1 += h v2, then v2 += v1 amp (dW + summed marks), per lane.
+    A step is v1 += h v2, then v2 += v1 g, per lane, with g the lane's row
+    of its noise block's table (``_lane_blocks``), amp (dW + summed marks).
     Segments end at every multiple of _SEGMENT, at the burn-in step and at
     the last step, so none straddles the burn-in.  Each yield covers k
     segments of equal length in step order: ``ends`` (k,) are their end
@@ -104,11 +104,8 @@ def _segments(noise: NoiseModel, dt: float, n: int, burn_steps: int,
         c_hist = np.empty((S + 1, 2, 2, 1, L))
         c_hist[0] = eye
     c = 0                                  # and its steps so far
-    for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
-        if sums is not None:
-            gauss += sums
-        gauss *= amp
-        m = gauss.shape[0]
+    for off, table in _lane_blocks(noise, dt, n, seed, indices, block_steps, amp):
+        m = table.shape[0]
         i = 0
         while i < m:
             g0 = off + i
@@ -123,7 +120,7 @@ def _segments(noise: NoiseModel, dt: float, n: int, burn_steps: int,
                 if history:
                     hist = np.empty((S + 1, 2, 2, k, L))
                     hist[0] = eye
-                _advance(prods, gauss[i:i + k * S].reshape(k, S, L).swapaxes(0, 1),
+                _advance(prods, table[i:i + k * S].reshape(k, S, L).swapaxes(0, 1),
                          h, None if hist is None else hist[1:])
                 i += k * S
                 yield g0 + S * np.arange(1, k + 1), prods[None] if hist is None else hist
@@ -131,7 +128,7 @@ def _segments(noise: NoiseModel, dt: float, n: int, burn_steps: int,
             # the open segment, up to its end or to the block's
             seg_end = min((g0 // S + 1) * S, stop)
             end = min(seg_end, off + m)
-            _advance(carry, gauss[i:end - off], h,
+            _advance(carry, table[i:end - off], h,
                      None if c_hist is None else c_hist[c + 1:c + 1 + end - g0])
             c += end - g0
             i = end - off
@@ -141,7 +138,7 @@ def _segments(noise: NoiseModel, dt: float, n: int, burn_steps: int,
             carry[...] = eye
             c = 0
         # hold no table of this block while the next one is drawn
-        del gauss, sums
+        del table
 
 
 def _apply(prods, v, starts=None):

@@ -27,7 +27,6 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -124,6 +123,7 @@ def _run_chunked(worker: Callable, payload: tuple, n: int, workers: int) -> list
     chunks = _chunks(n, workers)
     if len(chunks) == 1:
         return worker(payload, chunks[0])
+    from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
     results = []
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(worker, payload, ch) for ch in chunks]

@@ -184,6 +184,18 @@ class BlockIncrements:
                            minlength=self.n_steps)
 
 
+def _event_order(steps: np.ndarray, offs: np.ndarray, dt: float) -> np.ndarray:
+    """np.lexsort((offs, steps)) for offsets in [0, dt], by one float sort:
+    the key steps + offs / dt has an exact integer part and fl(s + x) <= s + 1,
+    so it never decreases in (step, offset) order, and with no tie between
+    sorted neighbours its order is that one; a tie falls back to lexsort.
+    (Rounding can swap adjacent steps' events in steps * dt + offs, untied.)"""
+    key = steps + offs / dt
+    order = np.argsort(key)
+    ranked = key[order]
+    return np.lexsort((offs, steps)) if np.any(ranked[1:] == ranked[:-1]) else order
+
+
 def sample_block(noise: NoiseModel, dt: float, n_steps: int,
                  rng_brownian: np.random.Generator,
                  rng_jumps: np.random.Generator) -> BlockIncrements:
@@ -195,6 +207,7 @@ def sample_block(noise: NoiseModel, dt: float, n_steps: int,
       2. Poisson counts per step, then offsets, magnitudes and signs for
          all events of the block in bulk from the jump stream.
 
+    Events take lexsort's (step, offset) permutation, from ``_event_order``.
     dt = 0 gives zero increments and no events without consuming the streams.
     """
     if dt < 0.0:
@@ -217,7 +230,7 @@ def sample_block(noise: NoiseModel, dt: float, n_steps: int,
                              rng_jumps.random(total))
     marks = np.where(rng_jumps.random(total) < 0.5, -1.0, 1.0) * mag
     steps = np.repeat(np.arange(n_steps), counts)
-    order = np.lexsort((offs, steps))
+    order = _event_order(steps, offs, dt)
     return BlockIncrements(dt, n_steps, gauss, steps[order], offs[order],
                            marks[order])
 

@@ -26,6 +26,8 @@
 * ``pw_route``: the Pinsky-Wihstutz limit by the circle Fokker-Planck solve,
   the Brownian problem with the jumps folded into the variance rate; its
   Richardson value is ``shear_exponent`` and ``fpcircle.pw_limit``.
+* ``lane_blocks``: every lane's Gaussian and summed-mark tables of a noise
+  block kept apart, unscaled, for the per-step lane references.
 * ``per_step_angle_lanes``: the shear's Khasminskii averages from an Euler
   scheme for the rescaled angle, one step and one lane array at a time, with
   the closed-form angle and log-radius jumps.  The generic Khasminskii route
@@ -40,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from levyap._lanes import AngleLanesResult, _lane_blocks
+from levyap._lanes import AngleLanesResult
 from levyap.errors import ExitDetected, LevyapError
 from levyap.fpcircle import (build_generator, lyapunov_quadrature,
                              solve_stationary)
@@ -493,6 +495,27 @@ def rk4_angle_jump(system, z, x, theta: float, eps: float, beta: float,
     return recorded, advance(y, 1.0 - pos) if pos < 1.0 else y
 
 
+def lane_blocks(noise, dt: float, n_steps: int, seed: int, indices,
+                block_steps: int):
+    """Yield (offset, gauss (m, L), mark_sums (m, L) or None) block tables
+    drawn from the lanes' streams as the lane kernels draw them."""
+    streams = [trajectory_streams(seed, int(i)) for i in indices]
+    done = 0
+    while done < n_steps:
+        m = min(block_steps, n_steps - done)
+        gauss = np.empty((m, len(streams)))
+        sums = None
+        for j, (rb, rj) in enumerate(streams):
+            blk = sample_block(noise, dt, m, rb, rj)
+            gauss[:, j] = blk.gauss
+            if blk.jump_marks.size:
+                if sums is None:
+                    sums = np.zeros((m, len(streams)))
+                sums[:, j] = blk.step_mark_sums()
+        yield done, gauss, sums
+        done += m
+
+
 def per_step_angle_lanes(a, sigma, eps, beta, noise, dt, horizon, seed,
                          indices, burn_in=0.1, drift_stride=10,
                          theta_bins=256, block_steps=16384, theta0=0.7):
@@ -532,7 +555,7 @@ def per_step_angle_lanes(a, sigma, eps, beta, noise, dt, horizon, seed,
     if noise.jump_rate > 0.0:
         nodes = jump_nodes(noise.measure, noise.sampling_floor)
 
-    for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
+    for off, gauss, sums in lane_blocks(noise, dt, n, seed, indices, block_steps):
         m = gauss.shape[0]
         for i in range(m):
             step_no = off + i

@@ -557,10 +557,20 @@ def test_failed_replicate_is_written_as_null(tmp_path, capsys, monkeypatch):
         assert payload["results"]["direct"]["per_replicate"] == [0.2, None, 0.3]
 
 
-def test_cli_import_leaves_scipy_out():
-    code = ("import sys, levyap.cli; "
-            "sys.exit(1 if any(m == 'scipy' or m.startswith('scipy.') "
-            "for m in sys.modules) else 0)")
+def _modules_after_cli_import():
+    code = "import sys, levyap.cli; print(*sys.modules, sep='\\n')"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not any(m == "scipy" or m.startswith("scipy.")
+                   for m in _modules_after_cli_import())
+
+
+def test_cli_import_leaves_process_pool_out():
+    """The worker pool (and with it multiprocessing, socket and logging) is
+    imported only by a run split over more than one worker."""
+    assert "concurrent.futures.process" not in _modules_after_cli_import()

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from levyap._lanes import (_SEGMENT, AngleLanesResult, DirectLanesResult,
-                           _lane_blocks, shear_angle_lanes, shear_direct_lanes)
+                           shear_angle_lanes, shear_direct_lanes)
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_nodes
 from levyap.systems import rho_jump_profile
+from oracles import lane_blocks
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
 JUMPS = NoiseModel(measure=MEASURE)
@@ -72,7 +73,7 @@ def per_step_linear_angle_lanes(a, sigma, eps, beta, noise, dt, horizon, seed,
     def tangent():
         return P[:, 0] * u[0] + P[:, 1] * u[1] if products else u.copy()
 
-    for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
+    for off, gauss, sums in lane_blocks(noise, dt, n, seed, indices, block_steps):
         if sums is not None:
             gauss += sums
         gauss *= e_ang
@@ -230,7 +231,7 @@ def per_step_direct_lanes(a, sigma, eps, noise, dt, horizon, seed, indices,
     es = eps * sigma
     k = max(int(renorm_interval), 1)
     start_t = 0.0 if burn_steps == 0 else None
-    for off, gauss, sums in _lane_blocks(noise, dt, n, seed, indices, block_steps):
+    for off, gauss, sums in lane_blocks(noise, dt, n, seed, indices, block_steps):
         gauss *= es
         if sums is not None:
             sums *= es

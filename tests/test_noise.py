@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from levyap.errors import DivergentMoment, InvalidMeasure, InvalidParameter
 from levyap.noise import (BlockIncrements, JumpMeasureSpec, NoiseModel,
-                          jump_moment, jump_nodes, sample_block,
+                          _event_order, jump_moment, jump_nodes, sample_block,
                           trajectory_streams)
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.1)
@@ -302,3 +302,54 @@ def test_block_follows_documented_draw_order():
     assert np.array_equal(block.jump_steps, steps[order])
     assert np.array_equal(block.jump_offsets, offs[order])
     assert np.array_equal(block.jump_marks, marks[order])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("floor", [0.05, 1e-3])
+def test_event_order_is_lexsort_on_drawn_blocks(floor, seed):
+    """Steps and offsets drawn as sample_block draws them, one block of
+    16384 steps at dt = 1e-3 (about 42 events a step at floor 1e-3)."""
+    noise = NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=1.0,
+                                               cutoff_c=1.0, floor_delta=floor))
+    dt, n = 1e-3, 16384
+    _, rj = trajectory_streams(seed, 0)
+    counts = rj.poisson(noise.jump_rate * dt, n)
+    offs = dt * rj.random(int(counts.sum()))
+    steps = np.repeat(np.arange(n), counts)
+    assert np.count_nonzero(counts > 1) > 50
+    assert np.array_equal(_event_order(steps, offs, dt), np.lexsort((offs, steps)))
+
+
+def _edge(dt):
+    return np.nextafter(dt, 0.0)      # the largest offset below dt
+
+
+@pytest.mark.parametrize("steps, offs", [
+    # equal offsets in one step: a tie, so the lexsort fallback runs
+    ([3, 1, 3, 3, 0], [0.5e-2, 0.2e-2, 0.5e-2, 0.1e-2, 0.5e-2]),
+    # many ties in steps ordered as sample_block orders them: argsort is
+    # not stable on these, lexsort is
+    ([s for s in range(3) for _ in range(20)], [0.5e-2, 0.2e-2, 0.7e-2, 0.2e-2] * 15),
+    # the key of step 14's last offset rounds to 15.0, the key of step 15
+    # at offset 0; 14 dt + offset also lands above 15 dt with no tie
+    ([14, 15], [_edge(0.01), 0.0]),
+    ([15, 14], [0.0, _edge(0.01)]),
+    ([15, 14, 14], [0.0, 0.003, _edge(0.01)]),
+    ([], []),
+    ([7], [0.004]),
+], ids=["tie", "many-ties", "rounds-up", "rounds-up-reversed", "rounds-up-three", "empty",
+        "one"])
+def test_event_order_is_lexsort_on_crafted_blocks(steps, offs):
+    dt = 0.01
+    steps = np.array(steps, dtype=np.int64)
+    offs = np.array(offs, dtype=float)
+    got = _event_order(steps, offs, dt)
+    assert np.array_equal(got, np.lexsort((offs, steps)))
+    assert len(got) == len(steps) and got.dtype.kind == "i"
+
+
+def test_event_order_case_keys_round_as_stated():
+    # the crafted cases above exercise what their comments claim
+    dt = 0.01
+    assert 14 + _edge(dt) / dt == 15.0
+    assert 14 * dt + _edge(dt) > 15 * dt + 0.0
