@@ -14,7 +14,7 @@ from .frame import FrameCoefficients
 from .marcus import (StepperConfig, TrajectoryState, VectorFieldSet, integrate,
                      step)
 from .noise import JumpMeasureSpec, NoiseModel, jump_moment, trajectory_streams
-from .systems import (DuffingSystem, NilpotentSystem, exact_rho_jump,
-                      exact_theta_jump, make_duffing, make_nilpotent)
+from .systems import (DuffingSystem, NilpotentSystem, exact_theta_jump,
+                      make_duffing, make_nilpotent)
 
 __version__ = "0.1.0"

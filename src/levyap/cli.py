@@ -96,12 +96,19 @@ def default_config() -> dict:
 
 
 def load_config_file(path: str) -> dict:
-    """Read a flat key = value file or the config block of a JSON summary."""
-    text = Path(path).read_text()
+    """Read a flat key = value file or the config block of a JSON summary;
+    a file that cannot be read or parsed is a ConfigError."""
+    is_json = path.endswith(".json")
+    try:
+        text = Path(path).read_text()
+        data = json.loads(text) if is_json else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     out = {}
-    if path.endswith(".json"):
-        data = json.loads(text)
-        block = data.get("config", data)
+    if is_json:
+        block = data.get("config", data) if isinstance(data, dict) else data
+        if not isinstance(block, dict):
+            raise ConfigError(f"{path}: expected a JSON object of config keys")
         for key, val in block.items():
             if key not in CONFIG_SCHEMA:
                 raise ConfigError(f"{path}: unknown key {key!r}")
@@ -409,6 +416,8 @@ def cmd_simulate(cfg: dict) -> int:
         raise ConfigError("simulate needs output.path")
     if not 0.0 <= cfg["run.horizon"] < math.inf:
         raise ConfigError(f"run.horizon must be finite and >= 0, got {cfg['run.horizon']}")
+    if cfg["run.record_stride"] < 1:
+        raise ConfigError(f"run.record_stride must be >= 1, got {cfg['run.record_stride']}")
     fields = system.fields(cfg["run.epsilon"])
     try:
         scfg = StepperConfig(dt=cfg["run.dt"], tol_crit=system.tol_crit)
@@ -419,7 +428,7 @@ def cmd_simulate(cfg: dict) -> int:
     x0 = np.asarray(x0 if x0 is not None else system.default_x0, float)
     polar = system.name == "nilpotent"
     rows = []
-    stride = max(1, cfg["run.record_stride"])
+    stride = cfg["run.record_stride"]
     counter = {"i": 0}
 
     def record(t, x):

@@ -69,8 +69,9 @@ class EstimatorConfig:
         if n < 1:
             raise InvalidParameter(f"horizon {self.horizon} is under half a step "
                                    f"dt = {self.dt}: no step would be taken")
-        if self.replicates < 1:
-            raise InvalidParameter("replicates must be >= 1")
+        for name in ("replicates", "workers"):
+            if getattr(self, name) < 1:
+                raise InvalidParameter(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.burn_in < 1.0:
             raise InvalidParameter("burn_in fraction must lie in [0, 1)")
         if int(round(self.burn_in * n)) >= n:
@@ -108,7 +109,7 @@ class SweepResult:
 
 
 def _chunks(n: int, workers: int):
-    workers = max(1, min(workers, n))
+    workers = min(workers, n)
     base, extra = divmod(n, workers)
     out, lo = [], 0
     for w in range(workers):

@@ -24,9 +24,9 @@ moderate (about 4.2e4, 1.7e5 and 7.7e5 for the eps = 0.1 shear generators
 at n = 512, 1024 and 2048, with or without jumps); a nearly reducible
 generator drives it up (2.3e14 for drift sin(2 theta) with diffusion 1e-10
 at n = 256, its antiperiodic block nearly singular), and
-kappa_1 >= CONDITION_LIMIT is refused.  The parity artifact of centered
-differences gets the alternating vector as a second border, in the
-periodic block when n/2 is even and in the antiperiodic one when it is odd.
+kappa_1 >= CONDITION_LIMIT is refused.  So is a generator whose nullspace
+is not one-dimensional, among them a constant drift with no diffusion, whose
+centered differences also annihilate the alternating vector.
 
 A separate diagnostic evaluates the explicit cos^2-scaled form of the
 adjoint equation on the solution as an independent validation residual.
@@ -125,7 +125,7 @@ def _jump_stencils(grid: CircleGrid, amp: float,
     if measure.floor_delta <= 0.0:
         raise InvalidParameter(
             "the nonlocal generator needs a truncated measure (floor_delta > 0)")
-    z, w, _ = jump_nodes(measure)
+    z, w = jump_nodes(measure)
     th = grid.nodes[:grid.n // 2]
     for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
         zeta = exact_theta_jump(th, amp * sq)
@@ -172,32 +172,19 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     (see the module docstring).  A singular block or kappa_1 >=
     CONDITION_LIMIT means the nullspace of G^T is not cleanly
     one-dimensional and raises DegenerateNullspace.
-
-    One benign degeneracy is tolerated: centered differences on an even
-    periodic grid decouple the two parities, so a constant drift with no
-    diffusion also annihilates the alternating vector, a pure grid artifact.
-    Then the alternating vector is a second border column and row, which
-    selects the solution orthogonal to the massless mode.
     """
     R = gen.rows
     n, h = gen.grid.n, gen.grid.h
     m, r2 = n // 2, math.sqrt(2.0)
     if not np.any(R):
         raise DegenerateNullspace("zero generator")
-    alt = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    sign = -1.0 if m % 2 else 1.0   # the circle's alternating vector is
-    v = alt @ R                     # [alt; sign alt], and G^T of it [r; sign r]
-    parity = bool(np.abs(v[:m] + sign * v[m:]).max()
-                  <= n * np.finfo(float).eps * np.abs(R).max())
     Y = []
     for s in (1.0, -1.0):           # the blocks (A + B)^T and (A - B)^T
-        borders = [(r2, r2 * h)] if s > 0 else []
-        borders += [(r2 * alt, r2 * alt)] if parity and s == sign else []
-        K = np.zeros((m + len(borders),) * 2)
+        K = np.zeros((m + (s > 0),) * 2)    # the periodic one has the mass border
         K[:m, :m] = R[:, :m].T
         K[:m, :m] += s * R[:, m:].T
-        for j, (col, row) in enumerate(borders):
-            K[:m, m + j], K[m + j, :m] = col, row
+        if s > 0:
+            K[:m, m], K[m, :m] = r2, r2 * h
         try:
             Y.append(np.linalg.inv(K))
         except np.linalg.LinAlgError as exc:
@@ -211,7 +198,7 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
             + (Ap[m:, :m].sum(0) + Am[m:, :m].sum(0)) / r2]
     cols += [r2 * A[:m, m:].sum(0) + A[m:, m:].sum(0) for A in (Ap, Am)]
     # ||K||_1, and kappa_1 in Python floats: an overflow gives inf silently
-    norm = max(float(np.abs(R).sum(1).max()) + h + parity, n)
+    norm = max(float(np.abs(R).sum(1).max()) + h, n)
     kappa = norm * float(np.concatenate(cols).max())
     if not kappa < CONDITION_LIMIT:
         raise DegenerateNullspace(

@@ -132,7 +132,6 @@ def angle_jump_flow(frame: Callable, sigma: float, w: float,
 def compute_Irho_generic(frame: Callable, sigma: float,
                          measure: JumpMeasureSpec, x, theta: float,
                          epsilon: float, beta: float = 2.0 / 3.0,
-                         z_panel_nodes: int = 16,
                          lo: Optional[float] = None) -> float:
     """Compensator integral of the log-radius equation,
 
@@ -142,20 +141,19 @@ def compute_Irho_generic(frame: Callable, sigma: float,
     pass the sampling floor when a Gaussian substitute covers the band
     below it), with z2 the log-radius change of the closed-form jump
     (``angle_jump_flow``).  The measure is symmetric and the subtracted term
-    linear in z, so each node contributes the pair sum z2(z) + z2(-z).
+    linear in z, so each node of ``noise.jump_nodes`` contributes the pair
+    sum z2(z) + z2(-z).
     """
     if not measure.has_jumps:
         return 0.0
     x1, x2 = float(x[0]), float(x[1])
-    zq, wq, quadratic = jump_nodes(measure, lo, z_panel_nodes)
+    zq, wq = jump_nodes(measure, lo)
     total = 0.0
     for z, wt in zip(zq.tolist(), wq.tolist()):
         pair = (angle_jump_flow(frame, sigma, epsilon * z, x1, x2, theta,
                                 epsilon, beta)[3]
                 + angle_jump_flow(frame, sigma, -epsilon * z, x1, x2, theta,
                                   epsilon, beta)[3])
-        if quadratic:
-            pair /= z * z
         total += wt * pair
     return total
 

@@ -208,18 +208,17 @@ def sample_block(noise: NoiseModel, dt: float, n_steps: int,
          all events of the block in bulk from the jump stream.
 
     Events take lexsort's (step, offset) permutation, from ``_event_order``.
-    dt = 0 gives zero increments and no events without consuming the streams.
     """
-    if dt < 0.0:
-        raise InvalidParameter("dt must be nonnegative")
+    if not dt > 0.0:
+        raise InvalidParameter(f"dt must be positive, got {dt}")
     rate = noise.gaussian_rate
-    if rate > 0.0 and dt > 0.0:
+    if rate > 0.0:
         gauss = rng_brownian.normal(0.0, math.sqrt(rate * dt), n_steps)
     else:
         gauss = np.zeros(n_steps)
     jrate = noise.jump_rate
     counts = None
-    if jrate > 0.0 and dt > 0.0:
+    if jrate > 0.0:
         counts = rng_jumps.poisson(jrate * dt, n_steps)
     total = 0 if counts is None else int(counts.sum())
     if total == 0:
@@ -245,27 +244,27 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=256)
 def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
                per_panel: int = 16):
-    """One-sided (z, w, quadratic) nodes over [lo, cutoff_c) for integrands
-    that vanish quadratically at 0; lo defaults to the measure's floor.
-    Symmetric integrals come from the caller evaluating g(z) + g(-z).
+    """One-sided (z, w) nodes over [lo, cutoff_c) for integrands that vanish
+    quadratically at 0: sum w g(z) approximates int g(z) nu(dz) over the
+    band; lo defaults to the measure's floor.  Symmetric integrals come from
+    the caller evaluating g(z) + g(-z).
 
     The density C z^(-1-alpha) spans many orders of magnitude, so a positive
     lo gets Gauss-Legendre on geometric panels of ratio 4, the weights
-    carrying the density.  lo = 0 gets the power substitution u = z^(2-alpha),
-    which leaves a bounded integrand, with 4 * per_panel nodes and the z^2
-    factor absorbed into the weights (``quadratic`` is True: the caller
-    divides its values by z^2).  Cached per measure; the arrays are
-    read-only.
+    carrying the density.  lo = 0 gets the power substitution u = z^(2-alpha)
+    with 4 * per_panel nodes, under which g(z) / z^2 is bounded; the weights
+    carry the substitution's C z^(-2) / (2 - alpha).  Cached per measure;
+    the arrays are read-only.
     """
     lo = measure.floor_delta if lo is None else lo
     hi = measure.cutoff_c
-    quadratic = not lo > 0.0
-    if not measure.has_jumps or (not quadratic and hi <= lo):
+    if not measure.has_jumps or hi <= lo:
         z = w = np.empty(0)
-    elif quadratic:
+    elif not lo > 0.0:
         p = 2.0 - measure.alpha
         u, w = gauss_legendre(4 * per_panel, 0.0, hi ** p)
-        z, w = u ** (1.0 / p), w * measure.c_alpha / p
+        z = u ** (1.0 / p)
+        w = w * measure.c_alpha / (p * z * z)
     else:
         zs, ws, b = [], [], hi
         while not zs or b > lo * (1 + 1e-12):   # one panel at least
@@ -277,4 +276,4 @@ def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
         z, w = np.concatenate(zs), np.concatenate(ws)
     z.setflags(write=False)
     w.setflags(write=False)
-    return z, w, quadratic
+    return z, w

@@ -38,17 +38,9 @@ def exact_theta_jump(theta, s):
     return out if out.ndim else float(out)
 
 
-def exact_rho_jump(theta, s):
-    """Log-radius change of the same shear: 0.5 log(1 + 2s sc + s^2 c^2)."""
-    theta = np.asarray(theta, dtype=float)
-    s = np.asarray(s, dtype=float)
-    st, ct = np.sin(theta), np.cos(theta)
-    out = 0.5 * np.log1p(s * (2.0 * st * ct + s * ct * ct))
-    return out if out.ndim else float(out)
-
-
 def rho_jump_even_sum(theta, s):
-    """exact_rho_jump(theta, s) + exact_rho_jump(theta, -s), cancellation-free.
+    """Log-radius change of the same shear, 0.5 log(1 + 2s sc + s^2 c^2),
+    summed over the marks s and -s, cancellation-free.
 
     Equals 0.5 log(1 + 2 s^2 cos^2 cos2theta + s^4 cos^4); the parts linear
     in s cancel exactly, which keeps small-s quadratures stable.
@@ -62,19 +54,17 @@ def rho_jump_even_sum(theta, s):
 
 def rho_jump_profile(theta, amp, nodes) -> np.ndarray:
     """int rho_jump_even_sum(theta, amp z) nu(dz): the compensator of the
-    shear's log-radius jumps, on the one-sided marks ``nodes`` = (z, w,
-    quadratic) of ``noise.jump_nodes``.
+    shear's log-radius jumps, on the one-sided marks ``nodes`` = (z, w) of
+    ``noise.jump_nodes``.
 
     theta and amp broadcast against each other (one angle, an angle grid,
     or one angle and amplitude per lane).  The node sum runs row by row as
     a pairwise sum, which keeps every row's bits independent of the number
     of rows (a BLAS matvec does not).
     """
-    z, w, quadratic = nodes
+    z, w = nodes
     vals = rho_jump_even_sum(np.asarray(theta, dtype=float)[..., None],
                              np.asarray(amp, dtype=float)[..., None] * z)
-    if quadratic:
-        vals = vals / (z * z)
     return (vals * w).sum(axis=-1)
 
 

@@ -23,6 +23,8 @@
   a point, with its jump term by flow quadrature on the closed-form angle
   jump, the oracle of ``estimators.shear_sigma0_profile``.
 * ``shear_exponent``: the exact top exponent of the Brownian shear system.
+* ``exact_rho_jump``: the log-radius change of one shear jump, one mark at a
+  time (the package sums the pair s, -s in ``systems.rho_jump_even_sum``).
 * ``pw_route``: the Pinsky-Wihstutz limit by the circle Fokker-Planck solve,
   the Brownian problem with the jumps folded into the variance rate; its
   Richardson value is ``shear_exponent`` and ``fpcircle.pw_limit``.
@@ -50,7 +52,7 @@ from levyap.frame import angle_jump_flow, polar_fields
 from levyap.marcus import StepperConfig, TrajectoryState, TrajectorySummary
 from levyap.noise import (gauss_legendre, jump_moment, jump_nodes,
                           sample_block, trajectory_streams)
-from levyap.systems import exact_rho_jump, exact_theta_jump, rho_jump_profile
+from levyap.systems import exact_theta_jump, rho_jump_profile
 
 
 class FlowEscape(LevyapError):
@@ -58,6 +60,16 @@ class FlowEscape(LevyapError):
 
 
 LAMBDA1 = math.sqrt(math.pi) * 0.75 ** (1.0 / 3.0) / math.gamma(1.0 / 6.0)
+
+
+def exact_rho_jump(theta, s):
+    """Log-radius change of the shear (u1, u2) -> (u1, s u1 + u2):
+    0.5 log(1 + 2s sc + s^2 c^2)."""
+    theta = np.asarray(theta, dtype=float)
+    s = np.asarray(s, dtype=float)
+    st, ct = np.sin(theta), np.cos(theta)
+    out = 0.5 * np.log1p(s * (2.0 * st * ct + s * ct * ct))
+    return out if out.ndim else float(out)
 
 
 def shear_exponent(a: float, eps: float, sigma: float, rate: float = 1.0) -> float:
@@ -168,7 +180,7 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
     x1, x2 = float(x[0]), float(x[1])
     bq, bw = gauss_legendre(inner_nodes, 0.0, 1.0)
     flow_w = (bw * (1.0 - bq)).tolist()
-    zq, wq, quadratic = jump_nodes(measure, lo, z_panel_nodes)
+    zq, wq = jump_nodes(measure, lo, z_panel_nodes)
     total = 0.0
     for z, wt in zip(zq.tolist(), wq.tolist()):
         for zs in (z, -z):
@@ -179,8 +191,6 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
                 zd = zs * coeffs_fn((y1, y2)).d
                 ct = math.cos(th)
                 val += fw * zd * zd * math.cos(2.0 * th) * ct * ct
-            if quadratic:
-                val /= z * z
             total += wt * val
     return total
 

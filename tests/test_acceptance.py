@@ -20,10 +20,11 @@ from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
 from levyap.frame import angle_jump_flow
 from levyap.marcus import StepperConfig, VectorFieldSet, integrate, step
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
-from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
-                            make_nilpotent, rho_jump_profile)
-from oracles import (duffing_energy, frame_coordinates, frame_oracle,
-                     marcus_jump_map, rk4_angle_jump, shear_exponent)
+from levyap.systems import (exact_theta_jump, make_duffing, make_nilpotent,
+                            rho_jump_profile)
+from oracles import (duffing_energy, exact_rho_jump, frame_coordinates,
+                     frame_oracle, marcus_jump_map, rk4_angle_jump,
+                     shear_exponent)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)

@@ -223,6 +223,21 @@ def test_config_with_removed_fp_variant_key_refused(tmp_path, capsys):
     assert run_cli(["fp-solve", "--config", str(stem.with_suffix(".json"))]) == 0
 
 
+@pytest.mark.parametrize("name,text", [("missing.cfg", None),
+                                       ("truncated.json", '{"config": {"run.seed": 1'),
+                                       ("list.json", '["run.seed", 1]'),
+                                       ("block.json", '{"config": [1]}')],
+                         ids=["missing", "truncated", "list", "block"])
+def test_unreadable_config_file_usage_error(name, text, tmp_path, capsys):
+    """A config file that cannot be read, that is not JSON, or whose top
+    level or config block is not an object is a usage error (exit 2)."""
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(["fp-solve", "--grid-n", "64", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
 def test_workers_do_not_change_artifacts(tmp_path, capsys):
     base = ["lyapunov", "--method", "direct,khasminskii", "--horizon", "30",
             "--replicates", "8", "--epsilon", "0.2", "--seed", "12",
@@ -443,7 +458,14 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--method", "khasminskii,theorem33,khasminskii",
                                    "--floor-delta", "0.05"],
                                   ["lyapunov", "--method", "fpcircle,fpcircle", "--floor-delta",
-                                   "0.05", "--grid-n", "64"]])
+                                   "0.05", "--grid-n", "64"],
+                                  ["lyapunov", "--workers", "0", "--floor-delta", "0.05"],
+                                  ["lyapunov", "--workers", "-3", "--floor-delta", "0.05"],
+                                  ["sweep", "--epsilons", "0.05,0.1,0.2,0.4", "--workers", "0",
+                                   "--floor-delta", "0.05"],
+                                  ["simulate", "--record-stride", "0", "--floor-delta", "0.05"],
+                                  ["simulate", "--record-stride", "-5", "--floor-delta",
+                                   "0.05"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",

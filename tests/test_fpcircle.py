@@ -24,22 +24,13 @@ def full_matrix(gen):
 
 
 def bordered_system(gen):
-    """The dense bordered matrix K = [[G^T, B], [C^T, 0]] of the stationary
-    solve: B = 1 and C = h 1 pin the unit mass, and the alternating vector
-    is a second border when G^T annihilates it (the parity artifact)."""
-    G = full_matrix(gen)
+    """The dense bordered matrix K = [[G^T, 1], [h 1^T, 0]] of the
+    stationary solve: the border pins the unit mass."""
     n, h = gen.grid.n, gen.grid.h
-    border = [np.ones(n)]
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    if np.abs(G.T @ alt).max() <= n * np.finfo(float).eps * np.abs(G).max():
-        border.append(alt)
-    k = len(border)
-    K = np.zeros((n + k, n + k))
-    K[:n, :n] = G.T
-    for j, b in enumerate(border):
-        K[:n, n + j] = b
-        K[n + j, :n] = b
-    K[n, :n] *= h
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = full_matrix(gen).T
+    K[:n, n] = 1.0
+    K[n, :n] = h
     return K
 
 
@@ -75,7 +66,8 @@ def condition_1(gen):
 
 
 def rotation_generator(n, speed=0.7):
-    """Constant drift, no diffusion: the parity artifact."""
+    """Constant drift, no diffusion: centered differences also annihilate
+    the alternating vector, so the nullspace of G^T is two-dimensional."""
     grid = CircleGrid(n)
     return GeneratorMatrix(grid, _local_part(grid, np.full(n // 2, speed),
                                              np.zeros(n // 2)))
@@ -120,13 +112,6 @@ def test_generator_drift_only_derivative():
     got = full_matrix(gen) @ f
     want = np.sin(grid.nodes) ** 3  # -sin^2 * d cos/dth
     assert np.abs(got - want).max() < (2 * math.pi / n) ** 2
-
-
-def test_pure_rotation_has_uniform_density():
-    gen = rotation_generator(128)
-    dens = solve_stationary(gen)
-    assert np.abs(dens.values - 1.0 / (2 * math.pi)).max() < 1e-10
-    assert dens.mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stationary_brownian_only():
@@ -213,7 +198,7 @@ def full_circle_generator(a, sigma, eps, measure, grid):
     G[idx, (idx + 1) % n] += drift / (2 * h) + diff / h ** 2
     G[idx, (idx - 1) % n] += -drift / (2 * h) + diff / h ** 2
     G[idx, idx] += -2.0 * diff / h ** 2
-    z, w, _ = jump_nodes(measure) if measure else (np.empty(0),) * 3
+    z, w = jump_nodes(measure) if measure else (np.empty(0),) * 2
     for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
         pos = (exact_theta_jump(th, eps * sigma * sq) % (2.0 * math.pi)) / h
         cols, cw = _catmull_rom_row(pos, n)
@@ -235,12 +220,12 @@ def test_rolled_rows_match_a_full_circle_build(measure, n):
     assert np.abs(full_matrix(gen) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("n", [256, 258, 2048])
 @pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
 def test_block_solve_matches_dense_oracle(measure, n):
     """The two half-turn blocks give the dense solve's density and the exact
-    kappa_1 of the full bordered circle system; the residual G^T mu of the
-    full matrix is the one reported."""
+    kappa_1 of the full bordered circle system, with n/2 even and odd; the
+    residual G^T mu of the full matrix is the one reported."""
     gen = build_generator(1.0, 1.0, 0.1, measure, CircleGrid(n))
     dens = solve_stationary(gen)
     ref_mu, ref_kappa = dense_solve(gen)
@@ -258,16 +243,14 @@ def test_block_solve_matches_dense_oracle(measure, n):
     assert full_residual < 1e-11
 
 
-@pytest.mark.parametrize("n", [64, 66], ids=["half-even", "half-odd"])
-def test_parity_border_in_each_block(n):
-    """The alternating vector is half-turn periodic when n/2 is even and
-    antiperiodic when n/2 is odd; either way its border gives the uniform
-    density of a pure rotation and the dense system's kappa_1."""
-    gen = rotation_generator(n)
-    assert bordered_system(gen).shape == (n + 2, n + 2)
-    dens = solve_stationary(gen)
-    assert np.abs(dens.values - 1.0 / (2 * math.pi)).max() < 1e-10
-    assert dens.condition == pytest.approx(condition_1(gen), rel=1e-10, abs=0)
+@pytest.mark.parametrize("n", [64, 66])
+def test_constant_drift_generator_refused(n):
+    """A constant drift with no diffusion leaves the nullspace of G^T two
+    dimensional (the constants and the alternating vector, which is
+    half-turn periodic when n/2 is even and antiperiodic when it is odd),
+    so the solve refuses it."""
+    with pytest.raises(DegenerateNullspace):
+        solve_stationary(rotation_generator(n))
 
 
 @pytest.mark.parametrize("diffusion", [1e-6, 1e-7, 1e-8, 1e-10])
@@ -326,13 +309,6 @@ def test_condition_of_fp_grid_far_below_limit(measure):
     assert kappa < CONDITION_LIMIT / 1e4
 
 
-def test_parity_border_only_for_the_parity_artifact():
-    grid = CircleGrid(64)
-    assert bordered_system(rotation_generator(64)).shape == (66, 66)
-    shear = build_generator(1.0, 1.0, 0.1, None, grid)
-    assert bordered_system(shear).shape == (65, 65)
-
-
 def test_nonlocal_generator_needs_floor():
     # the generator and the explicit residual share one nonlocal stencil
     # loop, and both refuse an untruncated measure
@@ -346,7 +322,7 @@ def test_nonlocal_generator_needs_floor():
 
 
 def test_lyapunov_quadrature_odd_term_drops_for_uniform_density():
-    dens = solve_stationary(rotation_generator(256, 1.0))
+    dens = CircleDensity(CircleGrid(256), np.full(256, 1.0 / (2.0 * math.pi)), 0.0)
     lam = lyapunov_quadrature(dens, 2.3, 0.0, 0.1, None, brownian=False)
     assert abs(lam) < 1e-12
 

@@ -385,7 +385,7 @@ def test_angle_jump_flow_matches_rk4_oracle(system):
 
 def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
                   panel_n=16, lo=None):
-    zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
+    zq, wq = jump_nodes(measure, lo, panel_n)
     _, s2 = polar_fields(system.coeffs(x), theta, eps, beta)
     sigma = system.sigma
     total = 0.0
@@ -396,8 +396,6 @@ def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
             y = angle_jump_flow(system.frame, sigma, eps * z, x[0], x[1],
                                 theta, eps, beta)
             pair += y[3] - z * s2
-        if quadratic:
-            pair /= zi * zi
         total += wi * pair
     return total
 
@@ -405,7 +403,7 @@ def irho_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0,
 def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
                 panel_n=16, lo=None):
     bq, bw = gauss_legendre(inner_n, 0.0, 1.0)
-    zq, wq, quadratic = jump_nodes(measure, lo, panel_n)
+    zq, wq = jump_nodes(measure, lo, panel_n)
     sigma = system.sigma
     total = 0.0
     for zi, wi in zip(zq, wq):
@@ -417,8 +415,6 @@ def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
                 zd = z * system.coeffs(np.array([y1, y2])).d
                 g[j] = zd * zd * math.cos(2.0 * th) * math.cos(th) ** 2
             val = float(np.sum(bw * (1.0 - bq) * g))
-            if quadratic:
-                val /= zi * zi
             total += wi * val
     return total
 
@@ -444,8 +440,8 @@ def test_batched_jump_quadratures_match_per_node_loop(measure, lo):
     loops."""
     for system, x, th in _quadrature_points():
         got = compute_Irho_generic(system.frame, system.sigma, measure, x, th,
-                                   0.1, z_panel_nodes=8, lo=lo)
-        want = irho_per_node(system, measure, x, th, 0.1, panel_n=8, lo=lo)
+                                   0.1, lo=lo)
+        want = irho_per_node(system, measure, x, th, 0.1, lo=lo)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-300), \
             ("irho", system.name, th)
         got = compute_R0(*callbacks(system, 0.1), measure, x, th, 0.1,

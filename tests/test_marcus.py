@@ -11,8 +11,8 @@ from levyap.noise import (JumpMeasureSpec, NoiseModel, gauss_legendre,
                           sample_block, trajectory_streams)
 from levyap.systems import make_duffing, make_nilpotent
 from oracles import (array_direct_one, array_fields, array_integrate,
-                     duffing_energy, marcus_jump_jacobian, marcus_jump_map,
-                     noise_field, rk4_jump)
+                     duffing_energy, exact_rho_jump, marcus_jump_jacobian,
+                     marcus_jump_map, noise_field, rk4_jump)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -256,7 +256,7 @@ def test_chain_rule_u_vs_polar_pathwise():
     """Simulating the plane system and mapping to polar coordinates agrees
     pathwise with simulating the angle/log-radius equations on the same
     noise, within strong-order tolerance at t = 1."""
-    from levyap.systems import exact_rho_jump, exact_theta_jump
+    from levyap.systems import exact_theta_jump
 
     eps, a, sig = 0.2, 1.0, 1.0
     dt = 1e-3

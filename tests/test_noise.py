@@ -21,11 +21,12 @@ def rngs(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed + 1000)
 
 
-def test_brownian_zero_dt_is_zero():
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_nonpositive_dt_refused(dt):
     rb, rj = rngs(0)
-    block = sample_block(NoiseModel(measure=MEASURE), 0.0, 3, rb, rj)
-    assert np.array_equal(block.gauss, np.zeros(3))
-    # dt = 0 consumes neither stream
+    with pytest.raises(InvalidParameter):
+        sample_block(NoiseModel(measure=MEASURE), dt, 3, rb, rj)
+    # the refusal consumes neither stream
     assert rb.random() == np.random.default_rng(0).random()
     assert rj.random() == np.random.default_rng(1000).random()
 
@@ -40,12 +41,6 @@ def test_brownian_mean_small_dt():
     draws = sample_block(NoiseModel(measure=None), 0.25, 10**4, *rngs(2)).gauss
     se = 0.5 / math.sqrt(draws.size)
     assert abs(draws.mean()) < 5 * se
-
-
-def test_jumps_zero_dt_empty():
-    block = sample_block(NoiseModel(measure=MEASURE), 0.0, 5, *rngs(0))
-    assert (len(block.jump_steps) == len(block.jump_offsets)
-            == len(block.jump_marks) == 0)
 
 
 def test_jump_count_mean_matches_intensity():
@@ -140,17 +135,15 @@ def test_jump_nodes_match_closed_form_moments(alpha, c_alpha, cutoff, floor):
     m = JumpMeasureSpec(alpha=alpha, c_alpha=c_alpha, cutoff_c=cutoff,
                         floor_delta=floor)
     # geometric panels from the floor: the weights carry the density
-    z, w, quadratic = jump_nodes(m)
-    assert not quadratic
+    z, w = jump_nodes(m)
     for p in (0.0, 2.0, 3.5):
         assert 2.0 * np.sum(w * z ** p) == pytest.approx(
             jump_moment(m, p, floor, cutoff), rel=1e-12)
-    # power substitution from 0: the weights absorb z^2
-    z0, w0, quadratic0 = jump_nodes(m, lo=0.0)
-    assert quadratic0
-    assert 2.0 * np.sum(w0) == pytest.approx(
-        jump_moment(m, 2.0, 0.0, cutoff), rel=1e-12)
+    # power substitution from 0: the weights carry C z^-2 / (2 - alpha)
+    z0, w0 = jump_nodes(m, lo=0.0)
     assert 2.0 * np.sum(w0 * z0 ** 2) == pytest.approx(
+        jump_moment(m, 2.0, 0.0, cutoff), rel=1e-12)
+    assert 2.0 * np.sum(w0 * z0 ** 4) == pytest.approx(
         jump_moment(m, 4.0, 0.0, cutoff), rel=1e-8)
     for arr in (z, w, z0, w0):
         assert not arr.flags.writeable
@@ -160,7 +153,7 @@ def test_jump_nodes_floor_next_to_cutoff():
     # a band narrower than the panel loop's 1e-12 guard still gets a panel
     floor = 1.0 - 1e-13
     m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=floor)
-    z, w, _ = jump_nodes(m)
+    z, w = jump_nodes(m)
     assert z.size == 16 and np.all((z > floor) & (z < 1.0))
     # both sides lose about three digits to the band's width (measured 3.7e-4)
     assert 2.0 * np.sum(w) == pytest.approx(jump_moment(m, 0.0, floor, 1.0),
@@ -170,7 +163,7 @@ def test_jump_nodes_floor_next_to_cutoff():
 def test_jump_nodes_empty_without_jumps():
     m = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0, floor_delta=0.05)
     for lo in (None, 0.0):
-        z, w, _ = jump_nodes(m, lo)
+        z, w = jump_nodes(m, lo)
         assert z.size == w.size == 0
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from levyap.errors import InvalidParameter
 from levyap.frame import angle_jump_flow
-from levyap.systems import (exact_rho_jump, exact_theta_jump, make_duffing,
-                            make_nilpotent, rho_jump_even_sum)
-from oracles import noise_field
+from levyap.systems import (exact_theta_jump, make_duffing, make_nilpotent,
+                            rho_jump_even_sum)
+from oracles import exact_rho_jump, noise_field
 
 
 def test_invalid_parameters():
