@@ -527,8 +527,11 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _check_output(cfg: dict) -> None:
-    """Refuse, before any work starts, an output stem in no directory."""
+def _check_run(cfg: dict) -> None:
+    """Refuse, before any work starts, run.workers below one and an output
+    stem in no directory: every command."""
+    if cfg["run.workers"] < 1:
+        raise ConfigError(f"run.workers must be >= 1, got {cfg['run.workers']}")
     stem = cfg["output.path"]
     if stem and not Path(stem).parent.is_dir():
         raise ConfigError(f"output.path {stem!r}: {str(Path(stem).parent)!r} "
@@ -540,7 +543,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        _check_output(cfg)
+        _check_run(cfg)
         return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

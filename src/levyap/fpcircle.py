@@ -16,7 +16,13 @@ G = [[A, B], [B, A]] exactly.  The orthogonal map (1/sqrt 2)[[I, I], [I, -I]]
 splits the bordered matrix K = [[G^T, 1], [h 1^T, 0]] of the stationary
 solve into the periodic block, (A + B)^T with the mass border times sqrt 2,
 and the antiperiodic block (A - B)^T, so two inverses of half the size
-replace one.  The density is a column of the periodic inverse, duplicated,
+replace one.  Each block couples a node to those within its stencil's
+cyclic reach; in the folded-ring order (0, m-1, 1, m-2, ...) of the m = n/2
+nodes that cyclic band becomes a plain one, so in blocks of b nodes (b the
+folded half-bandwidth, at least 16) the matrix is block tridiagonal but for
+the dense mass border, and block elimination gives its full inverse in
+O(m^2 b) flops, not the O(m^3) of a dense inverse.  The density is a column
+of the periodic inverse, unfolded and duplicated,
 and ||K||_1 ||K^-1||_1, assembled from both inverses with
 |a + b| + |a - b| = 2 max(|a|, |b|), is still the exact 1-norm condition
 number kappa_1 of the full circle system.  A simple nullspace keeps kappa_1
@@ -166,30 +172,93 @@ def build_generator(a: float, sigma: float, epsilon: float,
     return GeneratorMatrix(grid, G)
 
 
+def _fold(R: np.ndarray):
+    """(p, bandwidth): the folded-ring order p = (0, m-1, 1, m-2, ...) of
+    the m = n/2 half-turn nodes, and the half-bandwidth of the half-turn
+    blocks in that order, read from the nonzero pattern of the rows R.  A
+    node couples to the nodes within its stencil's cyclic reach w, and
+    cyclic neighbours, the wrap pair (0, m-1) among them, sit at most 2w
+    apart in p."""
+    m = R.shape[0]
+    p = np.empty(m, dtype=int)
+    p[0::2] = np.arange((m + 1) // 2)
+    p[1::2] = m - 1 - np.arange(m // 2)
+    pos = np.empty(m, dtype=int)
+    pos[p] = np.arange(m)
+    i, j = np.nonzero(R)
+    return p, int(np.abs(pos[i] - pos[j % m]).max())
+
+
+def _half_turn_inverse(R: np.ndarray, s: float, p: np.ndarray, b: int,
+                       h: float) -> np.ndarray:
+    """The inverse, in the folded order p, of the half-turn block
+    (A + s B)^T, with the mass border (column sqrt 2, row sqrt 2 h) last
+    when s = 1.
+
+    The folded nodes fall into blocks of b >= the half-bandwidth (the last
+    one takes the remainder and the border), so the block matrix is
+    tridiagonal but for the border.  Block LU runs down it on the identity,
+    block k's right-hand side being nonzero only in the columns before the
+    end of block k, and back substitution gives the inverse in O(m^2 b).
+    One block is the dense inverse.
+    """
+    m, nbord = len(p), int(s > 0)
+    r2 = math.sqrt(2.0)
+    edges = [k * b for k in range(max(1, m // b))] + [m]
+
+    def block(k, l):                # the grid rows of block k, columns of l
+        rows, cols = p[edges[k]:edges[k + 1]], p[edges[l]:edges[l + 1]]
+        return (R[np.ix_(cols, rows)] + s * R[np.ix_(cols, rows + m)]).T
+
+    Y = np.eye(m + nbord)
+    F = np.full((m, nbord), r2)     # the border column of the grid rows
+    border = np.zeros((nbord, m + nbord))    # the border row
+    border[:, :m] = r2 * h
+    D, X = block(0, 0), []
+    for k in range(len(edges) - 2):
+        lo, mid, hi = edges[k:k + 3]
+        sol = np.linalg.solve(D, np.hstack([block(k, k + 1), F[lo:mid],
+                                            Y[lo:mid, :mid]]))
+        Xu, Xf, Y[lo:mid, :mid] = np.split(sol, [hi - mid, hi - mid + nbord], 1)
+        X.append((Xu, Xf))
+        L, g = block(k + 1, k), border[:, lo:mid]
+        D = block(k + 1, k + 1) - L @ Xu
+        F[mid:hi] -= L @ Xf
+        Y[mid:hi, :mid] -= L @ Y[lo:mid, :mid]
+        border[:, mid:hi] -= g @ Xu
+        border[:, m:] -= g @ Xf
+        Y[m:, :mid] -= g @ Y[lo:mid, :mid]
+    lo = edges[-2]
+    Y[lo:] = np.linalg.solve(np.block([[D, F[lo:]], [border[:, lo:]]]), Y[lo:])
+    for k in range(len(edges) - 3, -1, -1):
+        lo, mid, hi = edges[k:k + 3]
+        Xu, Xf = X[k]
+        Y[lo:mid] -= Xu @ Y[mid:hi] + Xf @ Y[m:]
+    return Y
+
+
 def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     """Nullspace of the adjoint with unit mass, [mu; c] of the bordered
     system K [mu; c] = [0; 1], from the inverses of its two half-turn blocks
-    (see the module docstring).  A singular block or kappa_1 >=
-    CONDITION_LIMIT means the nullspace of G^T is not cleanly
-    one-dimensional and raises DegenerateNullspace.
+    (see the module docstring), each by block elimination on the folded
+    ring in O(m^2 b) for m = n/2 nodes and blocks of b >= 16 nodes.  A
+    singular block or kappa_1 >= CONDITION_LIMIT means the nullspace of G^T
+    is not cleanly one-dimensional and raises DegenerateNullspace.
     """
     R = gen.rows
     n, h = gen.grid.n, gen.grid.h
     m, r2 = n // 2, math.sqrt(2.0)
     if not np.any(R):
         raise DegenerateNullspace("zero generator")
-    Y = []
-    for s in (1.0, -1.0):           # the blocks (A + B)^T and (A - B)^T
-        K = np.zeros((m + (s > 0),) * 2)    # the periodic one has the mass border
-        K[:m, :m] = R[:, :m].T
-        K[:m, :m] += s * R[:, m:].T
-        if s > 0:
-            K[:m, m], K[m, :m] = r2, r2 * h
-        try:
-            Y.append(np.linalg.inv(K))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateNullspace(f"singular bordered system: {exc}") from exc
-    mu = np.tile(Y[0][:m, m], 2) / r2
+    p, bandwidth = _fold(R)
+    try:                # the blocks (A + B)^T and (A - B)^T, folded
+        Y = [_half_turn_inverse(R, s, p, max(16, bandwidth), h)
+             for s in (1.0, -1.0)]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateNullspace(f"singular bordered system: {exc}") from exc
+    mu = np.empty(m)
+    mu[p] = Y[0][:m, m]
+    mu = np.tile(mu, 2) / r2
     # K^-1 = Q diag(Y+, Y-) Q: its grid columns hold (X+ + X-) / 2 and
     # (X+ - X-) / 2 and the border rows over sqrt 2, its border columns the
     # blocks' border columns over sqrt 2, twice

@@ -253,7 +253,8 @@ def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
     lo gets Gauss-Legendre on geometric panels of ratio 4, the weights
     carrying the density.  lo = 0 gets the power substitution u = z^(2-alpha)
     with 4 * per_panel nodes, under which g(z) / z^2 is bounded; the weights
-    carry the substitution's C z^(-2) / (2 - alpha).  Cached per measure;
+    carry the substitution's C z^(-2) / (2 - alpha), and a node that
+    underflows (alpha near 2) raises InvalidParameter.  Cached per measure;
     the arrays are read-only.
     """
     lo = measure.floor_delta if lo is None else lo
@@ -264,6 +265,10 @@ def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
         p = 2.0 - measure.alpha
         u, w = gauss_legendre(4 * per_panel, 0.0, hi ** p)
         z = u ** (1.0 / p)
+        if not np.all(z * z > 0.0):
+            raise InvalidParameter(
+                f"jump nodes from 0 underflow at alpha = {measure.alpha}: the "
+                f"substitution's smallest node is {z[0]:.3g}")
         w = w * measure.c_alpha / (p * z * z)
     else:
         zs, ws, b = [], [], hi

@@ -463,6 +463,8 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["lyapunov", "--workers", "-3", "--floor-delta", "0.05"],
                                   ["sweep", "--epsilons", "0.05,0.1,0.2,0.4", "--workers", "0",
                                    "--floor-delta", "0.05"],
+                                  ["fp-solve", "--workers", "0", "--grid-n", "64"],
+                                  ["simulate", "--workers", "-3", "--floor-delta", "0.05"],
                                   ["simulate", "--record-stride", "0", "--floor-delta", "0.05"],
                                   ["simulate", "--record-stride", "-5", "--floor-delta",
                                    "0.05"]])

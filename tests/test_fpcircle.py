@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from levyap.errors import DegenerateNullspace, InvalidGrid, InvalidParameter
 from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
-                             GeneratorMatrix, _catmull_rom_row, _local_part,
+                             GeneratorMatrix, _catmull_rom_row, _fold,
+                             _local_part,
                              build_generator, explicit_adjoint_residual,
                              lyapunov_quadrature, pw_limit, solve_stationary)
 from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
@@ -241,6 +242,51 @@ def test_block_solve_matches_dense_oracle(measure, n):
     bound = 1.01 * n * np.finfo(float).eps * (np.abs(G).T @ dens.values).max()
     assert abs(full_residual - dens.residual) <= bound
     assert full_residual < 1e-11
+
+
+WIDE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=10.0, floor_delta=0.05)
+
+
+@pytest.mark.parametrize("a,sigma", [(0.5, 2.0), (2.0, 0.5)])
+@pytest.mark.parametrize("measure,brownian", [(None, True), (MEASURE, True),
+                                              (MEASURE, False)],
+                         ids=["brownian", "jumps", "jump-only"])
+@pytest.mark.parametrize("n", [16, 18, 258, 1024])
+def test_folded_block_solve_matches_dense_oracle(n, measure, brownian, a, sigma):
+    """Block elimination on the folded ring gives the dense solve's density
+    and kappa_1 over n/2 even and odd, one block (n = 16, 18) and blocks of
+    16 that do not divide m = 129 (n = 258), so the last one takes the
+    remainder."""
+    gen = build_generator(a, sigma, 0.1, measure, CircleGrid(n), brownian=brownian)
+    dens = solve_stationary(gen)
+    ref_mu, ref_kappa = dense_solve(gen)
+    assert dens.condition == pytest.approx(ref_kappa, rel=1e-10, abs=0)
+    assert np.abs(dens.values - ref_mu).max() <= 1e-12 * ref_mu.max()
+
+
+def test_wide_band_is_one_dense_block():
+    """eps = 0.9 with cutoff 10 moves angles across the ring: the folded band
+    covers all m = 129 nodes, one block, and the solve is the dense one."""
+    gen = build_generator(1.0, 1.0, 0.9, WIDE, CircleGrid(258))
+    assert 129 // max(16, _fold(gen.rows)[1]) == 1
+    dens = solve_stationary(gen)
+    ref_mu, ref_kappa = dense_solve(gen)
+    assert dens.condition == pytest.approx(ref_kappa, rel=1e-10, abs=0)
+    assert np.abs(dens.values - ref_mu).max() <= 1e-12 * ref_mu.max()
+
+
+@pytest.mark.parametrize("n", [256, 258, 1024])
+def test_fold_at_most_doubles_the_cyclic_band(n):
+    """In the folded order p = (0, m-1, 1, m-2, ...) the half-bandwidth of a
+    jump generator's half-turn blocks is at most twice its cyclic one."""
+    R = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(n)).rows
+    m = n // 2
+    p, folded = _fold(R)
+    assert sorted(p) == list(range(m))
+    i, j = np.nonzero(R)
+    d = (j - i) % m
+    cyclic = int(np.minimum(d, m - d).max())
+    assert 1 < cyclic and folded <= 2 * cyclic
 
 
 @pytest.mark.parametrize("n", [64, 66])

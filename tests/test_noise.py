@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,22 @@ def test_jump_nodes_floor_next_to_cutoff():
     # both sides lose about three digits to the band's width (measured 3.7e-4)
     assert 2.0 * np.sum(w) == pytest.approx(jump_moment(m, 0.0, floor, 1.0),
                                             rel=1e-2)
+
+
+def test_jump_nodes_from_origin_refuse_underflowing_node():
+    """At alpha = 1.99 the power substitution's smallest node u^(1/(2-alpha))
+    underflows to 0: refused, with no infinite weight and no warning; at
+    alpha = 1.95 the nodes still give the exact second moment."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="alpha = 1.99"):
+            jump_nodes(JumpMeasureSpec(alpha=1.99, c_alpha=1.0, cutoff_c=1.0),
+                       lo=0.0)
+        m = JumpMeasureSpec(alpha=1.95, c_alpha=1.0, cutoff_c=1.0)
+        z, w = jump_nodes(m, lo=0.0)
+    assert np.all(np.isfinite(w))
+    assert 2.0 * np.sum(w * z ** 2) == pytest.approx(
+        jump_moment(m, 2.0, 0.0, 1.0), rel=1e-12)
 
 
 def test_jump_nodes_empty_without_jumps():
