@@ -31,8 +31,9 @@ from .estimators import (EstimatorConfig, LyapunovEstimate, angle_lane_rows,
                          check_sweep_epsilons, lyapunov_direct,
                          lyapunov_khasminskii, lyapunov_theorem33_estimate,
                          scaling_sweep)
-from .fpcircle import (CircleGrid, build_generator, explicit_adjoint_residual,
-                       lyapunov_quadrature, pw_limit, solve_stationary)
+from .fpcircle import (INVERSE_BYTES_MAX, CircleGrid, build_generator,
+                       explicit_adjoint_residual, lyapunov_quadrature,
+                       pw_limit, solve_stationary)
 from .marcus import StepperConfig, check_epsilon, integrate
 from .noise import EVENTS_PER_BLOCK_MAX, JumpMeasureSpec, NoiseModel
 from .systems import make_duffing, make_nilpotent
@@ -288,8 +289,9 @@ def _check_methods(methods: list, system) -> None:
 
 
 def _check_fp(cfg: dict, noise) -> None:
-    """Refuse, before any work starts, a bad fp.grid_n and the inputs the
-    circle generator cannot solve.  Without Brownian noise and jumps (the
+    """Refuse, before any work starts, a bad fp.grid_n, one whose block
+    inverses would exceed INVERSE_BYTES_MAX, and the inputs the circle
+    generator cannot solve.  Without Brownian noise and jumps (the
     solve ignores the Gaussian substitutes), or at run.epsilon = 0, every
     noise term vanishes, and the pure drift -a sin^2 has no one-dimensional
     nullspace.  Jumps with noise.floor_delta = 0 are refused too, since the
@@ -299,6 +301,10 @@ def _check_fp(cfg: dict, noise) -> None:
         CircleGrid(cfg["fp.grid_n"])
     except InvalidGrid as exc:
         raise ConfigError(f"fp.grid_n: {exc}") from exc
+    inverse_bytes = 16 * (cfg["fp.grid_n"] // 2 + 1) ** 2
+    if inverse_bytes > INVERSE_BYTES_MAX:
+        raise ConfigError(f"fp.grid_n: the FP block inverses need {inverse_bytes:.3g} "
+                          f"bytes, above the budget of {INVERSE_BYTES_MAX:.3g}")
     m = noise.measure
     jumps = m is not None and m.has_jumps
     if not (noise.brownian or jumps):

@@ -12,18 +12,21 @@ preserves the constants-in-nullspace duality exactly.
 The angle process lives on directions (v and -v are one point), so the
 generator commutes with the half-turn theta -> theta + pi: only the rows of
 the nodes in [0, pi) are built, the others are those rolled by n/2, and
-G = [[A, B], [B, A]] exactly.  The orthogonal map (1/sqrt 2)[[I, I], [I, -I]]
+G = [[A, B], [B, A]] exactly.  A row couples its node to those within the
+stencils' cyclic reach w, so the rows are kept as a cyclic band, 2w + 1
+entries a row (about 70 at n = 2048 with jumps), and no n/2 x n array is
+made.  The orthogonal map (1/sqrt 2)[[I, I], [I, -I]]
 splits the bordered matrix K = [[G^T, 1], [h 1^T, 0]] of the stationary
 solve into the periodic block, (A + B)^T with the mass border times sqrt 2,
 and the antiperiodic block (A - B)^T, so two inverses of half the size
-replace one.  Each block couples a node to those within its stencil's
-cyclic reach; in the folded-ring order (0, m-1, 1, m-2, ...) of the m = n/2
-nodes that cyclic band becomes a plain one, so in blocks of b nodes (b the
+replace one.  In the folded-ring order (0, m-1, 1, m-2, ...) of the m = n/2
+nodes the cyclic band becomes a plain one, so in blocks of b nodes (b the
 folded half-bandwidth, at least 16) the matrix is block tridiagonal but for
-the dense mass border, and block elimination gives its full inverse in
-O(m^2 b) flops, not the O(m^3) of a dense inverse.  The density is a column
-of the periodic inverse, unfolded and duplicated,
-and ||K||_1 ||K^-1||_1, assembled from both inverses with
+the dense mass border, and block elimination, its blocks gathered from the
+band, gives its full inverse in O(m^2 b) flops, not the O(m^3) of a dense
+inverse; the two inverses are the solve's memory.  The density is a column
+of the periodic inverse, unfolded and duplicated, and ||K||_1 ||K^-1||_1,
+assembled from both inverses with
 |a + b| + |a - b| = 2 max(|a|, |b|), is still the exact 1-norm condition
 number kappa_1 of the full circle system.  A simple nullspace keeps kappa_1
 moderate (about 4.2e4, 1.7e5 and 7.7e5 for the eps = 0.1 shear generators
@@ -53,6 +56,9 @@ from .systems import exact_theta_jump, shear_growth_profile
 # largest 1-norm condition number of the bordered stationary system accepted
 # as a one-dimensional nullspace
 CONDITION_LIMIT = 1e10
+# the most bytes the two bordered block inverses of solve_stationary may
+# take, 16 (n/2 + 1)^2 at grid size n: 2 GiB, so n <= 23,168
+INVERSE_BYTES_MAX = 2 ** 31
 # the top exponent of the parameter-free shear du1 = u2 dt, du2 = u1 dW
 LAMBDA1 = math.sqrt(math.pi) * 0.75 ** (1.0 / 3.0) / math.gamma(1.0 / 6.0)
 
@@ -76,10 +82,13 @@ class CircleGrid:
 
 @dataclass
 class GeneratorMatrix:
-    """The generator rows of the nodes in [0, pi), shape (n/2, n); row
+    """The generator rows of the nodes in [0, pi) as a cyclic band of shape
+    (n/2, 2w + 1): band[i, w + d] is the entry of row i in column
+    (i + d) mod n, w the stencils' cyclic reach (at most n/2, where the
+    offsets -n/2 and +n/2 name one column and only -n/2 is used); row
     i + n/2 of the circle generator is row i rolled by n/2."""
     grid: CircleGrid
-    rows: np.ndarray
+    band: np.ndarray
 
 
 @dataclass
@@ -140,15 +149,15 @@ def _jump_stencils(grid: CircleGrid, amp: float,
         yield wq, cols, cw
 
 
-def _local_part(grid: CircleGrid, drift: np.ndarray, diff: np.ndarray) -> np.ndarray:
+def _local_part(grid: CircleGrid, drift: np.ndarray, diff: np.ndarray,
+                reach: int) -> np.ndarray:
     """drift * d/dtheta + diff * d^2/dtheta^2 by periodic central differences:
-    the rows of the nodes in [0, pi), where drift and diff are given."""
-    n, h = grid.n, grid.h
-    G = np.zeros((n // 2, n))
-    idx = np.arange(n // 2)
-    G[idx, (idx + 1) % n] += drift / (2 * h) + diff / h ** 2
-    G[idx, (idx - 1) % n] += -drift / (2 * h) + diff / h ** 2
-    G[idx, idx] += -2.0 * diff / h ** 2
+    the band of the given reach of the rows of the nodes in [0, pi)."""
+    h = grid.h
+    G = np.zeros((grid.n // 2, 2 * reach + 1))
+    G[:, reach + 1] += drift / (2 * h) + diff / h ** 2
+    G[:, reach - 1] += -drift / (2 * h) + diff / h ** 2
+    G[:, reach] += -2.0 * diff / h ** 2
     return G
 
 
@@ -160,36 +169,38 @@ def build_generator(a: float, sigma: float, epsilon: float,
     + nonlocal jump term with the closed-form shear angle map; every
     coefficient is unchanged by theta -> theta + pi.
     """
-    th = grid.nodes[:grid.n // 2]
-    s, c = np.sin(th), np.cos(th)
+    n, idx = grid.n, np.arange(grid.n // 2)[:, None]
+    s, c = np.sin(grid.nodes[:n // 2]), np.cos(grid.nodes[:n // 2])
     bfac = epsilon ** 2 * sigma ** 2 if brownian else 0.0
-    G = _local_part(grid, -a * s * s - bfac * s * c ** 3, 0.5 * bfac * c ** 4)
-    idx = np.arange(grid.n // 2)
-    for wq, cols, cw in _jump_stencils(grid, epsilon * sigma, measure):
-        for k in range(4):
-            np.add.at(G, (idx, cols[:, k]), wq * cw[:, k])
-        G[idx, idx] -= wq
+    # each mark's stencil columns as offsets from their rows, in [-n/2, n/2)
+    jumps = [(wq, (cols - idx + n // 2) % n - n // 2, cw)
+             for wq, cols, cw in _jump_stencils(grid, epsilon * sigma, measure)]
+    w = max([1] + [int(np.abs(d).max()) for _, d, _ in jumps])  # the reach
+    G = _local_part(grid, -a * s * s - bfac * s * c ** 3, 0.5 * bfac * c ** 4, w)
+    for wq, d, cw in jumps:
+        np.add.at(G, (idx, w + d), wq * cw)
+        G[:, w] -= wq
     return GeneratorMatrix(grid, G)
 
 
-def _fold(R: np.ndarray):
+def _fold(band: np.ndarray):
     """(p, bandwidth): the folded-ring order p = (0, m-1, 1, m-2, ...) of
     the m = n/2 half-turn nodes, and the half-bandwidth of the half-turn
-    blocks in that order, read from the nonzero pattern of the rows R.  A
+    blocks in that order, read from the nonzero pattern of the band.  A
     node couples to the nodes within its stencil's cyclic reach w, and
     cyclic neighbours, the wrap pair (0, m-1) among them, sit at most 2w
     apart in p."""
-    m = R.shape[0]
+    m, w = band.shape[0], band.shape[1] // 2
     p = np.empty(m, dtype=int)
     p[0::2] = np.arange((m + 1) // 2)
     p[1::2] = m - 1 - np.arange(m // 2)
     pos = np.empty(m, dtype=int)
     pos[p] = np.arange(m)
-    i, j = np.nonzero(R)
-    return p, int(np.abs(pos[i] - pos[j % m]).max())
+    i, k = np.nonzero(band)
+    return p, int(np.abs(pos[i] - pos[(i + k - w) % m]).max())
 
 
-def _half_turn_inverse(R: np.ndarray, s: float, p: np.ndarray, b: int,
+def _half_turn_inverse(band: np.ndarray, s: float, p: np.ndarray, b: int,
                        h: float) -> np.ndarray:
     """The inverse, in the folded order p, of the half-turn block
     (A + s B)^T, with the mass border (column sqrt 2, row sqrt 2 h) last
@@ -202,13 +213,16 @@ def _half_turn_inverse(R: np.ndarray, s: float, p: np.ndarray, b: int,
     end of block k, and back substitution gives the inverse in O(m^2 b).
     One block is the dense inverse.
     """
-    m, nbord = len(p), int(s > 0)
+    m, nbord, w = len(p), int(s > 0), band.shape[1] // 2
     r2 = math.sqrt(2.0)
     edges = [k * b for k in range(max(1, m // b))] + [m]
+    band = np.hstack([band, np.zeros((m, 1))])  # slot 2w + 1: off the band
 
     def block(k, l):                # the grid rows of block k, columns of l
-        rows, cols = p[edges[k]:edges[k + 1]], p[edges[l]:edges[l + 1]]
-        return (R[np.ix_(cols, rows)] + s * R[np.ix_(cols, rows + m)]).T
+        rows, cols = p[edges[k]:edges[k + 1]], p[edges[l]:edges[l + 1], None]
+        d = [np.minimum((j - cols + w) % (2 * m), 2 * w + 1)
+             for j in (rows, rows + m)]
+        return (band[cols, d[0]] + s * band[cols, d[1]]).T
 
     Y = np.eye(m + nbord)
     F = np.full((m, nbord), r2)     # the border column of the grid rows
@@ -241,18 +255,21 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     """Nullspace of the adjoint with unit mass, [mu; c] of the bordered
     system K [mu; c] = [0; 1], from the inverses of its two half-turn blocks
     (see the module docstring), each by block elimination on the folded
-    ring in O(m^2 b) for m = n/2 nodes and blocks of b >= 16 nodes.  A
-    singular block or kappa_1 >= CONDITION_LIMIT means the nullspace of G^T
-    is not cleanly one-dimensional and raises DegenerateNullspace.
+    ring in O(m^2 b) for m = n/2 nodes and blocks of b >= 16 nodes,
+    gathered from the generator's band.  A singular block or kappa_1 >=
+    CONDITION_LIMIT means the nullspace of G^T is not cleanly
+    one-dimensional and raises DegenerateNullspace.
     """
-    R = gen.rows
+    band = gen.band
     n, h = gen.grid.n, gen.grid.h
-    m, r2 = n // 2, math.sqrt(2.0)
-    if not np.any(R):
+    m, w, r2 = n // 2, band.shape[1] // 2, math.sqrt(2.0)
+    if not np.any(band):
         raise DegenerateNullspace("zero generator")
-    p, bandwidth = _fold(R)
+    p, bandwidth = _fold(band)
+    # ||K||_1, in a Python float
+    norm = max(float(np.abs(band).sum(1).max()) + h, n)
     try:                # the blocks (A + B)^T and (A - B)^T, folded
-        Y = [_half_turn_inverse(R, s, p, max(16, bandwidth), h)
+        Y = [_half_turn_inverse(band, s, p, max(16, bandwidth), h)
              for s in (1.0, -1.0)]
     except np.linalg.LinAlgError as exc:
         raise DegenerateNullspace(f"singular bordered system: {exc}") from exc
@@ -263,11 +280,10 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     # (X+ - X-) / 2 and the border rows over sqrt 2, its border columns the
     # blocks' border columns over sqrt 2, twice
     Ap, Am = (np.abs(y, out=y) for y in Y)
-    cols = [np.maximum(Ap[:m, :m], Am[:m, :m]).sum(0)
+    cols = [np.maximum(Ap[:m, :m], Am[:m, :m], out=Ap[:m, :m]).sum(0)
             + (Ap[m:, :m].sum(0) + Am[m:, :m].sum(0)) / r2]
     cols += [r2 * A[:m, m:].sum(0) + A[m:, m:].sum(0) for A in (Ap, Am)]
-    # ||K||_1, and kappa_1 in Python floats: an overflow gives inf silently
-    norm = max(float(np.abs(R).sum(1).max()) + h, n)
+    # kappa_1 in Python floats: an overflow gives inf silently
     kappa = norm * float(np.concatenate(cols).max())
     if not kappa < CONDITION_LIMIT:
         raise DegenerateNullspace(
@@ -276,9 +292,10 @@ def solve_stationary(gen: GeneratorMatrix) -> CircleDensity:
     clipped = float(np.sum(-mu[mu < 0]) * h)  # +0.0 when none
     mu = np.clip(mu, 0.0, None)
     mu /= np.sum(mu) * h
-    v = mu[:m] @ R                  # G^T mu is [r; r], r = v[:m] + v[m:]
-    residual = float(np.abs(v[:m] + v[m:]).max())
-    return CircleDensity(gen.grid, mu, residual, clipped, kappa)
+    # G^T mu is [r; r], r_j summing mu_i G[i, c] over the columns c = j, j + m
+    i, k = np.indices(band.shape)
+    r = np.bincount(((i + k - w) % m).ravel(), (mu[:m, None] * band).ravel(), m)
+    return CircleDensity(gen.grid, mu, float(np.abs(r).max()), clipped, kappa)
 
 
 def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,

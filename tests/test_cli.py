@@ -467,13 +467,34 @@ def test_lyapunov_bad_run_values_usage_error(args, monkeypatch, capsys):
                                   ["simulate", "--workers", "-3", "--floor-delta", "0.05"],
                                   ["simulate", "--record-stride", "0", "--floor-delta", "0.05"],
                                   ["simulate", "--record-stride", "-5", "--floor-delta",
-                                   "0.05"]])
+                                   "0.05"],
+                                  ["fp-solve", "--c-alpha", "0", "--grid-n", "1048576"],
+                                  ["fp-solve", "--c-alpha", "0", "--grid-n", "23170"],
+                                  ["lyapunov", "--method", "fpcircle", "--c-alpha", "0",
+                                   "--grid-n", "23170"]])
 def test_refused_model_values_usage_error(args, tmp_path, capsys):
     out = tmp_path / "refused"
     assert run_cli(args + ["--horizon", "0.01", "--replicates", "1",
                            "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["fp-solve"], ["lyapunov", "--method", "fpcircle"]])
+def test_largest_fp_grid_within_memory_budget_accepted(command, tmp_path,
+                                                       monkeypatch):
+    """n = 23168 is the largest grid whose two block inverses, 16 (n/2 + 1)^2
+    bytes, fit INVERSE_BYTES_MAX (n = 23170 is refused above): it passes
+    the checks and reaches the solve, stubbed out here."""
+    import levyap.cli as cli
+
+    def reached(*_args, **_kw):
+        raise RuntimeError("solve reached")
+
+    monkeypatch.setattr(cli, "_fp_solve", reached)
+    with pytest.raises(RuntimeError, match="solve reached"):
+        run_cli(command + ["--c-alpha", "0", "--grid-n", "23168",
+                           "--output", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("args", [["fp-solve", "--grid-n", "64"],

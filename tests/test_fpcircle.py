@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,9 +20,13 @@ MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05
 
 
 def full_matrix(gen):
-    """The n x n circle generator: the built rows of the nodes in [0, pi),
-    then the same rows rolled by n/2."""
-    return np.vstack([gen.rows, np.roll(gen.rows, gen.grid.n // 2, axis=1)])
+    """The n x n circle generator: the band's rows of the nodes in [0, pi),
+    then the same rows rolled by n/2, scattered to their columns."""
+    n, w = gen.grid.n, gen.band.shape[1] // 2
+    i = np.arange(n)[:, None]
+    G = np.zeros((n, n))
+    np.add.at(G, (i, (i + np.arange(-w, w + 1)) % n), np.tile(gen.band, (2, 1)))
+    return G
 
 
 def bordered_system(gen):
@@ -71,7 +76,7 @@ def rotation_generator(n, speed=0.7):
     the alternating vector, so the nullspace of G^T is two-dimensional."""
     grid = CircleGrid(n)
     return GeneratorMatrix(grid, _local_part(grid, np.full(n // 2, speed),
-                                             np.zeros(n // 2)))
+                                             np.zeros(n // 2), 1))
 
 
 def sin2_generator(diffusion, n=256):
@@ -80,7 +85,7 @@ def sin2_generator(diffusion, n=256):
     grid = CircleGrid(n)
     # drift and diffusion at the nodes in [0, pi), where the rows are built
     G = _local_part(grid, np.sin(2.0 * grid.nodes[:n // 2]),
-                    np.full(n // 2, diffusion))
+                    np.full(n // 2, diffusion), 1)
     return GeneratorMatrix(grid, G)
 
 
@@ -169,7 +174,7 @@ def test_richardson_value_matches_exact_brownian_exponent():
 
 def test_degenerate_nullspace_detected():
     grid = CircleGrid(64)
-    gen = GeneratorMatrix(grid, np.zeros((32, 64)))
+    gen = GeneratorMatrix(grid, np.zeros((32, 3)))
     with pytest.raises(DegenerateNullspace):
         solve_stationary(gen)
 
@@ -209,15 +214,26 @@ def full_circle_generator(a, sigma, eps, measure, grid):
     return G
 
 
-@pytest.mark.parametrize("n", [128, 130])
-@pytest.mark.parametrize("measure", [None, MEASURE], ids=["brownian", "jumps"])
-def test_rolled_rows_match_a_full_circle_build(measure, n):
+WIDE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=10.0, floor_delta=0.05)
+
+
+@pytest.mark.parametrize("measure,eps,n", [
+    (None, 0.1, 128), (None, 0.1, 130), (MEASURE, 0.1, 128),
+    (MEASURE, 0.1, 130), (WIDE, 0.9, 16), (WIDE, 0.9, 258)],
+    ids=["brownian-128", "brownian-130", "jumps-128", "jumps-130", "wide-16",
+         "wide-258"])
+def test_rolled_rows_match_a_full_circle_build(measure, eps, n):
     """The rows of [pi, 2 pi) are those of [0, pi) rolled by n/2: the
-    coefficients and the shear angle map commute with the half-turn."""
+    coefficients and the shear angle map commute with the half-turn.  The
+    band holds each column once, also at the full reach n/2 of the wide
+    measure, where the offsets -n/2 and +n/2 name one column."""
     grid = CircleGrid(n)
-    gen = build_generator(1.0, 1.0, 0.1, measure, grid)
-    assert gen.rows.shape == (n // 2, n)
-    ref = full_circle_generator(1.0, 1.0, 0.1, measure, grid)
+    gen = build_generator(1.0, 1.0, eps, measure, grid)
+    reach = gen.band.shape[1] // 2
+    assert gen.band.shape == (n // 2, 2 * reach + 1)
+    # the wide measure reaches n/2 = 8 at n = 16 (and 112 of 129 at n = 258)
+    assert reach <= n // 2 and (reach == n // 2) == (n == 16)
+    ref = full_circle_generator(1.0, 1.0, eps, measure, grid)
     assert np.abs(full_matrix(gen) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -244,7 +260,21 @@ def test_block_solve_matches_dense_oracle(measure, n):
     assert full_residual < 1e-11
 
 
-WIDE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=10.0, floor_delta=0.05)
+def test_band_solve_memory_bound():
+    """At n = 2048 with jumps the band is about 70 entries a row, and the
+    traced peak of the build and the solve stays below 3.5 times one
+    bordered block inverse, (m + 1)^2 doubles: the two inverses are the
+    floor, and no (n/2) x n array is made."""
+    m = 1024
+    tracemalloc.start()
+    try:
+        gen = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(2 * m))
+        solve_stationary(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gen.band.nbytes < 1e6
+    assert peak < 3.5 * (m + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("a,sigma", [(0.5, 2.0), (2.0, 0.5)])
@@ -268,7 +298,7 @@ def test_wide_band_is_one_dense_block():
     """eps = 0.9 with cutoff 10 moves angles across the ring: the folded band
     covers all m = 129 nodes, one block, and the solve is the dense one."""
     gen = build_generator(1.0, 1.0, 0.9, WIDE, CircleGrid(258))
-    assert 129 // max(16, _fold(gen.rows)[1]) == 1
+    assert 129 // max(16, _fold(gen.band)[1]) == 1
     dens = solve_stationary(gen)
     ref_mu, ref_kappa = dense_solve(gen)
     assert dens.condition == pytest.approx(ref_kappa, rel=1e-10, abs=0)
@@ -279,12 +309,11 @@ def test_wide_band_is_one_dense_block():
 def test_fold_at_most_doubles_the_cyclic_band(n):
     """In the folded order p = (0, m-1, 1, m-2, ...) the half-bandwidth of a
     jump generator's half-turn blocks is at most twice its cyclic one."""
-    R = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(n)).rows
-    m = n // 2
-    p, folded = _fold(R)
+    band = build_generator(1.0, 1.0, 0.1, MEASURE, CircleGrid(n)).band
+    m, w = n // 2, band.shape[1] // 2
+    p, folded = _fold(band)
     assert sorted(p) == list(range(m))
-    i, j = np.nonzero(R)
-    d = (j - i) % m
+    d = (np.nonzero(band)[1] - w) % m
     cyclic = int(np.minimum(d, m - d).max())
     assert 1 < cyclic and folded <= 2 * cyclic
 
