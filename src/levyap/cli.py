@@ -50,8 +50,6 @@ CONFIG_SCHEMA = {
     "noise.cutoff_c": (float, 1.0, "large-jump truncation radius"),
     "noise.floor_delta": (float, 1e-3, "small-jump floor"),
     "noise.brownian": (bool, True, "include the Brownian part"),
-    "noise.ar_small_jumps": (bool, False,
-                             "Gaussian substitute for dropped jumps below the floor"),
     "noise.ar_threshold": (float, 0.0,
                            "Gaussian substitute for jumps below this magnitude"),
     "run.epsilon": (float, 0.1, "perturbation scale"),
@@ -194,7 +192,6 @@ def _build_model(cfg: dict):
                                       cutoff_c=cfg["noise.cutoff_c"],
                                       floor_delta=cfg["noise.floor_delta"])
         noise = NoiseModel(measure=measure, brownian=cfg["noise.brownian"],
-                           ar_small_jumps=cfg["noise.ar_small_jumps"],
                            ar_threshold=cfg["noise.ar_threshold"])
         # jumps with a sampling floor of 0 have infinite activity, which
         # every command refuses: jump_rate raises InvalidMeasure for them
@@ -292,7 +289,7 @@ def _check_fp(cfg: dict, noise) -> None:
     """Refuse, before any work starts, a bad fp.grid_n, one whose block
     inverses would exceed INVERSE_BYTES_MAX, and the inputs the circle
     generator cannot solve.  Without Brownian noise and jumps (the
-    solve ignores the Gaussian substitutes), or at run.epsilon = 0, every
+    solve ignores the Gaussian substitute), or at run.epsilon = 0, every
     noise term vanishes, and the pure drift -a sin^2 has no one-dimensional
     nullspace.  Jumps with noise.floor_delta = 0 are refused too, since the
     nonlocal term models the measure on [floor_delta, cutoff), so a
@@ -306,7 +303,7 @@ def _check_fp(cfg: dict, noise) -> None:
         raise ConfigError(f"fp.grid_n: the FP block inverses need {inverse_bytes:.3g} "
                           f"bytes, above the budget of {INVERSE_BYTES_MAX:.3g}")
     m = noise.measure
-    jumps = m is not None and m.has_jumps
+    jumps = m is not None
     if not (noise.brownian or jumps):
         raise ConfigError("the circle Fokker-Planck solve needs noise: "
                           "noise.brownian is false and there are no jumps")

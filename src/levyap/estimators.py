@@ -385,7 +385,7 @@ def compute_Irho(system, measure: Optional[JumpMeasureSpec], x, theta: float,
     Marcus jump of the pair is summed over the quadrature marks; the
     constant-shear routes use ``rho_jump_profile`` instead.
     """
-    if measure is None or not measure.has_jumps:
+    if measure is None:
         return 0.0
     lo = noise.sampling_floor if noise is not None else measure.floor_delta
     return fr.compute_Irho_generic(system.frame, system.sigma, measure, x,
@@ -405,8 +405,7 @@ def shear_sigma0_profile(system, noise: NoiseModel, epsilon: float,
     integral remainder the compensator is eps^(2-2beta) times the (1 -
     b)-weighted flow integral of the jump term."""
     m = noise.measure
-    nodes = (jump_nodes(m, noise.sampling_floor)
-             if m is not None and m.has_jumps else None)
+    nodes = jump_nodes(m, noise.sampling_floor) if m is not None else None
     return shear_growth_profile(theta_grid, system.a, system.sigma, epsilon,
                                 beta, noise.gaussian_rate, nodes)
 

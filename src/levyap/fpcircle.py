@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateNullspace, InvalidGrid, InvalidParameter
+from .errors import DegenerateNullspace, InvalidGrid
 from .noise import JumpMeasureSpec, jump_moment, jump_nodes
 from .systems import exact_theta_jump, shear_growth_profile
 
@@ -132,14 +132,11 @@ def _jump_stencils(grid: CircleGrid, amp: float,
     amp * z (a node theta + pi maps to that angle + pi).
 
     The marks are the panel nodes of ``jump_nodes`` on [floor_delta, cutoff),
-    so the measure must be truncated (floor_delta > 0).  Yields nothing
+    which refuses an untruncated measure (floor_delta = 0).  Yields nothing
     without jumps.
     """
-    if measure is None or not measure.has_jumps:
+    if measure is None:
         return
-    if measure.floor_delta <= 0.0:
-        raise InvalidParameter(
-            "the nonlocal generator needs a truncated measure (floor_delta > 0)")
     z, w = jump_nodes(measure)
     th = grid.nodes[:grid.n // 2]
     for sq, wq in zip(np.concatenate([z, -z]), np.concatenate([w, w])):
@@ -304,8 +301,7 @@ def lyapunov_quadrature(density: CircleDensity, a: float, sigma: float,
     """Growth rate as the density-weighted angle average of the unscaled
     integrand ``shear_growth_profile`` (trapezoid rule; exact spacing on the
     periodic grid)."""
-    jumps = measure is not None and measure.has_jumps
-    nodes = jump_nodes(measure) if jumps else None
+    nodes = jump_nodes(measure) if measure is not None else None
     q = shear_growth_profile(density.grid.nodes, a, sigma, epsilon, 0.0,
                              1.0 if brownian else 0.0, nodes)
     return float(np.sum(q * density.values) * density.grid.h)

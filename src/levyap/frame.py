@@ -144,8 +144,6 @@ def compute_Irho_generic(frame: Callable, sigma: float,
     linear in z, so each node of ``noise.jump_nodes`` contributes the pair
     sum z2(z) + z2(-z).
     """
-    if not measure.has_jumps:
-        return 0.0
     x1, x2 = float(x[0]), float(x[1])
     zq, wq = jump_nodes(measure, lo)
     total = 0.0

@@ -45,7 +45,8 @@ class JumpMeasureSpec:
     """Truncated symmetric alpha-stable jump measure.
 
     alpha       stability index in (0, 2)
-    c_alpha     intensity constant, finite and >= 0 (0 means no jump part)
+    c_alpha     intensity constant, finite and > 0 (a noise model without a
+                jump part has no measure)
     cutoff_c    large-jump truncation radius, finite and > 0
     floor_delta small-jump floor in [0, cutoff_c); sampling requires > 0
     """
@@ -58,24 +59,18 @@ class JumpMeasureSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise InvalidParameter(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not 0.0 <= self.c_alpha < math.inf:
-            raise InvalidParameter(f"c_alpha must be finite and nonnegative, got {self.c_alpha}")
+        if not 0.0 < self.c_alpha < math.inf:
+            raise InvalidParameter(f"c_alpha must be finite and positive, got {self.c_alpha}")
         if not 0.0 < self.cutoff_c < math.inf:
             raise InvalidParameter(f"cutoff_c must be finite and positive, got {self.cutoff_c}")
         if not 0.0 <= self.floor_delta < self.cutoff_c:
             raise InvalidParameter("floor_delta must lie in [0, cutoff_c)")
-
-    @property
-    def has_jumps(self) -> bool:
-        return self.c_alpha > 0.0
 
 
 def jump_moment(measure: JumpMeasureSpec, p: float, lo: float, hi: float) -> float:
     """Closed form of  int_{lo <= |z| < hi} |z|^p nu(dz); p = 0 is the mass."""
     if not 0.0 <= lo < hi or hi > measure.cutoff_c * (1 + 1e-12):
         raise InvalidParameter(f"need 0 <= lo < hi <= cutoff_c, got [{lo}, {hi})")
-    if not measure.has_jumps:
-        return 0.0
     a, C = measure.alpha, measure.c_alpha
     if lo == 0.0 and p <= a:
         raise DivergentMoment(f"moment p={p} diverges at the origin for alpha={a}")
@@ -88,19 +83,19 @@ def jump_moment(measure: JumpMeasureSpec, p: float, lo: float, hi: float) -> flo
 class NoiseModel:
     """Full driving-noise description used by integrators and estimators.
 
-    brownian        include the unit-covariance Brownian part
-    ar_small_jumps  Asmussen-Rosinski mode: dropped jumps |z| < floor_delta
-                    are replaced by a variance-matched Gaussian
-    ar_threshold    if above floor_delta, jumps in [floor_delta, ar_threshold)
-                    are also replaced by a variance-matched Gaussian; only the
-                    remaining band [ar_threshold, cutoff_c) is sampled as
-                    discrete events.  Keeps the second moment exact while
-                    making very-high-activity measures affordable.
+    measure       the jump measure, None for no jump part
+    brownian      include the unit-covariance Brownian part
+    ar_threshold  if above floor_delta, the jumps in [floor_delta,
+                  ar_threshold) are replaced by a variance-matched Gaussian
+                  (Asmussen-Rosinski); only the remaining band
+                  [ar_threshold, cutoff_c) is sampled as discrete events.
+                  Keeps the second moment exact while making
+                  very-high-activity measures affordable; with floor_delta
+                  = 0 the Gaussian stands in for every jump below it.
     """
 
     measure: Optional[JumpMeasureSpec]
     brownian: bool = True
-    ar_small_jumps: bool = False
     ar_threshold: float = 0.0
 
     def __post_init__(self):
@@ -111,7 +106,7 @@ class NoiseModel:
     @property
     def sampling_floor(self) -> float:
         m = self.measure
-        if m is None or not m.has_jumps:
+        if m is None:
             return 0.0
         return max(m.floor_delta, self.ar_threshold)
 
@@ -120,24 +115,22 @@ class NoiseModel:
         """Variance per unit time of the continuous part."""
         rate = 1.0 if self.brownian else 0.0
         m = self.measure
-        if m is not None and m.has_jumps:
-            if self.ar_small_jumps and m.floor_delta > 0.0:
-                rate += jump_moment(m, 2.0, 0.0, m.floor_delta)
-            if self.ar_threshold > m.floor_delta:
-                hi = min(self.ar_threshold, m.cutoff_c)
-                rate += jump_moment(m, 2.0, m.floor_delta, hi)
+        if m is not None and self.ar_threshold > m.floor_delta:
+            hi = min(self.ar_threshold, m.cutoff_c)
+            rate += jump_moment(m, 2.0, m.floor_delta, hi)
         return rate
 
     @property
     def jump_rate(self) -> float:
         """Poisson rate (per unit time) of sampled jump events."""
         m = self.measure
-        if m is None or not m.has_jumps or self.sampling_floor >= m.cutoff_c:
+        if m is None or self.sampling_floor >= m.cutoff_c:
             return 0.0
         if self.sampling_floor <= 0.0:
             raise InvalidMeasure(
-                "jump activity is infinite: choose floor_delta > 0 or enable "
-                "the Gaussian small-jump substitute")
+                "jump activity is infinite: raise noise.floor_delta above 0, "
+                "or noise.ar_threshold above 0 to replace the jumps below it "
+                "by a variance-matched Gaussian")
         return jump_moment(m, 0.0, self.sampling_floor, m.cutoff_c)
 
 
@@ -244,32 +237,22 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=256)
 def jump_nodes(measure: JumpMeasureSpec, lo: Optional[float] = None,
                per_panel: int = 16):
-    """One-sided (z, w) nodes over [lo, cutoff_c) for integrands that vanish
-    quadratically at 0: sum w g(z) approximates int g(z) nu(dz) over the
-    band; lo defaults to the measure's floor.  Symmetric integrals come from
-    the caller evaluating g(z) + g(-z).
+    """One-sided (z, w) nodes over [lo, cutoff_c): sum w g(z) approximates
+    int g(z) nu(dz) over the band, which is empty when lo >= cutoff_c; lo
+    defaults to the measure's floor and must be positive (InvalidParameter
+    otherwise).  Symmetric integrals come from the caller evaluating
+    g(z) + g(-z).
 
-    The density C z^(-1-alpha) spans many orders of magnitude, so a positive
-    lo gets Gauss-Legendre on geometric panels of ratio 4, the weights
-    carrying the density.  lo = 0 gets the power substitution u = z^(2-alpha)
-    with 4 * per_panel nodes, under which g(z) / z^2 is bounded; the weights
-    carry the substitution's C z^(-2) / (2 - alpha), and a node that
-    underflows (alpha near 2) raises InvalidParameter.  Cached per measure;
-    the arrays are read-only.
+    The density C z^(-1-alpha) spans many orders of magnitude, so the band
+    gets Gauss-Legendre on geometric panels of ratio 4, the weights carrying
+    the density.  Cached per measure; the arrays are read-only.
     """
     lo = measure.floor_delta if lo is None else lo
+    if not lo > 0.0:
+        raise InvalidParameter(f"jump nodes need a positive lower limit, got {lo}")
     hi = measure.cutoff_c
-    if not measure.has_jumps or hi <= lo:
+    if hi <= lo:
         z = w = np.empty(0)
-    elif not lo > 0.0:
-        p = 2.0 - measure.alpha
-        u, w = gauss_legendre(4 * per_panel, 0.0, hi ** p)
-        z = u ** (1.0 / p)
-        if not np.all(z * z > 0.0):
-            raise InvalidParameter(
-                f"jump nodes from 0 underflow at alpha = {measure.alpha}: the "
-                f"substitution's smallest node is {z[0]:.3g}")
-        w = w * measure.c_alpha / (p * z * z)
     else:
         zs, ws, b = [], [], hi
         while not zs or b > lo * (1 + 1e-12):   # one panel at least

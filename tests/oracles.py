@@ -19,6 +19,9 @@
 * ``frame_oracle``: a system's linearization read in its ``frame``, rebuilt
   from its ``fields`` (the drift callbacks and V), the oracle of the
   closed-form ``coeffs``.
+* ``jump_nodes_from_origin``: the quadrature of the jump measure over
+  [0, cutoff), which ``noise.jump_nodes`` refuses, for the small-eps Taylor
+  limits that need the whole band.
 * ``sigma0`` and ``compute_R0``: the leading-order growth-rate integrand at
   a point, with its jump term by flow quadrature on the closed-form angle
   jump, the oracle of ``estimators.shear_sigma0_profile``.
@@ -45,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from levyap._lanes import AngleLanesResult
-from levyap.errors import ExitDetected, LevyapError
+from levyap.errors import ExitDetected, InvalidParameter, LevyapError
 from levyap.fpcircle import (build_generator, lyapunov_quadrature,
                              solve_stationary)
 from levyap.frame import angle_jump_flow, polar_fields
@@ -158,6 +161,23 @@ def frame_oracle(frame, fields, x1: float, x2: float):
 # leading-order growth-rate integrand at a point
 # ---------------------------------------------------------------------------
 
+def jump_nodes_from_origin(measure, per_panel: int = 16):
+    """(z, w) with sum w g(z) approximating int g(z) nu(dz) over [0, cutoff_c)
+    for integrands that vanish quadratically at 0: the power substitution
+    u = z^(2-alpha) with 4 * per_panel Gauss-Legendre nodes, under which
+    g(z) / z^2 is bounded; the weights carry the substitution's
+    C z^(-2) / (2 - alpha).  A node that underflows (alpha near 2) raises
+    InvalidParameter."""
+    p = 2.0 - measure.alpha
+    u, w = gauss_legendre(4 * per_panel, 0.0, measure.cutoff_c ** p)
+    z = u ** (1.0 / p)
+    if not np.all(z * z > 0.0):
+        raise InvalidParameter(
+            f"jump nodes from 0 underflow at alpha = {measure.alpha}: the "
+            f"substitution's smallest node is {z[0]:.3g}")
+    return z, w * measure.c_alpha / (p * z * z)
+
+
 def compute_R0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
                x, theta: float, epsilon: float, beta: float = 2.0 / 3.0,
                inner_nodes: int = 8, z_panel_nodes: int = 16,
@@ -171,16 +191,19 @@ def compute_R0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
 
     evaluated on Gauss-Legendre nodes b; the outer integral runs over the
     symmetrized jump measure from ``lo`` (default: the measure's floor) to
-    the cutoff.  The flow along z V stopped at time b is the time-one flow
-    along b z V, V = (0, sigma x1), so the state at b is the closed-form
-    jump of mark b z (``angle_jump_flow``).
+    the cutoff, from 0 by ``jump_nodes_from_origin``.  The flow along z V
+    stopped at time b is the time-one flow along b z V, V = (0, sigma x1),
+    so the state at b is the closed-form jump of mark b z
+    (``angle_jump_flow``).  Zero without a measure.
     """
-    if not measure.has_jumps:
+    if measure is None:
         return 0.0
     x1, x2 = float(x[0]), float(x[1])
     bq, bw = gauss_legendre(inner_nodes, 0.0, 1.0)
     flow_w = (bw * (1.0 - bq)).tolist()
-    zq, wq = jump_nodes(measure, lo, z_panel_nodes)
+    lo = measure.floor_delta if lo is None else lo
+    zq, wq = (jump_nodes(measure, lo, z_panel_nodes) if lo > 0.0
+              else jump_nodes_from_origin(measure, z_panel_nodes))
     total = 0.0
     for z, wt in zip(zq.tolist(), wq.tolist()):
         for zs in (z, -z):
@@ -208,8 +231,6 @@ def sigma0(coeffs_fn: Callable, frame: Callable, sigma: float, measure,
     co = coeffs_fn(x)
     s, c = math.sin(theta), math.cos(theta)
     base = co.shear * s * c + rate * (co.d * co.d) * (0.5 * c * c - s * s * c * c)
-    if measure is None or not measure.has_jumps:
-        return base
     return base + compute_R0(coeffs_fn, frame, sigma, measure, x, theta,
                              epsilon, beta=beta, **quad_kw)
 

@@ -19,12 +19,12 @@ from levyap.fpcircle import (CircleGrid, build_generator, lyapunov_quadrature,
                              solve_stationary)
 from levyap.frame import angle_jump_flow
 from levyap.marcus import StepperConfig, VectorFieldSet, integrate, step
-from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
+from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment
 from levyap.systems import (exact_theta_jump, make_duffing, make_nilpotent,
                             rho_jump_profile)
 from oracles import (duffing_energy, exact_rho_jump, frame_coordinates,
-                     frame_oracle, marcus_jump_map, rk4_angle_jump,
-                     shear_exponent)
+                     frame_oracle, jump_nodes_from_origin, marcus_jump_map,
+                     rk4_angle_jump, shear_exponent)
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -249,7 +249,7 @@ def test_acceptance_7_taylor_consistency():
     target = (0.5 * np.cos(th) ** 2 - np.sin(th) ** 2 * np.cos(th) ** 2) * m2
     worst = 0.0
     for eps in (1e-2, 1e-3):
-        prof = rho_jump_profile(th, eps, jump_nodes(measure, lo=0.0)) / eps ** 2
+        prof = rho_jump_profile(th, eps, jump_nodes_from_origin(measure)) / eps ** 2
         dev = np.abs(prof - target).max() / np.abs(target).max()
         worst = max(worst, dev)
         assert dev <= 0.01, f"eps={eps}: sup deviation {dev:.4f}"

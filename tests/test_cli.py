@@ -223,6 +223,53 @@ def test_config_with_removed_fp_variant_key_refused(tmp_path, capsys):
     assert run_cli(["fp-solve", "--config", str(stem.with_suffix(".json"))]) == 0
 
 
+@pytest.mark.parametrize("name", ["old.cfg", "old.json"])
+def test_config_with_removed_ar_small_jumps_key_refused(name, tmp_path, capsys):
+    """A flat config file, or an artifact's config block, that still carries
+    noise.ar_small_jumps is refused as an unknown key before any work, with
+    no artifact; --floor-delta 0 --ar-threshold delta spells its model."""
+    old = tmp_path / name
+    if name.endswith(".json"):
+        old.write_text(json.dumps({"config": {"noise.floor_delta": 0.05,
+                                              "noise.ar_small_jumps": True}}))
+    else:
+        old.write_text("noise.floor_delta = 0.05\nnoise.ar_small_jumps = true\n")
+    assert run_cli(["lyapunov", "--config", str(old), "--horizon", "0.01",
+                    "--replicates", "1", "--output", str(tmp_path / "run")]) == 2
+    assert "unknown key 'noise.ar_small_jumps'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [old]
+
+
+def test_sub_floor_gaussian_substitute_pinned_values(tmp_path, capsys):
+    """floor_delta = 0 with the jumps below ar_threshold = 0.05 replaced by
+    a variance-matched Gaussian.  The values are pinned to those the model
+    gave under its removed second spelling, noise.ar_small_jumps = true with
+    floor_delta = 0.05."""
+    stem = tmp_path / "sub"
+    assert run_cli(["lyapunov", "--method", "direct,khasminskii,theorem33",
+                    "--floor-delta", "0", "--ar-threshold", "0.05",
+                    "--horizon", "20", "--replicates", "4", "--seed", "3",
+                    "--output", str(stem)]) == 0
+    res = json.loads(stem.with_suffix(".json").read_text())["results"]
+    assert res["direct"]["value"] == pytest.approx(0.14861468268999073, rel=1e-12)
+    assert res["khasminskii"]["value"] == pytest.approx(0.10551336095281841,
+                                                        rel=1e-12)
+    assert res["khasminskii"]["martingale_rate"] == pytest.approx(
+        [0.016658257986957782, 0.07496063742739593], rel=1e-12)
+    assert res["theorem33"]["value"] == pytest.approx(0.10552225780850479,
+                                                      rel=1e-12)
+
+
+def test_infinite_jump_activity_names_both_remedies(tmp_path, capsys):
+    """Jumps from floor 0 with no Gaussian substitute have infinite
+    activity: the refusal names the floor and the substitute's threshold."""
+    assert run_cli(["lyapunov", "--floor-delta", "0", "--horizon", "0.01",
+                    "--output", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "noise.floor_delta" in err and "noise.ar_threshold" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name,text", [("missing.cfg", None),
                                        ("truncated.json", '{"config": {"run.seed": 1'),
                                        ("list.json", '["run.seed", 1]'),

@@ -19,7 +19,7 @@ from levyap.marcus import StepperConfig, integrate
 from levyap.noise import JumpMeasureSpec, NoiseModel, jump_moment, jump_nodes
 from levyap.systems import (NilpotentSystem, make_duffing, make_nilpotent,
                             rho_jump_profile)
-from oracles import per_step_angle_lanes, pw_route, sigma0
+from oracles import jump_nodes_from_origin, per_step_angle_lanes, pw_route, sigma0
 
 NIL = make_nilpotent(1.0, 1.0)
 DUF = make_duffing(1.0)
@@ -219,8 +219,6 @@ def test_direct_deterministic_and_worker_independent():
 
 
 def test_compute_irho_trivial_and_taylor():
-    empty = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0)
-    assert compute_Irho(NIL, empty, np.ones(2), 0.3, 0.1) == 0.0
     assert compute_Irho(NIL, None, np.ones(2), 0.3, 0.1) == 0.0
     # rescaled compensator integral approaches the quadratic-variation form;
     # at floor 0 only the closed form is accurate enough to show it (the
@@ -230,7 +228,7 @@ def test_compute_irho_trivial_and_taylor():
     eps = 1e-3
     for th in (0.3, 1.0, 2.2, 5.0):
         irho = rho_jump_profile(th, eps ** (1.0 / 3.0) * NIL.sigma,
-                                jump_nodes(m, 0.0))
+                                jump_nodes_from_origin(m))
         s, c = math.sin(th), math.cos(th)
         qv = 0.5 * c * c - s * s * c * c
         # I_rho ~ eps^(2-2 beta) sigma^2 qv m2, so the rescaled value is eps-free

@@ -14,7 +14,7 @@ from levyap.fpcircle import (CONDITION_LIMIT, CircleDensity, CircleGrid,
                              lyapunov_quadrature, pw_limit, solve_stationary)
 from levyap.noise import JumpMeasureSpec, jump_moment, jump_nodes
 from levyap.systems import exact_theta_jump, rho_jump_profile
-from oracles import pw_route, shear_exponent
+from oracles import jump_nodes_from_origin, pw_route, shear_exponent
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
 
@@ -413,7 +413,7 @@ def test_zeta2_profile_positive_at_zero_angle():
 def test_zeta2_profile_from_origin_matches_quad():
     m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0)
     for th in (0.0, 0.7, 2.0):
-        prof = rho_jump_profile(np.array([th]), 0.2, jump_nodes(m, lo=0.0))
+        prof = rho_jump_profile(np.array([th]), 0.2, jump_nodes_from_origin(m))
 
         def pair(z):
             def one(s):
@@ -433,7 +433,7 @@ def test_taylor_limit_of_jump_drift_term():
     th = 2.0 * math.pi * np.arange(64) / 64.0
     target = (0.5 * np.cos(th) ** 2 - np.sin(th) ** 2 * np.cos(th) ** 2) * m2
     for eps in (1e-2, 1e-3):
-        prof = rho_jump_profile(th, eps, jump_nodes(m, lo=0.0)) / eps ** 2
+        prof = rho_jump_profile(th, eps, jump_nodes_from_origin(m)) / eps ** 2
         assert np.abs(prof - target).max() <= 0.01 * np.abs(target).max()
 
 

@@ -262,8 +262,7 @@ def test_sigma0_quarter_turn_only_jump_term():
 
 
 def test_compute_r0_zero_mass():
-    measure = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0)
-    assert compute_R0(*callbacks(NIL, 0.1), measure, np.ones(2), 0.3, 0.1) == 0.0
+    assert compute_R0(*callbacks(NIL, 0.1), None, np.ones(2), 0.3, 0.1) == 0.0
 
 
 def test_compute_r0_node_doubling_converges():
@@ -421,7 +420,7 @@ def r0_per_node(system, measure, x, theta, eps, beta=2.0 / 3.0, inner_n=8,
 
 QUAD_MEASURES = [
     JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05),
-    JumpMeasureSpec(alpha=1.2, c_alpha=0.7, cutoff_c=1.0, floor_delta=0.0),
+    JumpMeasureSpec(alpha=1.2, c_alpha=0.7, cutoff_c=1.0, floor_delta=1e-3),
 ]
 
 

@@ -11,11 +11,10 @@ from levyap.errors import DivergentMoment, InvalidMeasure, InvalidParameter
 from levyap.noise import (BlockIncrements, JumpMeasureSpec, NoiseModel,
                           _event_order, jump_moment, jump_nodes, sample_block,
                           trajectory_streams)
+from oracles import jump_nodes_from_origin
 
 MEASURE = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.1)
-# a jump measure without a jump part
-NO_JUMPS = NoiseModel(measure=JumpMeasureSpec(alpha=1.5, c_alpha=0.0,
-                                              cutoff_c=1.0))
+NO_JUMPS = NoiseModel(measure=None)
 
 
 def rngs(seed):
@@ -140,14 +139,15 @@ def test_jump_nodes_match_closed_form_moments(alpha, c_alpha, cutoff, floor):
     for p in (0.0, 2.0, 3.5):
         assert 2.0 * np.sum(w * z ** p) == pytest.approx(
             jump_moment(m, p, floor, cutoff), rel=1e-12)
-    # power substitution from 0: the weights carry C z^-2 / (2 - alpha)
-    z0, w0 = jump_nodes(m, lo=0.0)
+    for arr in (z, w):
+        assert not arr.flags.writeable
+    # the oracle's power substitution from 0: the weights carry
+    # C z^-2 / (2 - alpha)
+    z0, w0 = jump_nodes_from_origin(m)
     assert 2.0 * np.sum(w0 * z0 ** 2) == pytest.approx(
         jump_moment(m, 2.0, 0.0, cutoff), rel=1e-12)
     assert 2.0 * np.sum(w0 * z0 ** 4) == pytest.approx(
         jump_moment(m, 4.0, 0.0, cutoff), rel=1e-8)
-    for arr in (z, w, z0, w0):
-        assert not arr.flags.writeable
 
 
 def test_jump_nodes_floor_next_to_cutoff():
@@ -162,24 +162,25 @@ def test_jump_nodes_floor_next_to_cutoff():
 
 
 def test_jump_nodes_from_origin_refuse_underflowing_node():
-    """At alpha = 1.99 the power substitution's smallest node u^(1/(2-alpha))
-    underflows to 0: refused, with no infinite weight and no warning; at
-    alpha = 1.95 the nodes still give the exact second moment."""
+    """At alpha = 1.99 the oracle's power substitution's smallest node
+    u^(1/(2-alpha)) underflows to 0: refused, with no infinite weight and no
+    warning; at alpha = 1.95 the nodes still give the exact second moment."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameter, match="alpha = 1.99"):
-            jump_nodes(JumpMeasureSpec(alpha=1.99, c_alpha=1.0, cutoff_c=1.0),
-                       lo=0.0)
+            jump_nodes_from_origin(
+                JumpMeasureSpec(alpha=1.99, c_alpha=1.0, cutoff_c=1.0))
         m = JumpMeasureSpec(alpha=1.95, c_alpha=1.0, cutoff_c=1.0)
-        z, w = jump_nodes(m, lo=0.0)
+        z, w = jump_nodes_from_origin(m)
     assert np.all(np.isfinite(w))
     assert 2.0 * np.sum(w * z ** 2) == pytest.approx(
         jump_moment(m, 2.0, 0.0, 1.0), rel=1e-12)
 
 
 def test_jump_nodes_empty_without_jumps():
-    m = JumpMeasureSpec(alpha=1.5, c_alpha=0.0, cutoff_c=1.0, floor_delta=0.05)
-    for lo in (None, 0.0):
+    # a sampling floor at or above the cutoff leaves no band to integrate
+    m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=0.05)
+    for lo in (1.0, 2.0):
         z, w = jump_nodes(m, lo)
         assert z.size == w.size == 0
 
@@ -208,8 +209,11 @@ def test_gaussian_rate_with_substitutes():
     m = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0, floor_delta=1e-3)
     plain = NoiseModel(measure=m)
     assert plain.gaussian_rate == 1.0
-    ar = NoiseModel(measure=m, ar_small_jumps=True)
-    assert ar.gaussian_rate == pytest.approx(1.0 + jump_moment(m, 2.0, 0.0, 1e-3))
+    # from floor 0 the substitute stands in for every jump below ar_threshold
+    m0 = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0)
+    sub = NoiseModel(measure=m0, ar_threshold=1e-3)
+    assert sub.gaussian_rate == pytest.approx(1.0 + jump_moment(m0, 2.0, 0.0, 1e-3))
+    assert sub.sampling_floor == 1e-3
     band = NoiseModel(measure=m, ar_threshold=0.05)
     assert band.gaussian_rate == pytest.approx(1.0 + jump_moment(m, 2.0, 1e-3, 0.05))
     assert band.sampling_floor == 0.05
@@ -228,11 +232,17 @@ def test_invalid_parameters():
         with pytest.raises(InvalidParameter):
             JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=cutoff,
                             floor_delta=0.05)
-    # an infinite intensity has no Poisson rate to sample from
-    for c_alpha in (math.inf, math.nan, -1.0):
+    # an infinite intensity has no Poisson rate to sample from; a noise
+    # model without jumps has measure None, not c_alpha = 0
+    for c_alpha in (math.inf, math.nan, -1.0, 0.0):
         with pytest.raises(InvalidParameter):
             JumpMeasureSpec(alpha=1.5, c_alpha=c_alpha, cutoff_c=1.0,
                             floor_delta=0.05)
+    # the panels of jump_nodes need a positive lower limit
+    m0 = JumpMeasureSpec(alpha=1.5, c_alpha=1.0, cutoff_c=1.0)
+    for lo in (None, 0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameter):
+            jump_nodes(m0, lo)
     with pytest.raises(InvalidParameter):
         sample_block(NoiseModel(measure=None), -1.0, 1, *rngs(0))
 
